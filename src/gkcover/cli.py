@@ -40,10 +40,15 @@ def parse_dag(text: str) -> tuple[Dag, list[str]]:
     """Parse the dag file format: vertex count, then one 'u v' per line.
 
     '#' starts a comment; vertex tokens are arbitrary and map to dense
-    ids in order of first appearance.
+    ids in order of first appearance. The remaining ids are isolated
+    vertices. When every token is an integer below n, the file names
+    vertices by id and the isolated vertices take the unused ids as
+    names, in increasing order. Otherwise each isolated vertex is named
+    by its dense id, and a token equal to such a name is an error.
     """
     n: Optional[int] = None
     ids: dict[str, int] = {}
+    first_line: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
 
     def vertex(tok: str, lineno: int) -> int:
@@ -51,6 +56,7 @@ def parse_dag(text: str) -> tuple[Dag, list[str]]:
             if n is not None and len(ids) >= n:
                 raise ParseError(f"more than {n} distinct vertex names", lineno)
             ids[tok] = len(ids)
+            first_line[tok] = lineno
         return ids[tok]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -73,10 +79,16 @@ def parse_dag(text: str) -> tuple[Dag, list[str]]:
         edges.append((vertex(toks[0], lineno), vertex(toks[1], lineno)))
     if n is None:
         raise ParseError("empty input: missing the vertex count", 1)
-    names = [str(v) for v in range(n)]
-    for tok, v in ids.items():
-        names[v] = tok
-    return build_dag(n, edges), names
+    isolated = [str(v) for v in range(n) if str(v) not in ids]
+    if len(ids) + len(isolated) != n:
+        # some token is not an id, so isolated vertices are named by dense id
+        isolated = [str(v) for v in range(len(ids), n)]
+        for name in isolated:
+            if name in ids:
+                raise ParseError(
+                    f"token {name!r} is also the name of isolated vertex {name}; "
+                    "name vertices by id or by tokens that are not ids", first_line[name])
+    return build_dag(n, edges), list(ids) + isolated
 
 
 def format_dag(dag: Dag) -> str:

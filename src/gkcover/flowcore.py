@@ -2,14 +2,16 @@
 
 Networks are small enough here that exactness and auditability beat
 asymptotics: Bellman-Ford everywhere, unit-by-unit path peeling, and a
-fresh residual graph per iteration.
+fresh residual graph per iteration. SplitNetwork is the vertex-split
+network of a DAG that the exact solver and the greedy rounds share.
 """
 
 from __future__ import annotations
 
 import graphlib
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Container, Iterable, Optional, Sequence
 
 from .errors import (
     ConservationError,
@@ -89,6 +91,84 @@ class Flow:
 
 def zero_flow(net: FlowNetwork) -> Flow:
     return Flow([0] * len(net.arcs))
+
+
+class SplitNetwork:
+    """Vertex-split network of a DAG on vertices 0..n-1.
+
+    Nodes: v_in = 2v, v_out = 2v+1, s = 2n, t = 2n+1. Vertex v owns
+    consecutive arc ids: entry (s, v_in), one (v_in, v_out) arc per
+    ``gadgets`` entry (upper, cost), exit (v_out, t). Edge arcs follow
+    in edge-list order; the return arc (t, s), given as (upper, cost),
+    is last when present. The first gadget arc of every vertex in
+    ``demand`` carries lower bound 1.
+    """
+
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]],
+                 gadgets: Sequence[tuple[int, int]], demand: Container[int] = (),
+                 ret: Optional[tuple[int, int]] = None):
+        self.n = n
+        self.edges = edges
+        self.stride = len(gadgets) + 2
+        s, t = 2 * n, 2 * n + 1
+        arcs: list[Arc] = []
+        for v in range(n):
+            arcs.append(Arc(s, 2 * v, 0, INF, 0))
+            for j, (upper, cost) in enumerate(gadgets):
+                lower = 1 if j == 0 and v in demand else 0
+                arcs.append(Arc(2 * v, 2 * v + 1, lower, upper, cost))
+            arcs.append(Arc(2 * v + 1, t, 0, INF, 0))
+        arcs.extend(Arc(2 * u + 1, 2 * v, 0, INF, 0) for u, v in edges)
+        if ret is not None:
+            arcs.append(Arc(t, s, 0, *ret))
+        self.net = FlowNetwork(2 * n + 2, arcs, s, t,
+                               ts_arc=len(arcs) - 1 if ret is not None else None)
+
+    def v_in(self, v: int) -> int:
+        return 2 * v
+
+    def v_out(self, v: int) -> int:
+        return 2 * v + 1
+
+    def entry(self, v: int) -> int:
+        return self.stride * v
+
+    def gadget(self, v: int, j: int = 0) -> int:
+        return self.stride * v + 1 + j
+
+    def exit(self, v: int) -> int:
+        return self.stride * v + self.stride - 1
+
+    def gadget_vertex(self, arc_id: int) -> Optional[int]:
+        """Vertex owning this gadget arc, else None."""
+        v, j = divmod(arc_id, self.stride)
+        return v if v < self.n and 0 < j < self.stride - 1 else None
+
+    @cached_property
+    def edge_arc(self) -> dict[tuple[int, int], int]:
+        """Arc id of each graph edge (u, v)."""
+        base = self.stride * self.n
+        return {e: base + j for j, e in enumerate(self.edges)}
+
+
+def route_paths(split: SplitNetwork, paths: Iterable[Sequence[int]]) -> Flow:
+    """One unit of flow per vertex sequence, through each vertex's first
+    gadget arc with room, and around the return arc when there is one."""
+    f = zero_flow(split.net)
+    values, arcs = f.values, split.net.arcs
+    for p in paths:
+        values[split.entry(p[0])] += 1
+        for i, v in enumerate(p):
+            ai = split.gadget(v)
+            while values[ai] >= arcs[ai].upper:
+                ai += 1
+            values[ai] += 1
+            if i + 1 < len(p):
+                values[split.edge_arc[(v, p[i + 1])]] += 1
+        values[split.exit(p[-1])] += 1
+        if split.net.ts_arc is not None:
+            values[split.net.ts_arc] += 1
+    return f
 
 
 def check_feasible(net: FlowNetwork, f: Flow) -> None:

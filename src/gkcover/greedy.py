@@ -10,7 +10,8 @@ vertex, then the smallest id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Container, Iterable, Iterator, Optional
 
 from .dagcore import (
     Antichain,
@@ -25,35 +26,13 @@ from .dagcore import (
 from .errors import NotMinimumError
 from .flowcore import (
     INF,
-    Arc,
     Flow,
-    FlowNetwork,
     MinFlowResult,
-    check_feasible,
+    SplitNetwork,
     min_flow,
     residual,
-    zero_flow,
+    route_paths,
 )
-
-
-@dataclass
-class UncoveredSet:
-    """Vertices not yet covered by any emitted member."""
-
-    vertices: set[int]
-
-    @classmethod
-    def full(cls, n: int) -> "UncoveredSet":
-        return cls(set(range(n)))
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def remove_all(self, vs: Iterable[int]) -> None:
-        self.vertices.difference_update(vs)
 
 
 @dataclass
@@ -70,8 +49,6 @@ class GreedyRound:
 class GreedyTrace:
     rounds: list[GreedyRound] = field(default_factory=list)
     stop_reason: str = ""
-    init_searches: int = 0
-    init_pushes: int = 0
     exhausted_early: bool = False
 
     def gains(self) -> list[int]:
@@ -126,19 +103,19 @@ def max_coverage_path(dag: Dag, uncovered: set[int]) -> GraphPath:
 
 def greedy_k_chains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
     """k rounds of best-path selection, each chain the path's uncovered part."""
-    uncovered = UncoveredSet.full(dag.n)
+    uncovered = set(range(dag.n))
     members: list[Chain] = []
     trace = GreedyTrace()
     for _ in range(k):
-        path = max_coverage_path(dag, uncovered.vertices)
+        path = max_coverage_path(dag, uncovered)
         picked = [v for v in path.vertices if v in uncovered]
         trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), max(0, len(uncovered) - len(picked))))
         if picked:
             members.append(certify_chain(dag, picked))
-            uncovered.remove_all(picked)
+            uncovered.difference_update(picked)
         else:
             trace.exhausted_early = True
-    trace.stop_reason = "U empty" if not uncovered.vertices else "k reached"
+    trace.stop_reason = "U empty" if not uncovered else "k reached"
     trace.assert_monotone()
     return Family(tuple(members), disjoint=True), trace
 
@@ -149,12 +126,12 @@ def greedy_weighted_chain_cover(dag: Dag, k: int) -> tuple[Family, Family, Greed
     Returns the chosen paths as a collection and the chain partition they
     induce (path remnants plus singleton chains for everything left).
     """
-    uncovered = UncoveredSet.full(dag.n)
+    uncovered = set(range(dag.n))
     paths: list[GraphPath] = []
     chains: list[Chain] = []
     trace = GreedyTrace()
-    while uncovered.vertices:
-        path = max_coverage_path(dag, uncovered.vertices)
+    while uncovered:
+        path = max_coverage_path(dag, uncovered)
         picked = [v for v in path.vertices if v in uncovered]
         if len(picked) <= k:
             trace.stop_reason = "gain <= threshold"
@@ -162,7 +139,7 @@ def greedy_weighted_chain_cover(dag: Dag, k: int) -> tuple[Family, Family, Greed
         trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), len(uncovered) - len(picked)))
         paths.append(path)
         chains.append(certify_chain(dag, picked))
-        uncovered.remove_all(picked)
+        uncovered.difference_update(picked)
     else:
         trace.stop_reason = "U empty"
     trace.assert_monotone()
@@ -171,44 +148,11 @@ def greedy_weighted_chain_cover(dag: Dag, k: int) -> tuple[Family, Family, Greed
     return collection, partition, trace
 
 
-@dataclass
-class SubsetNetwork:
-    """Vertex-split flow network whose minimum value is the largest
-    antichain inside U.
-
-    Nodes: v_in = 2v, v_out = 2v+1, s = 2n, t = 2n+1. Arc ids: vertex v
-    owns entry 3v, gadget 3v+1, exit 3v+2; edge arcs follow in edge-list
-    order. The gadget arc carries lower bound 1 exactly when v is in U.
-    """
-
-    net: FlowNetwork
-    n: int
-    in_subset: frozenset[int]
-
-    def entry(self, v: int) -> int:
-        return 3 * v
-
-    def gadget(self, v: int) -> int:
-        return 3 * v + 1
-
-    def exit(self, v: int) -> int:
-        return 3 * v + 2
-
-    def edge_arc(self, j: int) -> int:
-        return 3 * self.n + j
-
-
-def build_subset_network(dag: Dag, subset: set[int] | frozenset[int]) -> SubsetNetwork:
-    n = dag.n
-    s, t = 2 * n, 2 * n + 1
-    arcs: list[Arc] = []
-    for v in range(n):
-        arcs.append(Arc(s, 2 * v, 0, INF, 0))
-        arcs.append(Arc(2 * v, 2 * v + 1, 1 if v in subset else 0, INF, 0))
-        arcs.append(Arc(2 * v + 1, t, 0, INF, 0))
-    for (u, v) in dag.edges:
-        arcs.append(Arc(2 * u + 1, 2 * v, 0, INF, 0))
-    return SubsetNetwork(FlowNetwork(2 * n + 2, arcs, s, t), n, frozenset(subset))
+def build_subset_network(dag: Dag, subset: Container[int]) -> SplitNetwork:
+    """Vertex-split network whose minimum flow value is the largest
+    antichain inside the subset: one uncapped gadget arc per vertex,
+    with lower bound 1 exactly when the vertex is in the subset."""
+    return SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=subset)
 
 
 def cover_paths(dag: Dag, subset: set[int]) -> list[GraphPath]:
@@ -222,36 +166,28 @@ def cover_paths(dag: Dag, subset: set[int]) -> list[GraphPath]:
     return out
 
 
-def path_cover_flow(sub: SubsetNetwork, paths: list[GraphPath]) -> Flow:
-    """Route one unit along each path; feasible whenever the paths cover U."""
-    edge_index = {}
-    for j in range(len(sub.net.arcs) - 3 * sub.n):
-        a = sub.net.arcs[3 * sub.n + j]
-        edge_index[(a.tail // 2, a.head // 2)] = 3 * sub.n + j
-    f = zero_flow(sub.net)
-    for p in paths:
-        vs = p.vertices
-        f.values[sub.entry(vs[0])] += 1
-        for i, v in enumerate(vs):
-            f.values[sub.gadget(v)] += 1
-            if i + 1 < len(vs):
-                f.values[edge_index[(v, vs[i + 1])]] += 1
-        f.values[sub.exit(vs[-1])] += 1
-    check_feasible(sub.net, f)
-    return f
+def _subset_min_flow(dag: Dag, subset: Container[int],
+                     seed: Optional[Flow]) -> tuple[SplitNetwork, MinFlowResult]:
+    """Minimum flow of the subset network, reduced from ``seed`` or, when
+    there is none, from a cover of every vertex by best-path rounds."""
+    split = build_subset_network(dag, subset)
+    if seed is None:
+        seed = route_paths(split, [p.vertices for p in cover_paths(dag, set(range(dag.n)))])
+    return split, min_flow(split.net, seed)
 
 
-def _extract_antichain(dag: Dag, sub: SubsetNetwork, f: Flow) -> Antichain:
+def _extract_antichain(dag: Dag, split: SplitNetwork, subset: Iterable[int], f: Flow) -> Antichain:
     """Sink-side tight-cut read-off of a minimum flow.
 
     With V_t the nodes reachable from t in the residual graph, the
-    vertices of U whose out-copy is inside V_t but whose in-copy is not
-    form a maximum antichain within U, of size equal to the flow value.
+    vertices of the subset whose out-copy is inside V_t but whose in-copy
+    is not form a maximum antichain within it, of size equal to the flow
+    value.
     """
-    res = residual(sub.net, f)
-    reach = [False] * sub.net.m
-    reach[sub.net.t] = True
-    stack = [sub.net.t]
+    res = residual(split.net, f)
+    reach = [False] * split.net.m
+    reach[split.net.t] = True
+    stack = [split.net.t]
     while stack:
         x = stack.pop()
         for ai in res.out[x]:
@@ -259,72 +195,67 @@ def _extract_antichain(dag: Dag, sub: SubsetNetwork, f: Flow) -> Antichain:
             if a.cap > 0 and not reach[a.head]:
                 reach[a.head] = True
                 stack.append(a.head)
-    if reach[sub.net.s]:
+    if reach[split.net.s]:
         raise NotMinimumError("a decrementing path remains; the flow is not minimum")
-    picked = [v for v in sub.in_subset if reach[2 * v + 1] and not reach[2 * v]]
+    picked = [v for v in subset if reach[split.v_out(v)] and not reach[split.v_in(v)]]
     ac = certify_antichain(dag, picked)
-    assert len(ac) == f.value(sub.net), \
-        f"extracted {len(ac)} vertices from a flow of value {f.value(sub.net)}"
+    assert len(ac) == f.value(split.net), \
+        f"extracted {len(ac)} vertices from a flow of value {f.value(split.net)}"
     return ac
 
 
 def max_antichain_in_subset(dag: Dag, subset: set[int] | frozenset[int], fmin: Flow) -> Antichain:
     """Read a maximum antichain within the subset off a minimum flow."""
-    sub = build_subset_network(dag, subset)
-    return _extract_antichain(dag, sub, fmin)
+    return _extract_antichain(dag, build_subset_network(dag, subset), subset, fmin)
 
 
 def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:
     """Exact minimum number of paths covering every vertex."""
     if dag.n == 0:
         return 0, MinFlowResult(Flow([]), 0, 0)
-    sub = build_subset_network(dag, set(range(dag.n)))
-    f0 = path_cover_flow(sub, cover_paths(dag, set(range(dag.n))))
-    result = min_flow(sub.net, f0)
-    return result.flow.value(sub.net), result
+    split, result = _subset_min_flow(dag, range(dag.n), None)
+    return result.flow.value(split.net), result
+
+
+def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
+    """A maximum antichain of the still-uncovered set U per round.
+
+    Round 1 reduces a path-cover flow to a minimum flow; later rounds
+    reuse the previous flow, which stays feasible because lower bounds
+    only relax as U shrinks. A yielded antichain leaves U when the next
+    round is asked for.
+    """
+    uncovered = set(range(dag.n))
+    flow: Optional[Flow] = None
+    while uncovered:
+        split, result = _subset_min_flow(dag, uncovered, flow)
+        flow = result.flow
+        ac = _extract_antichain(dag, split, uncovered, flow)
+        yield ac, GreedyRound(
+            tuple(sorted(ac.vertices)), len(ac), len(uncovered) - len(ac),
+            flow_value=flow.value(split.net), searches=result.searches, pushes=result.pushes)
+        uncovered.difference_update(ac.vertices)
 
 
 def greedy_k_antichains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
     """k rounds of maximum antichain among the still-uncovered vertices.
 
-    Round 1 reduces a constructed path-cover flow to a minimum flow;
-    later rounds reuse the previous flow, which stays feasible because
-    lower bounds only relax as U shrinks.
+    Rounds after U runs empty are recorded as empty. The searches obey
+    the warm-start bound: searches - round-1 pushes <= k + f_1 - f_last.
     """
-    n = dag.n
-    uncovered = UncoveredSet.full(n)
     members: list[Antichain] = []
     trace = GreedyTrace()
-    flow_prev: Optional[Flow] = None
-    f1_value: Optional[int] = None
-    last_value: Optional[int] = None
-    round1_pushes = 0
-    total_searches = 0
-    for i in range(k):
-        if not uncovered.vertices:
-            trace.rounds.append(GreedyRound((), 0, 0))
-            trace.exhausted_early = True
-            continue
-        sub = build_subset_network(dag, uncovered.vertices)
-        if flow_prev is None:
-            flow_prev = path_cover_flow(sub, cover_paths(dag, set(range(n))))
-        result = min_flow(sub.net, flow_prev)
-        flow_prev = result.flow
-        total_searches += result.searches
-        if i == 0:
-            round1_pushes = result.pushes
-            f1_value = result.flow.value(sub.net)
-        last_value = result.flow.value(sub.net)
-        ac = _extract_antichain(dag, sub, result.flow)
+    for ac, rnd in islice(_antichain_rounds(dag), max(k, 0)):
         members.append(ac)
-        trace.rounds.append(GreedyRound(
-            tuple(sorted(ac.vertices)), len(ac), len(uncovered) - len(ac),
-            flow_value=last_value, searches=result.searches, pushes=result.pushes))
-        uncovered.remove_all(ac.vertices)
-    trace.stop_reason = "U empty" if not uncovered.vertices else "k reached"
-    if f1_value is not None and last_value is not None:
-        assert total_searches - round1_pushes <= k + f1_value - last_value, \
+        trace.rounds.append(rnd)
+    if trace.rounds:
+        first, last = trace.rounds[0], trace.rounds[-1]
+        assert sum(r.searches for r in trace.rounds) - first.pushes <= \
+            k + first.flow_value - last.flow_value, \
             "decrementing-path searches exceed the warm-start bound"
+    trace.exhausted_early = len(trace.rounds) < k
+    trace.rounds.extend(GreedyRound((), 0, 0) for _ in range(k - len(trace.rounds)))
+    trace.stop_reason = "U empty" if sum(map(len, members)) == dag.n else "k reached"
     trace.assert_monotone()
     return Family(tuple(members), disjoint=True), trace
 
@@ -335,30 +266,17 @@ def greedy_antichain_cover(dag: Dag, k: int) -> tuple[Family, Family, GreedyTrac
     Returns the taken antichains and the full partition (taken members
     plus singleton antichains for whatever remains).
     """
-    n = dag.n
-    uncovered = UncoveredSet.full(n)
     members: list[Antichain] = []
     trace = GreedyTrace()
-    flow_prev: Optional[Flow] = None
-    while uncovered.vertices:
-        sub = build_subset_network(dag, uncovered.vertices)
-        if flow_prev is None:
-            flow_prev = path_cover_flow(sub, cover_paths(dag, set(range(n))))
-        result = min_flow(sub.net, flow_prev)
-        flow_prev = result.flow
-        ac = _extract_antichain(dag, sub, result.flow)
-        if len(ac) <= k:
+    for ac, rnd in _antichain_rounds(dag):
+        if rnd.gain <= k:
             trace.stop_reason = "gain <= threshold"
             break
         members.append(ac)
-        trace.rounds.append(GreedyRound(
-            tuple(sorted(ac.vertices)), len(ac), len(uncovered) - len(ac),
-            flow_value=result.flow.value(sub.net),
-            searches=result.searches, pushes=result.pushes))
-        uncovered.remove_all(ac.vertices)
+        trace.rounds.append(rnd)
     else:
         trace.stop_reason = "U empty"
     trace.assert_monotone()
     taken = Family(tuple(members), disjoint=True)
-    partition = partition_completion(taken, n, Antichain)
+    partition = partition_completion(taken, dag.n, Antichain)
     return taken, partition, trace

@@ -1,18 +1,18 @@
 """Circulation networks whose minimum cost solves the coverage problems.
 
-Each vertex v splits into v_in = 2v and v_out = 2v+1 joined by two
-parallel arcs: a unit-capacity arc of cost -1 that pays for covering v,
-and a free overflow arc. A return arc t->s closes the circulation; its
-cost (problem Alpha) or capacity (problem Beta) carries k. The minimum
-cost then equals alpha_k - n, respectively -beta_k, and chain and
-antichain witnesses are read off the decomposition and the residual
-shortest-path labels.
+Each vertex v splits into v_in and v_out (flowcore.SplitNetwork owns the
+layout) joined by two parallel arcs: a unit-capacity arc of cost -1 that
+pays for covering v, and a free overflow arc. A return arc t->s closes
+the circulation; its cost (problem Alpha) or capacity (problem Beta)
+carries k. The minimum cost then equals alpha_k - n, respectively
+-beta_k, and chain and antichain witnesses are read off the
+decomposition and the residual shortest-path labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .dagcore import (
     Antichain,
@@ -26,17 +26,18 @@ from .dagcore import (
     knorm_partition,
     partition_completion,
 )
-from .errors import DegenerateError, NotChainError
+from .errors import DegenerateError
 from .flowcore import (
     INF,
-    Arc,
+    CirculationResult,
     Flow,
-    FlowNetwork,
     NetworkPath,
+    SplitNetwork,
     decompose,
     find_negative_cycle,
     min_cost_circulation,
     residual,
+    route_paths,
     shortest_distances,
     zero_flow,
 )
@@ -46,42 +47,24 @@ ALPHA = "alpha"
 BETA = "beta"
 
 
-@dataclass
-class GkNetwork:
-    """Problem network plus the arc-id conventions of its gadgets.
+# Gadget arcs of a vertex: the cover arc (capacity 1, cost -1) pays for
+# covering it, the free overflow arc lets further paths pass through.
+COVER, OVERFLOW = 0, 1
 
-    Vertex v owns arc ids 4v..4v+3: entry (s, v_in), cover arc e1
-    (v_in, v_out; capacity 1, cost -1), overflow arc e2 (v_in, v_out),
-    exit (v_out, t). Edge arcs follow in edge-list order, the return
-    arc is last.
+
+class GkNetwork(SplitNetwork):
+    """Problem network on the shared vertex-split layout.
+
+    The return arc carries k as its cost (problem Alpha) or as its
+    capacity (problem Beta).
     """
 
-    net: FlowNetwork
-    kind: str
-    k: int
-    n: int
-    dag: Dag
-
-    def entry(self, v: int) -> int:
-        return 4 * v
-
-    def e1(self, v: int) -> int:
-        return 4 * v + 1
-
-    def e2(self, v: int) -> int:
-        return 4 * v + 2
-
-    def exit(self, v: int) -> int:
-        return 4 * v + 3
-
-    def ts(self) -> int:
-        return self.net.ts_arc  # type: ignore[return-value]
-
-    def gadget_vertex(self, arc_id: int) -> Optional[int]:
-        """Vertex whose e1 or e2 this arc is, else None."""
-        if arc_id < 4 * self.n and arc_id % 4 in (1, 2):
-            return arc_id // 4
-        return None
+    def __init__(self, dag: Dag, k: int, kind: str):
+        super().__init__(dag.n, dag.edges, [(1, -1), (INF, 0)],
+                         ret=(INF, k) if kind == ALPHA else (k, 0))
+        self.kind = kind
+        self.k = k
+        self.dag = dag
 
 
 def build_network(dag: Dag, k: int, kind: str) -> GkNetwork:
@@ -89,22 +72,7 @@ def build_network(dag: Dag, k: int, kind: str) -> GkNetwork:
         raise ValueError(f"unknown network kind {kind!r}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    n = dag.n
-    s, t = 2 * n, 2 * n + 1
-    arcs: list[Arc] = []
-    for v in range(n):
-        arcs.append(Arc(s, 2 * v, 0, INF, 0))
-        arcs.append(Arc(2 * v, 2 * v + 1, 0, 1, -1))
-        arcs.append(Arc(2 * v, 2 * v + 1, 0, INF, 0))
-        arcs.append(Arc(2 * v + 1, t, 0, INF, 0))
-    for (u, v) in dag.edges:
-        arcs.append(Arc(2 * u + 1, 2 * v, 0, INF, 0))
-    if kind == ALPHA:
-        arcs.append(Arc(t, s, 0, INF, k))
-    else:
-        arcs.append(Arc(t, s, 0, k, 0))
-    net = FlowNetwork(2 * n + 2, arcs, s, t, ts_arc=len(arcs) - 1)
-    return GkNetwork(net, kind, k, n, dag)
+    return GkNetwork(dag, k, kind)
 
 
 @dataclass
@@ -129,78 +97,36 @@ class SolveStats:
     cancel_bound_ok: bool
 
 
-# Test telemetry: how often a path remnant failed chain certification and
-# had to be split. Expected to stay at zero.
-_split_fallbacks = 0
-
-
-def split_fallback_count() -> int:
-    return _split_fallbacks
-
-
-def reset_split_fallbacks() -> None:
-    global _split_fallbacks
-    _split_fallbacks = 0
-
-
 def chains_from_paths(dag: Dag, paths: Sequence[GraphPath]) -> Family:
     """Disjoint chains from possibly overlapping paths.
 
-    Each vertex is kept by the earliest path that visits it; remnants
-    are certified, and a remnant that somehow fails certification is
-    split at the failure point (counted, never observed).
+    Each vertex is kept by the earliest path that visits it. A remnant
+    of a path is a chain because reachability is transitive, and each
+    remnant is certified as one.
     """
-    global _split_fallbacks
     seen: set[int] = set()
     members: list[Chain] = []
     for p in paths:
         remnant = [v for v in p.vertices if v not in seen]
         seen.update(remnant)
-        if not remnant:
-            continue
-        try:
+        if remnant:
             members.append(certify_chain(dag, remnant))
-        except NotChainError:
-            _split_fallbacks += 1
-            run = [remnant[0]]
-            for v in remnant[1:]:
-                try:
-                    certify_chain(dag, [run[-1], v])
-                    run.append(v)
-                except NotChainError:
-                    members.append(certify_chain(dag, run))
-                    run = [v]
-            members.append(certify_chain(dag, run))
     return Family(tuple(members), disjoint=True)
+
+
+def _solve_stats(warm: bool, circ: CirculationResult, no_negative_cycle: bool) -> SolveStats:
+    # decompose raises ConservationError unless it peels every non-return
+    # arc exactly, so a solve that got this far decomposed exactly.
+    return SolveStats(warm, circ.iterations, circ.initial_cost, circ.final_cost,
+                      no_negative_cycle, decompose_exact=True,
+                      cancel_bound_ok=circ.iterations <= circ.initial_cost - circ.final_cost)
 
 
 def _assert_gadget_invariant(gk: GkNetwork, f: Flow) -> None:
     for v in range(gk.n):
-        if f.values[gk.e2(v)] > 0:
-            assert f.values[gk.e1(v)] == 1, \
+        if f.values[gk.gadget(v, OVERFLOW)] > 0:
+            assert f.values[gk.gadget(v, COVER)] == 1, \
                 f"overflow used at vertex {v} while its cover arc is empty"
-
-
-def _route_paths(gk: GkNetwork, paths: Sequence[Sequence[int]]) -> Flow:
-    """Unit of circulation per vertex sequence, cover arc first."""
-    edge_index: dict[tuple[int, int], int] = {}
-    base = 4 * gk.n
-    for j in range(len(gk.net.arcs) - base - 1):
-        a = gk.net.arcs[base + j]
-        edge_index[(a.tail // 2, a.head // 2)] = base + j
-    f = zero_flow(gk.net)
-    for p in paths:
-        f.values[gk.entry(p[0])] += 1
-        for i, v in enumerate(p):
-            if f.values[gk.e1(v)] == 0:
-                f.values[gk.e1(v)] += 1
-            else:
-                f.values[gk.e2(v)] += 1
-            if i + 1 < len(p):
-                f.values[edge_index[(v, p[i + 1])]] += 1
-        f.values[gk.exit(p[-1])] += 1
-        f.values[gk.ts()] += 1
-    return f
 
 
 def _dag_paths(gk: GkNetwork, net_paths: Sequence[NetworkPath]) -> list[GraphPath]:
@@ -209,15 +135,6 @@ def _dag_paths(gk: GkNetwork, net_paths: Sequence[NetworkPath]) -> list[GraphPat
         vs = [gk.gadget_vertex(ai) for ai in np_.arcs]
         out.append(GraphPath(tuple(v for v in vs if v is not None)))
     return out
-
-
-def _decompose_exact(gk: GkNetwork, f: Flow, net_paths: Sequence[NetworkPath]) -> bool:
-    counts = [0] * len(gk.net.arcs)
-    for np_ in net_paths:
-        for ai in np_.arcs:
-            counts[ai] += 1
-    return all(counts[i] == f.values[i]
-               for i in range(len(counts)) if i != gk.net.ts_arc)
 
 
 def height_levels(dag: Dag) -> list[set[int]]:
@@ -244,7 +161,7 @@ def extract_antichains(gk: GkNetwork, f: Flow) -> Family:
     """
     if gk.n == 0:
         return Family((), disjoint=True)
-    if gk.kind == ALPHA and f.values[gk.ts()] == 0:
+    if gk.kind == ALPHA and f.values[gk.net.ts_arc] == 0:
         raise DegenerateError("no circulation through the return arc")
     res = residual(gk.net, f)
     d = shortest_distances(res, gk.net.s)
@@ -259,7 +176,7 @@ def extract_antichains(gk: GkNetwork, f: Flow) -> Family:
         assert h >= 0, f"label spread {h} negative"
     buckets: dict[int, list[int]] = {}
     for v in range(gk.n):
-        din, dout = d[2 * v], d[2 * v + 1]
+        din, dout = d[gk.v_in(v)], d[gk.v_out(v)]
         assert din is not None and dout is not None
         if din > dout:
             level = din - dt
@@ -299,13 +216,11 @@ def normalize_beta(gk: GkNetwork, f: Flow) -> Flow:
     out = f.copy()
     if gk.n == 0:
         return out
-    pad = gk.k - out.values[gk.ts()]
+    pad = gk.k - out.values[gk.net.ts_arc]
     assert pad >= 0
     if pad:
-        out.values[gk.entry(0)] += pad
-        out.values[gk.e2(0)] += pad
-        out.values[gk.exit(0)] += pad
-        out.values[gk.ts()] += pad
+        for ai in (gk.entry(0), gk.gadget(0, OVERFLOW), gk.exit(0), gk.net.ts_arc):
+            out.values[ai] += pad
     assert out.cost(gk.net) == f.cost(gk.net)
     return out
 
@@ -321,7 +236,7 @@ def solve_alpha(dag: Dag, k: int, warm: bool = True) -> AlphaResult:
     n = dag.n
     if warm and n > 0:
         collection, _, _ = greedy_weighted_chain_cover(dag, k)
-        f0 = _route_paths(gk, [p.vertices for p in collection.members])
+        f0 = route_paths(gk, [p.vertices for p in collection.members])
     else:
         f0 = zero_flow(gk.net)
     circ = min_cost_circulation(gk.net, f0)
@@ -330,13 +245,12 @@ def solve_alpha(dag: Dag, k: int, warm: bool = True) -> AlphaResult:
     no_neg = find_negative_cycle(residual(gk.net, f)) is None
     alpha_k = circ.final_cost + n
     net_paths = decompose(gk.net, f)
-    exact = _decompose_exact(gk, f, net_paths)
     dag_paths = _dag_paths(gk, net_paths)
     mps_family = Family(tuple(dag_paths))
     mps_value = knorm_collection(mps_family.members, n, k)
     assert mps_value == alpha_k, f"path collection norm {mps_value} != alpha {alpha_k}"
     chain_family = chains_from_paths(dag, dag_paths)
-    if f.values[gk.ts()] > 0:
+    if f.values[gk.net.ts_arc] > 0:
         assert all(len(c) >= k for c in chain_family.members), \
             "an extracted chain is shorter than k"
     mcp_family = partition_completion(chain_family, n, Chain)
@@ -352,9 +266,7 @@ def solve_alpha(dag: Dag, k: int, warm: bool = True) -> AlphaResult:
     ma_value = ma_family.coverage()
     assert ma_value == alpha_k, f"antichain coverage {ma_value} != alpha {alpha_k}"
     assert len(ma_family) <= k
-    stats = SolveStats(warm, circ.iterations, circ.initial_cost,
-                       circ.final_cost, no_neg, exact,
-                       circ.iterations <= circ.initial_cost - circ.final_cost)
+    stats = _solve_stats(warm, circ, no_neg)
     return AlphaResult(
         alpha_k,
         GkSolution("MA-k", k, ma_family, ma_value),
@@ -376,7 +288,7 @@ def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
     if warm and n > 0:
         _, trace = greedy_k_chains(dag, k)
         seed_paths = [r.member for r in trace.rounds if r.gain > 0]
-        f0 = _route_paths(gk, seed_paths)
+        f0 = route_paths(gk, seed_paths)
     else:
         f0 = zero_flow(gk.net)
     circ = min_cost_circulation(gk.net, f0)
@@ -386,13 +298,12 @@ def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
     beta_k = -circ.final_cost
     fN = normalize_beta(gk, f)
     net_paths = decompose(gk.net, fN)
-    exact = _decompose_exact(gk, fN, net_paths)
     if n > 0:
         assert len(net_paths) == k, f"expected k={k} paths, got {len(net_paths)}"
     dag_paths = _dag_paths(gk, net_paths)
     synthetic = tuple(
         i for i, np_ in enumerate(net_paths)
-        if len(np_.arcs) == 3 and np_.arcs[1] == gk.e2(0))
+        if len(np_.arcs) == 3 and np_.arcs[1] == gk.gadget(0, OVERFLOW))
     mp_family = Family(tuple(dag_paths))
     mp_value = mp_family.coverage()
     assert mp_value == beta_k, f"path coverage {mp_value} != beta {beta_k}"
@@ -406,9 +317,7 @@ def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
     map_family = partition_completion(mas_family, n, Antichain)
     map_value = knorm_partition(map_family, n, k)
     assert map_value == beta_k, f"antichain partition norm {map_value} != beta {beta_k}"
-    stats = SolveStats(warm, circ.iterations, circ.initial_cost,
-                       circ.final_cost, no_neg, exact,
-                       circ.iterations <= circ.initial_cost - circ.final_cost)
+    stats = _solve_stats(warm, circ, no_neg)
     return BetaResult(
         beta_k,
         GkSolution("MP-k", k, mp_family, mp_value, synthetic),

@@ -37,6 +37,22 @@ class TestParseDag:
         assert dag.n == 5
         assert names[4] == "4"
 
+    def test_default_name_collision_is_rejected(self, tmp_path, capsys):
+        # Token "2" takes id 0, so isolated id 2 would also be named "2"
+        # and the antichain {x, 2} would be printed over the edge 2 -> x.
+        with pytest.raises(ParseError) as exc:
+            parse_dag("3\n2 x\n")
+        assert exc.value.line == 2
+        path = tmp_path / "collide.txt"
+        path.write_text("3\n2 x\n")
+        assert main(["solve", "ma-k", "--k", "1", str(path)]) == 1
+        assert "isolated vertex 2" in capsys.readouterr().err
+
+    def test_id_named_file_keeps_isolated_ids(self):
+        # every token is an id, so the isolated vertex is the unused id 0
+        dag, names = parse_dag("3\n2 1\n")
+        assert dag.edges == ((0, 1),) and names == ["2", "1", "0"]
+
     def test_missing_count(self):
         with pytest.raises(ParseError):
             parse_dag("# nothing\n")

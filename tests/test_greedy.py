@@ -2,6 +2,9 @@ import pytest
 
 from gkcover import (
     build_dag,
+    gen_antichain_ratio,
+    gen_ga,
+    gen_gc,
     greedy_antichain_cover,
     greedy_k_antichains,
     greedy_k_chains,
@@ -13,13 +16,8 @@ from gkcover import (
     solve_alpha,
     solve_beta,
 )
-from gkcover.flowcore import min_flow
-from gkcover.greedy import (
-    UncoveredSet,
-    build_subset_network,
-    cover_paths,
-    path_cover_flow,
-)
+from gkcover.flowcore import min_flow, route_paths
+from gkcover.greedy import build_subset_network, cover_paths
 
 from conftest import FIG_MPC
 
@@ -91,7 +89,7 @@ class TestSubsetNetwork:
     def test_min_flow_value_is_max_antichain(self, fig):
         subset = set(range(fig.n))
         sub = build_subset_network(fig, subset)
-        f0 = path_cover_flow(sub, cover_paths(fig, subset))
+        f0 = route_paths(sub, [p.vertices for p in cover_paths(fig, subset)])
         result = min_flow(sub.net, f0)
         assert result.flow.value(sub.net) == 5  # the width
         ac = max_antichain_in_subset(fig, subset, result.flow)
@@ -100,7 +98,7 @@ class TestSubsetNetwork:
     def test_restricted_subset(self, fig):
         subset = {0, 1, 7, 8}
         sub = build_subset_network(fig, subset)
-        f0 = path_cover_flow(sub, cover_paths(fig, subset))
+        f0 = route_paths(sub, [p.vertices for p in cover_paths(fig, subset)])
         result = min_flow(sub.net, f0)
         ac = max_antichain_in_subset(fig, subset, result.flow)
         assert sorted(ac.vertices) == [7, 8]  # sink-side maximum antichain
@@ -157,6 +155,33 @@ class TestGreedyAntichains:
         assert fam.disjoint
 
 
+class TestSinkSideChoice:
+    """Pins which maximum antichain the sink-side cut read-off returns.
+
+    Criteria 4 and 6 depend on that choice, so a change to the network
+    layout or to the min-flow search order must leave these unchanged.
+    Members are given as half-open id ranges.
+    """
+
+    @pytest.mark.parametrize("gen,param,ranges", [
+        (gen_antichain_ratio, 2, [(8, 16), (0, 8)]),
+        (gen_antichain_ratio, 3, [(18, 27), (9, 18), (0, 9)]),
+        (gen_antichain_ratio, 4, [(24, 32), (16, 24), (8, 16), (0, 8)]),
+        (gen_ga, 3, [(8, 16), (0, 8)]),
+        (gen_ga, 4, [(16, 32), (0, 16)]),
+        (gen_ga, 5, [(32, 64), (0, 32)]),
+    ])
+    def test_greedy_antichain_members(self, gen, param, ranges):
+        fam, _ = greedy_k_antichains(gen(param).dag, param)
+        assert [sorted(a.vertices) for a in fam.members] == \
+            [list(range(lo, hi)) for lo, hi in ranges]
+
+    @pytest.mark.parametrize("i", range(3, 9))
+    def test_path_cover_searches_and_pushes(self, i):
+        value, result = minimum_path_cover(gen_gc(i).dag)
+        assert (value, result.searches, result.pushes) == (2, i - 1, i - 2)
+
+
 class TestGreedyAntichainCover:
     def test_fig_threshold_one(self, fig):
         taken, partition, trace = greedy_antichain_cover(fig, 1)
@@ -174,14 +199,6 @@ class TestGreedyAntichainCover:
         # greedy partition 1-norm is an upper bound on beta_1
         _, partition, _ = greedy_antichain_cover(fig, 1)
         assert len(partition) >= solve_beta(fig, 1).beta
-
-
-class TestUncoveredSet:
-    def test_operations(self):
-        u = UncoveredSet.full(3)
-        assert 2 in u and len(u) == 3
-        u.remove_all([0, 2])
-        assert u.vertices == {1}
 
 
 def test_greedy_matches_optimal_on_small_random_dags(budget):

@@ -13,13 +13,9 @@ from gkcover import (
     solve_alpha,
     solve_beta,
 )
+from gkcover.errors import NotChainError
 from gkcover.flowcore import INF
-from gkcover.networks import (
-    chains_from_paths,
-    height_levels,
-    reset_split_fallbacks,
-    split_fallback_count,
-)
+from gkcover.networks import COVER, OVERFLOW, chains_from_paths, height_levels
 
 from conftest import FIG_ALPHA, FIG_BETA
 
@@ -33,9 +29,9 @@ class TestNetworkLayout:
         for v in range(n):
             entry = gk.net.arcs[gk.entry(v)]
             assert (entry.tail, entry.head) == (2 * n, 2 * v)
-            e1 = gk.net.arcs[gk.e1(v)]
+            e1 = gk.net.arcs[gk.gadget(v, COVER)]
             assert (e1.tail, e1.head, e1.upper, e1.cost) == (2 * v, 2 * v + 1, 1, -1)
-            e2 = gk.net.arcs[gk.e2(v)]
+            e2 = gk.net.arcs[gk.gadget(v, OVERFLOW)]
             assert (e2.tail, e2.head, e2.cost) == (2 * v, 2 * v + 1, 0)
             assert e2.upper >= INF
             exit_ = gk.net.arcs[gk.exit(v)]
@@ -53,8 +49,8 @@ class TestNetworkLayout:
 
     def test_gadget_vertex_mapping(self, fig):
         gk = build_network(fig, 1, ALPHA)
-        assert gk.gadget_vertex(gk.e1(4)) == 4
-        assert gk.gadget_vertex(gk.e2(4)) == 4
+        assert gk.gadget_vertex(gk.gadget(4, COVER)) == 4
+        assert gk.gadget_vertex(gk.gadget(4, OVERFLOW)) == 4
         assert gk.gadget_vertex(gk.entry(4)) is None
         assert gk.gadget_vertex(4 * fig.n) is None  # an edge arc
 
@@ -169,24 +165,13 @@ class TestChainExtraction:
         got = [c.vertices for c in fam.members]
         assert got == [(0, 4, 7), (1, 8)]  # 4 stays with its first path
 
-    def test_no_split_fallbacks_on_reference_solves(self, fig):
-        reset_split_fallbacks()
-        for k in (1, 2, 3):
-            solve_alpha(fig, k)
-            solve_beta(fig, k)
-        assert split_fallback_count() == 0
-
-    def test_split_fallback_on_unreachable_sequence(self):
-        # A remnant of a genuine path is always a chain (subsequences of
-        # paths stay chains), so only an invalid sequence can trigger the
-        # split; it must still come back as certified singletons.
+    def test_non_chain_sequence_raises(self):
+        # A remnant of a graph path is always a chain, so only a sequence
+        # that is not a path can fail certification.
         from gkcover import GraphPath
         dag = build_dag(3, [(0, 1)])
-        reset_split_fallbacks()
-        fam = chains_from_paths(dag, [GraphPath((0, 2))])
-        assert split_fallback_count() == 1
-        assert {c.vertices for c in fam.members} == {(0,), (2,)}
-        reset_split_fallbacks()
+        with pytest.raises(NotChainError):
+            chains_from_paths(dag, [GraphPath((0, 2))])
 
 
 class TestRecomputeValue:
