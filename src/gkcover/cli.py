@@ -142,11 +142,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     t1 = time.perf_counter()
     alpha_side = args.problem in ("ma-k", "mps-k", "mcp-k")
     if alpha_side:
-        res = networks.solve_alpha(dag, args.k, warm=True)
+        res = networks.solve_alpha(dag, args.k)
         sol = {"ma-k": res.ma, "mps-k": res.mps, "mcp-k": res.mcp}[args.problem]
         stats = res.stats
     else:
-        res = networks.solve_beta(dag, args.k, warm=args.warm)
+        res = networks.solve_beta(dag, args.k)
         sol = {"mc-k": res.mc, "mp-k": res.mp, "mas-k": res.mas, "map-k": res.map}[args.problem]
         stats = res.stats
     t2 = time.perf_counter()
@@ -182,6 +182,9 @@ GREEDY_KINDS = ("chains", "antichains", "chain-cover", "antichain-cover")
 
 
 def _cmd_greedy(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        # the message solve gets from networks.build_network
+        raise ValueError(f"k must be positive, got {args.k}")
     t0 = time.perf_counter()
     with open(args.file) as fh:
         dag, names = parse_dag(fh.read())
@@ -382,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=SOLVE_PROBLEMS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--warm", action="store_true",
-                   help="seed the circulation with greedy paths")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=_cmd_solve)

@@ -44,7 +44,7 @@ class InfeasibleFlowError(GkError):
 
 
 class InvalidCycleError(GkError):
-    """The arc list is not a residual cycle usable for canceling."""
+    """The network has, or lacks, the return arc the flow routine needs."""
 
 
 class NegativeCycleError(GkError):

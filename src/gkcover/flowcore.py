@@ -1,14 +1,20 @@
-"""Integer min-cost circulation and minimum flow via cycle canceling.
+"""Integer min-cost circulation, minimum flow and flow decomposition.
 
-Networks are small enough here that exactness and auditability beat
-asymptotics: Bellman-Ford everywhere, unit-by-unit path peeling, and a
-fresh residual graph per iteration. SplitNetwork is the vertex-split
-network of a DAG that the exact solver and the greedy rounds share.
+min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
+Tomizawa 1971): start potentials from a pass in topological order, then
+Dijkstra on reduced costs over paired residual arcs updated in place,
+and one Bellman-Ford negative-cycle search on the result as an
+independent optimality certificate. min_flow pushes along breadth-first
+t-to-s residual paths, rebuilding the residual graph per push.
+SplitNetwork is the vertex-split network of a DAG that the exact solver
+and the greedy rounds share.
 """
 
 from __future__ import annotations
 
 import graphlib
+import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Optional, Sequence
@@ -17,7 +23,9 @@ from .errors import (
     ConservationError,
     InfeasibleFlowError,
     InvalidCycleError,
+    MismatchError,
     NegativeCycleError,
+    NotMinimumError,
 )
 
 # Sentinel capacity, larger than any finite value our networks can carry.
@@ -268,28 +276,6 @@ def find_negative_cycle(res: ResidualGraph) -> Optional[list[ResidualArc]]:
     return cycle
 
 
-def cancel_cycle(net: FlowNetwork, f: Flow, cycle: list[ResidualArc]) -> Flow:
-    """Push the bottleneck amount around a residual cycle."""
-    if not cycle:
-        raise InvalidCycleError("empty arc list")
-    for i, a in enumerate(cycle):
-        nxt = cycle[(i + 1) % len(cycle)]
-        if a.head != nxt.tail:
-            raise InvalidCycleError(f"arc {i} ends at {a.head}, next starts at {nxt.tail}")
-    bottleneck = INF
-    for a in cycle:
-        orig = net.arcs[a.arc]
-        v = f.values[a.arc]
-        room = (orig.upper - v) if a.forward else (v - orig.lower)
-        if room <= 0:
-            raise InvalidCycleError(f"arc over {a.tail}->{a.head} has no residual capacity")
-        bottleneck = min(bottleneck, room)
-    out = f.copy()
-    for a in cycle:
-        out.values[a.arc] += bottleneck if a.forward else -bottleneck
-    return out
-
-
 @dataclass
 class CirculationResult:
     flow: Flow
@@ -298,36 +284,139 @@ class CirculationResult:
     final_cost: int
 
 
-def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
-    """Cancel negative residual cycles until none remains.
+def _start_potentials(m: int, order: list[int], out: list[list[int]], head: list[int],
+                      cost: list[int], cap: list[int]) -> list[int]:
+    """Labels with non-negative reduced cost on every residual arc in ``out``.
 
-    Costs are integers, so every cancel improves the cost by at least
-    one and the iteration count is bounded by the total improvement.
+    Label-correcting passes over the nodes in topological order of the
+    network, every label starting at zero. Where the residual graph has
+    only forward arcs, as it has at the zero flow, the first pass settles
+    every label and the second confirms it.
     """
+    pi = [0] * m
+    for _ in range(m + 1):
+        changed = False
+        for u in order:
+            pu = pi[u]
+            for r in out[u]:
+                if cap[r] > 0 and pu + cost[r] < pi[head[r]]:
+                    pi[head[r]] = pu + cost[r]
+                    changed = True
+        if not changed:
+            return pi
+    raise NegativeCycleError("the start flow leaves a negative residual cycle")
+
+
+def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
+    """Minimum-cost circulation by successive shortest paths.
+
+    Each round runs Dijkstra on reduced costs from the head of the return
+    arc to its tail, over the residual graph without the return arc, and
+    pushes the bottleneck around the path and the return arc while that
+    cycle has negative cost and the return arc has room. Path costs do
+    not decrease from round to round, so the first non-negative one ends
+    the solve. Residual capacities live in one array of paired arcs (2i
+    along network arc i, 2i+1 against it) updated in place. One
+    Bellman-Ford search for a negative residual cycle certifies the
+    result. Costs are integers, so every round lowers the cost by at
+    least one and ``iterations`` (the augmentations) is bounded by the
+    total improvement.
+    """
+    if net.ts_arc is None:
+        raise InvalidCycleError("min_cost_circulation expects a network with a return arc")
     check_feasible(net, f0)
     f = f0.copy()
+    values = f.values
     c0 = f.cost(net)
+    m = net.m
+    ret_id = net.ts_arc
+    ret = net.arcs[ret_id]
+    src, dst = ret.head, ret.tail
+    head: list[int] = []
+    cost: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(m)]
+    for i, a in enumerate(net.arcs):
+        v = values[i]
+        head += (a.head, a.tail)
+        cost += (a.cost, -a.cost)
+        cap += (a.upper - v, v - a.lower)
+        if i != ret_id:
+            out[a.tail].append(2 * i)
+            out[a.head].append(2 * i + 1)
+    order = sorted(range(m), key=net.node_topo_pos().__getitem__)
+    pi = _start_potentials(m, order, out, head, cost, cap)
     iterations = 0
-    while True:
-        cyc = find_negative_cycle(residual(net, f))
-        if cyc is None:
+    while values[ret_id] < ret.upper:
+        dist = [math.inf] * m
+        pred = [-1] * m
+        dist[src] = 0
+        heap = [(0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            if u == dst:
+                break
+            base = d + pi[u]
+            for r in out[u]:
+                if cap[r] > 0:
+                    w = head[r]
+                    nd = base + cost[r] - pi[w]
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        pred[w] = r
+                        heapq.heappush(heap, (nd, w))
+        dt = dist[dst]
+        if dt == math.inf or dt + pi[dst] - pi[src] + ret.cost >= 0:
             break
-        f = cancel_cycle(net, f, cyc)
+        push = ret.upper - values[ret_id]
+        path: list[int] = []
+        x = dst
+        while x != src:
+            r = pred[x]
+            path.append(r)
+            push = min(push, cap[r])
+            x = head[r ^ 1]
+        for r in path:
+            cap[r] -= push
+            cap[r ^ 1] += push
+            values[r >> 1] += -push if r & 1 else push
+        values[ret_id] += push
+        # Labels still in the heap are at least dt, so this keeps every
+        # reduced cost non-negative without finishing the search.
+        for v in range(m):
+            pi[v] += min(dist[v], dt)
         iterations += 1
+    # residual() re-checks feasibility of the final flow.
+    if find_negative_cycle(residual(net, f)) is not None:
+        raise MismatchError("a negative residual cycle remains after the last augmentation")
     cf = f.cost(net)
-    assert iterations <= c0 - cf, "more cancels than total cost improvement"
+    if iterations > c0 - cf:
+        raise MismatchError(
+            f"{iterations} augmentations for a cost improvement of {c0 - cf}")
     return CirculationResult(f, iterations, c0, cf)
 
 
 @dataclass
 class MinFlowResult:
+    """A minimum flow, its search and push counts, and which nodes are
+    reachable from t in its residual graph (seen by the last, failed
+    search)."""
+
     flow: Flow
     searches: int
     pushes: int
+    t_reach: list[bool]
 
 
-def _residual_path(res: ResidualGraph, src: int, dst: int) -> Optional[list[ResidualArc]]:
-    """BFS for a positive-capacity residual path, scanning arcs in order."""
+def _residual_path(res: ResidualGraph, src: int,
+                   dst: int) -> tuple[Optional[list[ResidualArc]], list[bool]]:
+    """BFS for a positive-capacity residual path, scanning arcs in order.
+
+    Returns the path, or None, with the nodes seen; after a failed
+    search they are every node reachable from src.
+    """
     prev: list[Optional[ResidualArc]] = [None] * res.m
     seen = [False] * res.m
     seen[src] = True
@@ -348,10 +437,10 @@ def _residual_path(res: ResidualGraph, src: int, dst: int) -> Optional[list[Resi
                             assert pa is not None
                             path.append(pa)
                             cur = pa.tail
-                        return list(reversed(path))
+                        return list(reversed(path)), seen
                     nxt.append(a.head)
         queue = nxt
-    return None
+    return None, seen
 
 
 def min_flow(net: FlowNetwork, f0: Flow) -> MinFlowResult:
@@ -371,7 +460,7 @@ def min_flow(net: FlowNetwork, f0: Flow) -> MinFlowResult:
     while True:
         res = residual(net, f)
         searches += 1
-        path = _residual_path(res, net.t, net.s)
+        path, reach = _residual_path(res, net.t, net.s)
         if path is None:
             break
         bottleneck = min(a.cap for a in path)
@@ -379,14 +468,27 @@ def min_flow(net: FlowNetwork, f0: Flow) -> MinFlowResult:
             f.values[a.arc] += bottleneck if a.forward else -bottleneck
         pushes += 1
         check_feasible(net, f)
-    assert pushes <= v0 - f.value(net), "more pushes than total value decrease"
-    return MinFlowResult(f, searches, pushes)
+    if pushes > v0 - f.value(net):
+        raise MismatchError(
+            f"{pushes} pushes for a value decrease of {v0 - f.value(net)}")
+    return MinFlowResult(f, searches, pushes, reach)
 
 
 def has_decrementing_path(net: FlowNetwork, f: Flow) -> bool:
     """True when a t-to-s residual path still exists."""
-    res = residual(net, f)
-    return _residual_path(res, net.t, net.s) is not None
+    return _residual_path(residual(net, f), net.t, net.s)[0] is not None
+
+
+def sink_reach(net: FlowNetwork, f: Flow) -> list[bool]:
+    """The nodes reachable from t in the residual graph of a minimum flow.
+
+    Raises NotMinimumError when s is among them: a decrementing path
+    remains.
+    """
+    path, reach = _residual_path(residual(net, f), net.t, net.s)
+    if path is not None:
+        raise NotMinimumError("a decrementing path remains; the flow is not minimum")
+    return reach
 
 
 @dataclass(frozen=True)

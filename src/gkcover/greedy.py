@@ -23,15 +23,15 @@ from .dagcore import (
     certify_chain,
     partition_completion,
 )
-from .errors import NotMinimumError
+from .errors import MismatchError
 from .flowcore import (
     INF,
     Flow,
     MinFlowResult,
     SplitNetwork,
     min_flow,
-    residual,
     route_paths,
+    sink_reach,
 )
 
 
@@ -176,43 +176,33 @@ def _subset_min_flow(dag: Dag, subset: Container[int],
     return split, min_flow(split.net, seed)
 
 
-def _extract_antichain(dag: Dag, split: SplitNetwork, subset: Iterable[int], f: Flow) -> Antichain:
-    """Sink-side tight-cut read-off of a minimum flow.
+def _extract_antichain(dag: Dag, split: SplitNetwork, subset: Iterable[int],
+                       value: int, t_reach: list[bool]) -> Antichain:
+    """Sink-side tight-cut read-off of a minimum flow of the given value.
 
     With V_t the nodes reachable from t in the residual graph, the
     vertices of the subset whose out-copy is inside V_t but whose in-copy
     is not form a maximum antichain within it, of size equal to the flow
     value.
     """
-    res = residual(split.net, f)
-    reach = [False] * split.net.m
-    reach[split.net.t] = True
-    stack = [split.net.t]
-    while stack:
-        x = stack.pop()
-        for ai in res.out[x]:
-            a = res.arcs[ai]
-            if a.cap > 0 and not reach[a.head]:
-                reach[a.head] = True
-                stack.append(a.head)
-    if reach[split.net.s]:
-        raise NotMinimumError("a decrementing path remains; the flow is not minimum")
-    picked = [v for v in subset if reach[split.v_out(v)] and not reach[split.v_in(v)]]
+    picked = [v for v in subset if t_reach[split.v_out(v)] and not t_reach[split.v_in(v)]]
     ac = certify_antichain(dag, picked)
-    assert len(ac) == f.value(split.net), \
-        f"extracted {len(ac)} vertices from a flow of value {f.value(split.net)}"
+    if len(ac) != value:
+        raise MismatchError(f"extracted {len(ac)} vertices from a flow of value {value}")
     return ac
 
 
 def max_antichain_in_subset(dag: Dag, subset: set[int] | frozenset[int], fmin: Flow) -> Antichain:
     """Read a maximum antichain within the subset off a minimum flow."""
-    return _extract_antichain(dag, build_subset_network(dag, subset), subset, fmin)
+    split = build_subset_network(dag, subset)
+    return _extract_antichain(dag, split, subset, fmin.value(split.net),
+                              sink_reach(split.net, fmin))
 
 
 def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:
     """Exact minimum number of paths covering every vertex."""
     if dag.n == 0:
-        return 0, MinFlowResult(Flow([]), 0, 0)
+        return 0, MinFlowResult(Flow([]), 0, 0, [])
     split, result = _subset_min_flow(dag, range(dag.n), None)
     return result.flow.value(split.net), result
 
@@ -230,10 +220,11 @@ def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
     while uncovered:
         split, result = _subset_min_flow(dag, uncovered, flow)
         flow = result.flow
-        ac = _extract_antichain(dag, split, uncovered, flow)
+        value = flow.value(split.net)
+        ac = _extract_antichain(dag, split, uncovered, value, result.t_reach)
         yield ac, GreedyRound(
             tuple(sorted(ac.vertices)), len(ac), len(uncovered) - len(ac),
-            flow_value=flow.value(split.net), searches=result.searches, pushes=result.pushes)
+            flow_value=value, searches=result.searches, pushes=result.pushes)
         uncovered.difference_update(ac.vertices)
 
 

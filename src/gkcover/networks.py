@@ -5,8 +5,12 @@ layout) joined by two parallel arcs: a unit-capacity arc of cost -1 that
 pays for covering v, and a free overflow arc. A return arc t->s closes
 the circulation; its cost (problem Alpha) or capacity (problem Beta)
 carries k. The minimum cost then equals alpha_k - n, respectively
--beta_k, and chain and antichain witnesses are read off the
-decomposition and the residual shortest-path labels.
+-beta_k. Every solve starts from the zero flow and runs
+flowcore.min_cost_circulation (successive shortest paths, certified by
+a negative-cycle search). Chain witnesses are read off the flow's
+decomposition, antichain witnesses off the residual shortest-path
+labels, and every value a witness family scores is checked against the
+circulation cost, raising MismatchError on a difference.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .dagcore import (
     knorm_partition,
     partition_completion,
 )
-from .errors import DegenerateError
+from .errors import DegenerateError, MismatchError
 from .flowcore import (
     INF,
     CirculationResult,
@@ -34,14 +38,11 @@ from .flowcore import (
     NetworkPath,
     SplitNetwork,
     decompose,
-    find_negative_cycle,
     min_cost_circulation,
     residual,
-    route_paths,
     shortest_distances,
     zero_flow,
 )
-from .greedy import greedy_k_chains, greedy_weighted_chain_cover
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -88,7 +89,6 @@ class GkSolution:
 
 @dataclass
 class SolveStats:
-    warm: bool
     iterations: int
     initial_cost: int
     final_cost: int
@@ -114,19 +114,28 @@ def chains_from_paths(dag: Dag, paths: Sequence[GraphPath]) -> Family:
     return Family(tuple(members), disjoint=True)
 
 
-def _solve_stats(warm: bool, circ: CirculationResult, no_negative_cycle: bool) -> SolveStats:
-    # decompose raises ConservationError unless it peels every non-return
-    # arc exactly, so a solve that got this far decomposed exactly.
-    return SolveStats(warm, circ.iterations, circ.initial_cost, circ.final_cost,
-                      no_negative_cycle, decompose_exact=True,
+def _solve_stats(circ: CirculationResult) -> SolveStats:
+    # min_cost_circulation raises MismatchError when its final search
+    # finds a negative residual cycle, and decompose raises
+    # ConservationError unless it peels every non-return arc exactly, so a
+    # solve that got this far holds both certificates.
+    return SolveStats(circ.iterations, circ.initial_cost, circ.final_cost,
+                      no_negative_cycle=True, decompose_exact=True,
                       cancel_bound_ok=circ.iterations <= circ.initial_cost - circ.final_cost)
 
 
-def _assert_gadget_invariant(gk: GkNetwork, f: Flow) -> None:
+def _expect(ok: bool, message: str) -> None:
+    """Raise MismatchError unless a value check holds; unlike assert, it
+    also runs under python -O."""
+    if not ok:
+        raise MismatchError(message)
+
+
+def _check_gadget_invariant(gk: GkNetwork, f: Flow) -> None:
     for v in range(gk.n):
         if f.values[gk.gadget(v, OVERFLOW)] > 0:
-            assert f.values[gk.gadget(v, COVER)] == 1, \
-                f"overflow used at vertex {v} while its cover arc is empty"
+            _expect(f.values[gk.gadget(v, COVER)] == 1,
+                    f"overflow used at vertex {v} while its cover arc is empty")
 
 
 def _dag_paths(gk: GkNetwork, net_paths: Sequence[NetworkPath]) -> list[GraphPath]:
@@ -166,21 +175,22 @@ def extract_antichains(gk: GkNetwork, f: Flow) -> Family:
     res = residual(gk.net, f)
     d = shortest_distances(res, gk.net.s)
     dt = d[gk.net.t]
-    assert dt is not None and d[gk.net.s] == 0
+    _expect(dt is not None and d[gk.net.s] == 0, "t has no residual distance from s")
     h = -dt
     if gk.kind == ALPHA:
-        assert h == gk.k, f"label spread {h} differs from k={gk.k}"
+        _expect(h == gk.k, f"label spread {h} differs from k={gk.k}")
     else:
         # The optimal antichain collection may hold more than k members
         # (each costs k against uncovered vertices, not a cardinality cap).
-        assert h >= 0, f"label spread {h} negative"
+        _expect(h >= 0, f"label spread {h} negative")
     buckets: dict[int, list[int]] = {}
     for v in range(gk.n):
+        # s reaches v_in by the entry arc and v_out by the uncapped overflow
+        # arc, so both labels exist
         din, dout = d[gk.v_in(v)], d[gk.v_out(v)]
-        assert din is not None and dout is not None
         if din > dout:
             level = din - dt
-            assert 1 <= level <= h, f"selected level {level} outside 1..{h}"
+            _expect(1 <= level <= h, f"selected level {level} outside 1..{h}")
             buckets.setdefault(level, []).append(v)
     members = [certify_antichain(gk.dag, buckets[i])
                for i in sorted(buckets) if buckets[i]]
@@ -212,16 +222,17 @@ def normalize_beta(gk: GkNetwork, f: Flow) -> Flow:
     Spare units go through vertex 0's overflow arc, so the cost and the
     cover arcs are untouched. No-op on the empty graph.
     """
-    assert gk.kind == BETA
+    if gk.kind != BETA:
+        raise ValueError(f"normalize_beta needs a {BETA} network, got {gk.kind}")
     out = f.copy()
     if gk.n == 0:
         return out
     pad = gk.k - out.values[gk.net.ts_arc]
-    assert pad >= 0
+    _expect(pad >= 0, f"return arc carries {gk.k - pad} units, more than k={gk.k}")
     if pad:
         for ai in (gk.entry(0), gk.gadget(0, OVERFLOW), gk.exit(0), gk.net.ts_arc):
             out.values[ai] += pad
-    assert out.cost(gk.net) == f.cost(gk.net)
+    _expect(out.cost(gk.net) == f.cost(gk.net), "padding changed the circulation cost")
     return out
 
 
@@ -230,49 +241,43 @@ def solve_alpha(dag: Dag, k: int, warm: bool = True) -> AlphaResult:
 
     Returns the antichain family (MA-k), the path collection whose
     k-norm matches (MPS-k), and the chain partition completing it
-    (MCP-k); all three values equal alpha_k.
+    (MCP-k); all three values equal alpha_k. ``warm`` is accepted and
+    ignored: the circulation always starts from the zero flow.
     """
     gk = build_network(dag, k, ALPHA)
     n = dag.n
-    if warm and n > 0:
-        collection, _, _ = greedy_weighted_chain_cover(dag, k)
-        f0 = route_paths(gk, [p.vertices for p in collection.members])
-    else:
-        f0 = zero_flow(gk.net)
-    circ = min_cost_circulation(gk.net, f0)
+    circ = min_cost_circulation(gk.net, zero_flow(gk.net))
     f = circ.flow
-    _assert_gadget_invariant(gk, f)
-    no_neg = find_negative_cycle(residual(gk.net, f)) is None
+    _check_gadget_invariant(gk, f)
     alpha_k = circ.final_cost + n
     net_paths = decompose(gk.net, f)
     dag_paths = _dag_paths(gk, net_paths)
     mps_family = Family(tuple(dag_paths))
     mps_value = knorm_collection(mps_family.members, n, k)
-    assert mps_value == alpha_k, f"path collection norm {mps_value} != alpha {alpha_k}"
+    _expect(mps_value == alpha_k, f"path collection norm {mps_value} != alpha {alpha_k}")
     chain_family = chains_from_paths(dag, dag_paths)
     if f.values[gk.net.ts_arc] > 0:
-        assert all(len(c) >= k for c in chain_family.members), \
-            "an extracted chain is shorter than k"
+        _expect(all(len(c) >= k for c in chain_family.members),
+                "an extracted chain is shorter than k")
     mcp_family = partition_completion(chain_family, n, Chain)
     mcp_value = knorm_partition(mcp_family, n, k)
-    assert mcp_value == alpha_k, f"chain partition norm {mcp_value} != alpha {alpha_k}"
+    _expect(mcp_value == alpha_k, f"chain partition norm {mcp_value} != alpha {alpha_k}")
     try:
         ma_family = extract_antichains(gk, f)
     except DegenerateError:
         levels = height_levels(dag)
-        assert len(levels) <= k
+        _expect(len(levels) <= k, f"zero circulation optimal at height {len(levels)} > k={k}")
         ma_family = Family(tuple(
             certify_antichain(dag, lv) for lv in levels), disjoint=True)
     ma_value = ma_family.coverage()
-    assert ma_value == alpha_k, f"antichain coverage {ma_value} != alpha {alpha_k}"
-    assert len(ma_family) <= k
-    stats = _solve_stats(warm, circ, no_neg)
+    _expect(ma_value == alpha_k, f"antichain coverage {ma_value} != alpha {alpha_k}")
+    _expect(len(ma_family) <= k, f"{len(ma_family)} antichains for k={k}")
     return AlphaResult(
         alpha_k,
         GkSolution("MA-k", k, ma_family, ma_value),
         GkSolution("MPS-k", k, mps_family, mps_value),
         GkSolution("MCP-k", k, mcp_family, mcp_value),
-        stats)
+        _solve_stats(circ))
 
 
 def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
@@ -282,49 +287,43 @@ def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
     the circulation used fewer), the chains they induce (MC-k), the
     antichain collection whose k-norm matches (MAS-k), and its
     completion to a partition (MAP-k); all four values equal beta_k.
+    ``warm`` is accepted and ignored: the circulation always starts from
+    the zero flow.
     """
     gk = build_network(dag, k, BETA)
     n = dag.n
-    if warm and n > 0:
-        _, trace = greedy_k_chains(dag, k)
-        seed_paths = [r.member for r in trace.rounds if r.gain > 0]
-        f0 = route_paths(gk, seed_paths)
-    else:
-        f0 = zero_flow(gk.net)
-    circ = min_cost_circulation(gk.net, f0)
+    circ = min_cost_circulation(gk.net, zero_flow(gk.net))
     f = circ.flow
-    _assert_gadget_invariant(gk, f)
-    no_neg = find_negative_cycle(residual(gk.net, f)) is None
+    _check_gadget_invariant(gk, f)
     beta_k = -circ.final_cost
     fN = normalize_beta(gk, f)
     net_paths = decompose(gk.net, fN)
     if n > 0:
-        assert len(net_paths) == k, f"expected k={k} paths, got {len(net_paths)}"
+        _expect(len(net_paths) == k, f"expected k={k} paths, got {len(net_paths)}")
     dag_paths = _dag_paths(gk, net_paths)
     synthetic = tuple(
         i for i, np_ in enumerate(net_paths)
         if len(np_.arcs) == 3 and np_.arcs[1] == gk.gadget(0, OVERFLOW))
     mp_family = Family(tuple(dag_paths))
     mp_value = mp_family.coverage()
-    assert mp_value == beta_k, f"path coverage {mp_value} != beta {beta_k}"
+    _expect(mp_value == beta_k, f"path coverage {mp_value} != beta {beta_k}")
     mc_family = chains_from_paths(dag, dag_paths)
     mc_value = mc_family.coverage()
-    assert mc_value == beta_k, f"chain coverage {mc_value} != beta {beta_k}"
-    assert len(mc_family) <= k
+    _expect(mc_value == beta_k, f"chain coverage {mc_value} != beta {beta_k}")
+    _expect(len(mc_family) <= k, f"{len(mc_family)} chains for k={k}")
     mas_family = extract_antichains(gk, fN)
     mas_value = knorm_collection(mas_family.members, n, k)
-    assert mas_value == beta_k, f"antichain collection norm {mas_value} != beta {beta_k}"
+    _expect(mas_value == beta_k, f"antichain collection norm {mas_value} != beta {beta_k}")
     map_family = partition_completion(mas_family, n, Antichain)
     map_value = knorm_partition(map_family, n, k)
-    assert map_value == beta_k, f"antichain partition norm {map_value} != beta {beta_k}"
-    stats = _solve_stats(warm, circ, no_neg)
+    _expect(map_value == beta_k, f"antichain partition norm {map_value} != beta {beta_k}")
     return BetaResult(
         beta_k,
         GkSolution("MP-k", k, mp_family, mp_value, synthetic),
         GkSolution("MC-k", k, mc_family, mc_value),
         GkSolution("MAS-k", k, mas_family, mas_value),
         GkSolution("MAP-k", k, map_family, map_value),
-        stats)
+        _solve_stats(circ))
 
 
 def recompute_value(dag: Dag, sol: GkSolution) -> int:

@@ -155,6 +155,16 @@ class TestGreedyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == 3  # emitted partition members
 
+    @pytest.mark.parametrize("kind", ["chains", "antichains", "chain-cover", "antichain-cover"])
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_non_positive_k_is_input_error(self, fig_file, capsys, kind, k):
+        assert main(["solve", "mc-k", "--k", k, fig_file]) == 1
+        solve_err = capsys.readouterr().err
+        assert main(["greedy", kind, "--k", k, fig_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == solve_err == f"error: k must be positive, got {k}\n"
+        assert captured.out == ""
+
 
 class TestGenCommand:
     def test_writes_parseable_file(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gkcover import flowcore
 from gkcover import (
     Arc,
     Flow,
@@ -11,9 +13,9 @@ from gkcover import (
     min_flow,
     residual,
 )
-from gkcover.errors import InvalidCycleError, NegativeCycleError
+from gkcover.errors import InvalidCycleError, MismatchError, NegativeCycleError
 from gkcover.flowcore import (
-    cancel_cycle,
+    INF,
     find_negative_cycle,
     has_decrementing_path,
     shortest_distances,
@@ -105,22 +107,14 @@ class TestNegativeCycles:
         cyc = find_negative_cycle(residual(net, f))
         assert cyc is not None
         assert sum(a.cost for a in cyc) < 0
-        f2 = cancel_cycle(net, f, cyc)
+        f2 = min_cost_circulation(net, f).flow
         check_feasible(net, f2)
         assert f2.cost(net) < f.cost(net)
+        assert find_negative_cycle(residual(net, f2)) is None
 
     def test_no_cycle_at_optimum(self):
         net = two_node_circulation()
         assert find_negative_cycle(residual(net, Flow([5, 5]))) is None
-
-    def test_cancel_rejects_non_cycle(self):
-        net = two_node_circulation()
-        res = residual(net, zero_flow(net))
-        forward = [a for a in res.arcs if a.forward]
-        with pytest.raises(InvalidCycleError):
-            cancel_cycle(net, zero_flow(net), forward[:1])
-        with pytest.raises(InvalidCycleError):
-            cancel_cycle(net, zero_flow(net), [])
 
 
 class TestMinCostCirculation:
@@ -136,6 +130,78 @@ class TestMinCostCirculation:
         net = two_node_circulation()
         result = min_cost_circulation(net, Flow([5, 5]))
         assert result.iterations == 0 and result.final_cost == -5
+
+    def test_second_path_reroutes_through_an_undo_arc(self):
+        # s=0, a=1, b=2, t=3. The first shortest path s-a-b-t (cost 3)
+        # blocks b-t; the second, s-b-a-t, undoes a-b. Each unit earns 4
+        # on the return arc.
+        arcs = [Arc(0, 1, 0, 1, 1), Arc(1, 2, 0, 1, 1), Arc(2, 3, 0, 1, 1),
+                Arc(0, 2, 0, 1, 2), Arc(1, 3, 0, 1, 2), Arc(3, 0, 0, INF, -4)]
+        net = FlowNetwork(4, arcs, 0, 3, ts_arc=5)
+        result = min_cost_circulation(net, zero_flow(net))
+        assert result.flow.values == [1, 0, 1, 1, 1, 2]
+        assert result.iterations == 2 and result.final_cost == 6 - 8
+
+    def test_stops_at_the_first_unprofitable_path(self):
+        # parallel s-t arcs of cost -3 and -1 against a return cost of 2
+        arcs = [Arc(0, 1, 0, 1, -3), Arc(0, 1, 0, 5, -1), Arc(1, 0, 0, INF, 2)]
+        net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
+        result = min_cost_circulation(net, zero_flow(net))
+        assert result.flow.values == [1, 0, 1] and result.iterations == 1
+
+    def test_return_capacity_bounds_the_augmentations(self):
+        arcs = [Arc(0, 1, 0, 1, -3), Arc(0, 1, 0, 5, -1), Arc(1, 0, 0, 2, 0)]
+        net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
+        result = min_cost_circulation(net, zero_flow(net))
+        assert result.flow.values == [1, 1, 2] and result.final_cost == -4
+        assert result.iterations == 2
+
+    def test_rejects_networks_without_return_arc(self):
+        net = diamond()
+        with pytest.raises(InvalidCycleError):
+            min_cost_circulation(net, zero_flow(net))
+
+    def test_start_flow_with_negative_residual_cycle(self):
+        # one unit on the cost-5 arc while the cost-1 arc is free
+        arcs = [Arc(0, 1, 0, 1, 5), Arc(0, 1, 0, 1, 1), Arc(1, 0, 0, 1, -10)]
+        net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
+        with pytest.raises(NegativeCycleError):
+            min_cost_circulation(net, Flow([1, 0, 1]))
+
+    def test_certificate_failure_is_a_mismatch(self, monkeypatch):
+        net = two_node_circulation()
+        cycle = find_negative_cycle(residual(net, zero_flow(net)))
+        monkeypatch.setattr(flowcore, "find_negative_cycle", lambda res: cycle)
+        with pytest.raises(MismatchError):
+            min_cost_circulation(net, zero_flow(net))
+
+
+@st.composite
+def acyclic_circulations(draw):
+    """Acyclic network on nodes 0..m-1 in topological order, plus a
+    return arc from m-1 to 0; the zero flow is feasible."""
+    m = draw(st.integers(2, 7))
+    arc = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                    st.integers(1, 3), st.integers(-4, 4))
+    arcs = [Arc(min(u, v), max(u, v), 0, upper, cost)
+            for u, v, upper, cost in draw(st.lists(arc, max_size=14)) if u != v]
+    arcs.append(Arc(m - 1, 0, 0, draw(st.integers(1, 6)), draw(st.integers(-3, 3))))
+    return FlowNetwork(m, arcs, 0, m - 1, ts_arc=len(arcs) - 1)
+
+
+@given(acyclic_circulations())
+@settings(max_examples=150, deadline=None)
+def test_circulation_cost_matches_network_simplex(net):
+    nx = pytest.importorskip("networkx")
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(range(net.m))
+    for a in net.arcs:
+        g.add_edge(a.tail, a.head, capacity=a.upper, weight=a.cost)
+    want, _ = nx.network_simplex(g)
+    result = min_cost_circulation(net, zero_flow(net))
+    check_feasible(net, result.flow)
+    assert result.final_cost == want
+    assert result.iterations <= result.initial_cost - result.final_cost
 
 
 class TestMinFlow:

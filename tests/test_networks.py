@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from gkcover import networks
 from gkcover import (
     ALPHA,
     BETA,
@@ -13,7 +18,7 @@ from gkcover import (
     solve_alpha,
     solve_beta,
 )
-from gkcover.errors import NotChainError
+from gkcover.errors import MismatchError, NotChainError
 from gkcover.flowcore import INF
 from gkcover.networks import COVER, OVERFLOW, chains_from_paths, height_levels
 
@@ -172,6 +177,44 @@ class TestChainExtraction:
         dag = build_dag(3, [(0, 1)])
         with pytest.raises(NotChainError):
             chains_from_paths(dag, [GraphPath((0, 2))])
+
+
+class TestValueChecks:
+    """Value checks raise MismatchError, which python -O does not strip."""
+
+    def _off_by_one(self, monkeypatch):
+        real = networks.knorm_collection
+        monkeypatch.setattr(networks, "knorm_collection",
+                            lambda members, n, k: real(members, n, k) + 1)
+
+    def test_alpha_mismatch(self, fig, monkeypatch):
+        self._off_by_one(monkeypatch)
+        with pytest.raises(MismatchError, match="path collection norm"):
+            solve_alpha(fig, 2)
+
+    def test_beta_mismatch(self, fig, monkeypatch):
+        self._off_by_one(monkeypatch)
+        with pytest.raises(MismatchError, match="antichain collection norm"):
+            solve_beta(fig, 2)
+
+    def test_mismatch_survives_optimized_python(self):
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import build_dag, networks\n"
+            "from gkcover.errors import MismatchError\n"
+            "real = networks.knorm_partition\n"
+            "networks.knorm_partition = lambda fam, n, k: real(fam, n, k) + 1\n"
+            "try:\n"
+            "    networks.solve_alpha(build_dag(3, [(0, 1)]), 1)\n"
+            "except MismatchError as exc:\n"
+            "    print('mismatch:', exc)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("mismatch: chain partition norm")
 
 
 class TestRecomputeValue:

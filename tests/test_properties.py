@@ -1,5 +1,7 @@
 import math
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkcover import (
@@ -94,3 +96,59 @@ def test_partition_norm_bounds(dag, k):
     value = knorm_partition(res.mcp.family, dag.n, k)
     assert res.alpha == value <= dag.n
     assert res.alpha >= min(dag.n, k)  # k singleton antichains always exist
+
+
+# Identities that hold at any size, checked far past the brute-force
+# oracles' n <= 10 on seeded random DAGs, with networkx as the
+# independent reference.
+
+def _random_dag(n, seed):
+    rng = random.Random(seed)
+    span = rng.choice([4, 12, 40])
+    p = rng.choice([0.1, 0.25])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(n)
+             for v in range(u + 1, min(n, u + 1 + span)) if rng.random() < p]
+    return build_dag(n, edges)
+
+
+LARGE = [(150, 1), (200, 2), (280, 3), (400, 4)]
+
+
+@pytest.mark.parametrize("n,seed", LARGE)
+def test_large_alpha_anchors(n, seed):
+    nx = pytest.importorskip("networkx")
+    dag = _random_dag(n, seed)
+    g = nx.DiGraph(dag.edges)
+    g.add_nodes_from(range(n))
+    # Dilworth via Fulkerson: width = n - maximum matching of the
+    # comparability bipartite graph (u on the left, v on the right,
+    # whenever u reaches v)
+    comp = nx.Graph()
+    comp.add_nodes_from(("L", u) for u in range(n))
+    comp.add_nodes_from(("R", v) for v in range(n))
+    comp.add_edges_from((("L", u), ("R", v)) for u in range(n) for v in nx.descendants(g, u))
+    matching = nx.bipartite.hopcroft_karp_matching(comp, top_nodes=[("L", u) for u in range(n)])
+    height = nx.dag_longest_path_length(g) + 1
+    res = solve_alpha(dag, 1)
+    assert res.alpha == n - len(matching) // 2
+    for k in (1, 2, height):
+        st = solve_alpha(dag, k).stats
+        assert st.iterations <= st.initial_cost - st.final_cost
+    assert solve_alpha(dag, height).alpha == n
+    assert solve_alpha(dag, height - 1).alpha < n
+
+
+@pytest.mark.parametrize("n,seed", LARGE)
+def test_large_beta_anchors(n, seed):
+    nx = pytest.importorskip("networkx")
+    dag = _random_dag(n, seed)
+    g = nx.DiGraph(dag.edges)
+    g.add_nodes_from(range(n))
+    res = solve_beta(dag, 1)
+    assert res.beta == nx.dag_longest_path_length(g) + 1
+    for k in (1, 2, 4):
+        st = solve_beta(dag, k).stats
+        assert st.iterations <= st.initial_cost - st.final_cost
+        assert st.iterations <= k
