@@ -20,9 +20,10 @@ until nothing is uncovered, and an exact minimum cover needs just two
 paths (one for `i = 1`). Wall-clock numbers are from a single run on
 this machine and will vary; the structural columns are deterministic.
 
-The flow reduction asserts its own iteration bound on every run: the
-number of augmenting pushes never exceeds the total flow decrease, and
-`searches = pushes + 1` (the final search proves minimality).
+The flow reduction checks its own iteration bound on every run and
+raises MismatchError if the number of augmenting pushes exceeds the
+total flow decrease; here `searches = pushes + 1` (the final search
+proves minimality).
 
 | i | vertices | edges | greedy paths | greedy ms | exact cover | exact ms | searches | pushes |
 |---|----------|-------|--------------|-----------|-------------|----------|----------|--------|

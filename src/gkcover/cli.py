@@ -419,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=4,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
     return parser

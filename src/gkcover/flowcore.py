@@ -5,9 +5,10 @@ Tomizawa 1971): start potentials from a pass in topological order, then
 Dijkstra on reduced costs over paired residual arcs updated in place,
 and one Bellman-Ford negative-cycle search on the result as an
 independent optimality certificate. min_flow pushes along breadth-first
-t-to-s residual paths, rebuilding the residual graph per push.
-SplitNetwork is the vertex-split network of a DAG that the exact solver
-and the greedy rounds share.
+t-to-s residual paths over the same paired arcs, with feasibility
+checked on the start flow and on the result. SplitNetwork is the
+vertex-split network of a DAG that the exact solver and the greedy
+rounds share.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import graphlib
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Container, Iterable, Optional, Sequence
 
@@ -152,6 +153,16 @@ class SplitNetwork:
         v, j = divmod(arc_id, self.stride)
         return v if v < self.n and 0 < j < self.stride - 1 else None
 
+    def release(self, vertices: Iterable[int]) -> None:
+        """Drop the lower bound of each vertex's first gadget arc, in place.
+
+        A flow feasible before stays feasible: bounds only relax.
+        """
+        arcs = self.net.arcs
+        for v in vertices:
+            i = self.gadget(v)
+            arcs[i] = replace(arcs[i], lower=0)
+
     @cached_property
     def edge_arc(self) -> dict[tuple[int, int], int]:
         """Arc id of each graph edge (u, v)."""
@@ -276,6 +287,38 @@ def find_negative_cycle(res: ResidualGraph) -> Optional[list[ResidualArc]]:
     return cycle
 
 
+def _paired_residual(net: FlowNetwork, values: list[int], skip: Optional[int] = None
+                     ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+    """Residual graph of a flow as paired arcs: 2i along network arc i,
+    2i+1 against it.
+
+    Returns ``head``, ``cost`` and ``cap`` per residual arc, and ``out``:
+    the arcs leaving each node in network-arc order, without the pair of
+    network arc ``skip``. An arc is usable while its ``cap`` is positive.
+    """
+    head: list[int] = []
+    cost: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(net.m)]
+    for i, a in enumerate(net.arcs):
+        v = values[i]
+        head += (a.head, a.tail)
+        cost += (a.cost, -a.cost)
+        cap += (a.upper - v, v - a.lower)
+        if i != skip:
+            out[a.tail].append(2 * i)
+            out[a.head].append(2 * i + 1)
+    return head, cost, cap, out
+
+
+def _augment(path: Iterable[int], push: int, cap: list[int], values: list[int]) -> None:
+    """Push ``push`` units along paired residual arcs, in place."""
+    for r in path:
+        cap[r] -= push
+        cap[r ^ 1] += push
+        values[r >> 1] += -push if r & 1 else push
+
+
 @dataclass
 class CirculationResult:
     flow: Flow
@@ -332,18 +375,7 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
     ret_id = net.ts_arc
     ret = net.arcs[ret_id]
     src, dst = ret.head, ret.tail
-    head: list[int] = []
-    cost: list[int] = []
-    cap: list[int] = []
-    out: list[list[int]] = [[] for _ in range(m)]
-    for i, a in enumerate(net.arcs):
-        v = values[i]
-        head += (a.head, a.tail)
-        cost += (a.cost, -a.cost)
-        cap += (a.upper - v, v - a.lower)
-        if i != ret_id:
-            out[a.tail].append(2 * i)
-            out[a.head].append(2 * i + 1)
+    head, cost, cap, out = _paired_residual(net, values, skip=ret_id)
     order = sorted(range(m), key=net.node_topo_pos().__getitem__)
     pi = _start_potentials(m, order, out, head, cost, cap)
     iterations = 0
@@ -378,10 +410,7 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
             path.append(r)
             push = min(push, cap[r])
             x = head[r ^ 1]
-        for r in path:
-            cap[r] -= push
-            cap[r ^ 1] += push
-            values[r >> 1] += -push if r & 1 else push
+        _augment(path, push, cap, values)
         values[ret_id] += push
         # Labels still in the heap are at least dt, so this keeps every
         # reduced cost non-negative without finishing the search.
@@ -410,35 +439,36 @@ class MinFlowResult:
     t_reach: list[bool]
 
 
-def _residual_path(res: ResidualGraph, src: int,
-                   dst: int) -> tuple[Optional[list[ResidualArc]], list[bool]]:
-    """BFS for a positive-capacity residual path, scanning arcs in order.
+def _residual_bfs(out: list[list[int]], head: list[int], cap: list[int],
+                  src: int, dst: int) -> tuple[Optional[list[int]], list[bool]]:
+    """Breadth-first search over paired residual arcs with positive
+    capacity, scanning each node's arcs in order and stopping when dst
+    is first seen.
 
-    Returns the path, or None, with the nodes seen; after a failed
-    search they are every node reachable from src.
+    Returns the path's arcs (dst first), or None, with the nodes seen;
+    after a failed search they are every node reachable from src.
     """
-    prev: list[Optional[ResidualArc]] = [None] * res.m
-    seen = [False] * res.m
+    prev = [-1] * len(out)
+    seen = [False] * len(out)
     seen[src] = True
     queue = [src]
     while queue:
         nxt: list[int] = []
         for x in queue:
-            for ai in res.out[x]:
-                a = res.arcs[ai]
-                if a.cap > 0 and not seen[a.head]:
-                    seen[a.head] = True
-                    prev[a.head] = a
-                    if a.head == dst:
-                        path: list[ResidualArc] = []
-                        cur = dst
-                        while cur != src:
-                            pa = prev[cur]
-                            assert pa is not None
-                            path.append(pa)
-                            cur = pa.tail
-                        return list(reversed(path)), seen
-                    nxt.append(a.head)
+            for r in out[x]:
+                if cap[r] > 0:
+                    w = head[r]
+                    if not seen[w]:
+                        seen[w] = True
+                        prev[w] = r
+                        if w == dst:
+                            path: list[int] = []
+                            while w != src:
+                                r = prev[w]
+                                path.append(r)
+                                w = head[r ^ 1]
+                            return path, seen
+                        nxt.append(w)
         queue = nxt
     return None, seen
 
@@ -446,37 +476,45 @@ def _residual_path(res: ResidualGraph, src: int,
 def min_flow(net: FlowNetwork, f0: Flow) -> MinFlowResult:
     """Reduce a feasible s-t flow to minimum value.
 
-    Repeatedly finds a t-to-s residual path and pushes the bottleneck
-    along it; each push lowers the flow value, so successful searches
-    are bounded by the total decrease.
+    Repeatedly finds a t-to-s residual path by breadth-first search and
+    pushes the bottleneck along it, updating the paired residual arcs
+    and the flow in place. Feasibility is checked on the start flow and
+    on the result. Each push lowers the flow value, so successful
+    searches are bounded by the total decrease.
     """
     if net.ts_arc is not None:
         raise InvalidCycleError("min_flow expects a network without a return arc")
     check_feasible(net, f0)
     f = f0.copy()
+    values = f.values
     v0 = f.value(net)
+    head, _, cap, out = _paired_residual(net, values)
     searches = 0
     pushes = 0
     while True:
-        res = residual(net, f)
         searches += 1
-        path, reach = _residual_path(res, net.t, net.s)
+        path, reach = _residual_bfs(out, head, cap, net.t, net.s)
         if path is None:
             break
-        bottleneck = min(a.cap for a in path)
-        for a in path:
-            f.values[a.arc] += bottleneck if a.forward else -bottleneck
+        _augment(path, min(cap[r] for r in path), cap, values)
         pushes += 1
-        check_feasible(net, f)
+    check_feasible(net, f)
     if pushes > v0 - f.value(net):
         raise MismatchError(
             f"{pushes} pushes for a value decrease of {v0 - f.value(net)}")
     return MinFlowResult(f, searches, pushes, reach)
 
 
+def _sink_search(net: FlowNetwork, f: Flow) -> tuple[Optional[list[int]], list[bool]]:
+    """min_flow's search from t to s on the residual graph of a feasible flow."""
+    check_feasible(net, f)
+    head, _, cap, out = _paired_residual(net, f.values)
+    return _residual_bfs(out, head, cap, net.t, net.s)
+
+
 def has_decrementing_path(net: FlowNetwork, f: Flow) -> bool:
     """True when a t-to-s residual path still exists."""
-    return _residual_path(residual(net, f), net.t, net.s)[0] is not None
+    return _sink_search(net, f)[0] is not None
 
 
 def sink_reach(net: FlowNetwork, f: Flow) -> list[bool]:
@@ -485,7 +523,7 @@ def sink_reach(net: FlowNetwork, f: Flow) -> list[bool]:
     Raises NotMinimumError when s is among them: a decrementing path
     remains.
     """
-    path, reach = _residual_path(residual(net, f), net.t, net.s)
+    path, reach = _sink_search(net, f)
     if path is not None:
         raise NotMinimumError("a decrementing path remains; the flow is not minimum")
     return reach

@@ -1,10 +1,11 @@
 """Greedy maximum-coverage procedures for chains and antichains.
 
 Chains come from a longest-path dynamic program over the uncovered set;
-antichains come from minimum flows on a vertex-split network, warm-started
-round to round. Tie-breaking is deterministic throughout: predecessor ties
-prefer the smallest vertex id, endpoint ties prefer a still-uncovered
-vertex, then the smallest id.
+antichains come from minimum flows on one vertex-split network per run,
+whose lower bounds drop as vertices are covered, each round's flow
+warm-started from the previous round's. Tie-breaking is deterministic
+throughout: predecessor ties prefer the smallest vertex id, endpoint
+ties prefer a still-uncovered vertex, then the smallest id.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ class GreedyTrace:
         return [r.gain for r in self.rounds]
 
     def assert_monotone(self) -> None:
+        """Raise MismatchError unless the gains never increase."""
         g = self.gains()
-        assert all(g[i] >= g[i + 1] for i in range(len(g) - 1)), \
-            f"greedy gains increased: {g}"
+        if any(g[i] < g[i + 1] for i in range(len(g) - 1)):
+            raise MismatchError(f"greedy gains increased: {g}")
 
 
 def max_coverage_path(dag: Dag, uncovered: set[int]) -> GraphPath:
@@ -166,14 +168,10 @@ def cover_paths(dag: Dag, subset: set[int]) -> list[GraphPath]:
     return out
 
 
-def _subset_min_flow(dag: Dag, subset: Container[int],
-                     seed: Optional[Flow]) -> tuple[SplitNetwork, MinFlowResult]:
-    """Minimum flow of the subset network, reduced from ``seed`` or, when
-    there is none, from a cover of every vertex by best-path rounds."""
-    split = build_subset_network(dag, subset)
-    if seed is None:
-        seed = route_paths(split, [p.vertices for p in cover_paths(dag, set(range(dag.n)))])
-    return split, min_flow(split.net, seed)
+def _path_cover_flow(dag: Dag, split: SplitNetwork) -> Flow:
+    """Feasible start flow for a subset network: a cover of every vertex
+    by best-path rounds."""
+    return route_paths(split, [p.vertices for p in cover_paths(dag, set(range(dag.n)))])
 
 
 def _extract_antichain(dag: Dag, split: SplitNetwork, subset: Iterable[int],
@@ -203,22 +201,24 @@ def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:
     """Exact minimum number of paths covering every vertex."""
     if dag.n == 0:
         return 0, MinFlowResult(Flow([]), 0, 0, [])
-    split, result = _subset_min_flow(dag, range(dag.n), None)
+    split = build_subset_network(dag, range(dag.n))
+    result = min_flow(split.net, _path_cover_flow(dag, split))
     return result.flow.value(split.net), result
 
 
 def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
     """A maximum antichain of the still-uncovered set U per round.
 
-    Round 1 reduces a path-cover flow to a minimum flow; later rounds
-    reuse the previous flow, which stays feasible because lower bounds
-    only relax as U shrinks. A yielded antichain leaves U when the next
-    round is asked for.
+    One subset network serves every round. Round 1 reduces a path-cover
+    flow to a minimum flow; later rounds reuse the previous flow, which
+    stays feasible because covered vertices only lose their lower bound.
+    A yielded antichain leaves U when the next round is asked for.
     """
     uncovered = set(range(dag.n))
-    flow: Optional[Flow] = None
+    split = build_subset_network(dag, uncovered)
+    flow = _path_cover_flow(dag, split)
     while uncovered:
-        split, result = _subset_min_flow(dag, uncovered, flow)
+        result = min_flow(split.net, flow)
         flow = result.flow
         value = flow.value(split.net)
         ac = _extract_antichain(dag, split, uncovered, value, result.t_reach)
@@ -226,6 +226,7 @@ def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
             tuple(sorted(ac.vertices)), len(ac), len(uncovered) - len(ac),
             flow_value=value, searches=result.searches, pushes=result.pushes)
         uncovered.difference_update(ac.vertices)
+        split.release(ac.vertices)
 
 
 def greedy_k_antichains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
@@ -241,9 +242,11 @@ def greedy_k_antichains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
         trace.rounds.append(rnd)
     if trace.rounds:
         first, last = trace.rounds[0], trace.rounds[-1]
-        assert sum(r.searches for r in trace.rounds) - first.pushes <= \
-            k + first.flow_value - last.flow_value, \
-            "decrementing-path searches exceed the warm-start bound"
+        searches = sum(r.searches for r in trace.rounds)
+        bound = first.pushes + k + first.flow_value - last.flow_value
+        if searches > bound:
+            raise MismatchError(
+                f"{searches} decrementing-path searches exceed the warm-start bound {bound}")
     trace.exhausted_early = len(trace.rounds) < k
     trace.rounds.extend(GreedyRound((), 0, 0) for _ in range(k - len(trace.rounds)))
     trace.stop_reason = "U empty" if sum(map(len, members)) == dag.n else "k reached"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -369,23 +368,21 @@ class SweepResult:
 def run_verification_sweep(n_max: int, trials: int, seed: int, k_max: int,
                            workers: int = 4,
                            budget: Optional[OracleBudget] = None) -> SweepResult:
-    """verify_gk over a seeded random corpus, sharded across a pool.
+    """verify_gk over a seeded random corpus, one trial after another.
 
-    Each trial derives its own seed, so results do not depend on the
-    worker count or scheduling.
+    Each trial derives its own seed, so results depend only on the
+    arguments. ``workers`` is accepted for compatibility and ignored: the
+    solvers are pure Python, so a thread pool ran no faster than one
+    thread.
     """
     budget = budget or OracleBudget.from_env()
     result = SweepResult(trials, k_max)
-
-    def one(trial: int) -> list[GkReport]:
-        dag = random_dag(n_max, trial, seed)
-        return [verify_gk(dag, k, budget) for k in range(1, k_max + 1)]
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(one, t) for t in range(trials)]
-        for t, fut in enumerate(futures):
-            try:
-                result.reports.extend(fut.result())
-            except MismatchError as exc:
-                result.mismatches.append(f"trial {t}: {exc}")
+    for t in range(trials):
+        dag = random_dag(n_max, t, seed)
+        try:
+            reports = [verify_gk(dag, k, budget) for k in range(1, k_max + 1)]
+        except MismatchError as exc:
+            result.mismatches.append(f"trial {t}: {exc}")
+            continue
+        result.reports.extend(reports)
     return result

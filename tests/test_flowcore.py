@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from gkcover import (
     Flow,
     FlowNetwork,
     InfeasibleFlowError,
+    build_dag,
     check_feasible,
     decompose,
     min_cost_circulation,
@@ -16,11 +19,15 @@ from gkcover import (
 from gkcover.errors import InvalidCycleError, MismatchError, NegativeCycleError
 from gkcover.flowcore import (
     INF,
+    SplitNetwork,
     find_negative_cycle,
     has_decrementing_path,
+    route_paths,
     shortest_distances,
+    sink_reach,
     zero_flow,
 )
+from gkcover.greedy import cover_paths
 
 
 def diamond(lower_mid=0):
@@ -227,6 +234,110 @@ class TestMinFlow:
         net = two_node_circulation()
         with pytest.raises(InvalidCycleError):
             min_flow(net, zero_flow(net))
+
+    def test_infeasible_start_flow_is_rejected(self):
+        net = diamond(lower_mid=1)
+        with pytest.raises(InfeasibleFlowError):
+            min_flow(net, zero_flow(net))
+
+    def test_push_bound_is_checked(self, monkeypatch):
+        # a search that returns an arc and its own undo arc makes a push
+        # that leaves the value unchanged
+        real = flowcore._residual_bfs
+        calls = []
+
+        def with_idle_push(out, head, cap, src, dst):
+            calls.append(1)
+            if len(calls) == 2:
+                return [0, 1], [False] * len(out)
+            return real(out, head, cap, src, dst)
+
+        monkeypatch.setattr(flowcore, "_residual_bfs", with_idle_push)
+        with pytest.raises(MismatchError, match="2 pushes for a value decrease of 1"):
+            min_flow(diamond(), Flow([1, 0, 1, 0]))
+
+
+def _reference_bfs(res, src, dst):
+    """Breadth-first search over a ResidualGraph, scanning arcs in order
+    and stopping when dst is first seen."""
+    prev = [None] * res.m
+    seen = [False] * res.m
+    seen[src] = True
+    queue = [src]
+    while queue:
+        nxt = []
+        for x in queue:
+            for ai in res.out[x]:
+                a = res.arcs[ai]
+                if a.cap > 0 and not seen[a.head]:
+                    seen[a.head] = True
+                    prev[a.head] = a
+                    if a.head == dst:
+                        path, cur = [], dst
+                        while cur != src:
+                            path.append(prev[cur])
+                            cur = prev[cur].tail
+                        return path, seen
+                    nxt.append(a.head)
+        queue = nxt
+    return None, seen
+
+
+def _reference_min_flow(net, f0):
+    """The minimum flow computed by rebuilding residual() before every
+    search: (flow values, searches, pushes, nodes seen by the last search)."""
+    f = f0.copy()
+    searches = pushes = 0
+    while True:
+        searches += 1
+        path, seen = _reference_bfs(residual(net, f), net.t, net.s)
+        if path is None:
+            return f.values, searches, pushes, seen
+        push = min(a.cap for a in path)
+        for a in path:
+            f.values[a.arc] += push if a.forward else -push
+        pushes += 1
+
+
+def _random_subset_network(seed):
+    """A seeded random DAG's subset network, a random subset, and a start
+    flow that covers every vertex by best-path rounds or by singletons."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 60)
+    density = rng.choice([0.05, 0.2, 0.5])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    dag = build_dag(n, [(perm[u], perm[v]) for u in range(n)
+                        for v in range(u + 1, n) if rng.random() < density])
+    subset = {v for v in range(n) if rng.random() < rng.choice([0.3, 0.7, 1.0])}
+    split = SplitNetwork(n, dag.edges, [(INF, 0)], demand=subset)
+    if rng.random() < 0.5:
+        paths = [p.vertices for p in cover_paths(dag, set(range(n)))]
+    else:
+        paths = [(v,) for v in range(n)]
+    return rng, split, subset, route_paths(split, paths)
+
+
+class TestMinFlowMatchesReference:
+    """min_flow over paired residual arcs takes the same paths as a
+    search of the rebuilt residual graph before every push."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_same_flow_and_counts(self, seed):
+        rng, split, subset, flow = _random_subset_network(seed)
+        net = split.net
+        # one cold solve, then warm starts as the greedy rounds run them:
+        # some subset vertices lose their lower bound between solves
+        for _ in range(3):
+            result = min_flow(net, flow)
+            values, searches, pushes, seen = _reference_min_flow(net, flow)
+            assert result.flow.values == values
+            assert (result.searches, result.pushes) == (searches, pushes)
+            assert result.t_reach == seen == sink_reach(net, result.flow)
+            flow = result.flow
+            dropped = [v for v in subset if rng.random() < 0.4]
+            split.release(dropped)
+            subset.difference_update(dropped)
 
 
 class TestDecompose:

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from gkcover import greedy
 from gkcover import (
     build_dag,
     gen_antichain_ratio,
@@ -16,6 +21,8 @@ from gkcover import (
     solve_alpha,
     solve_beta,
 )
+from gkcover.dagcore import GraphPath
+from gkcover.errors import MismatchError
 from gkcover.flowcore import min_flow, route_paths
 from gkcover.greedy import build_subset_network, cover_paths
 
@@ -109,6 +116,18 @@ class TestSubsetNetwork:
             expected = 1 if v in (3, 4) else 0
             assert sub.net.arcs[sub.gadget(v)].lower == expected
 
+    def test_release_drops_only_the_given_lower_bounds(self, fig):
+        sub = build_subset_network(fig, {3, 4, 5})
+        before = list(sub.net.arcs)
+        sub.release([3, 5])
+        for i, (old, new) in enumerate(zip(before, sub.net.arcs)):
+            if i in (sub.gadget(3), sub.gadget(5)):
+                assert old.lower == 1 and new.lower == 0
+                assert (new.tail, new.head, new.upper, new.cost) == \
+                    (old.tail, old.head, old.upper, old.cost)
+            else:
+                assert new == old
+
 
 class TestMinimumPathCover:
     def test_fig_value(self, fig):
@@ -180,6 +199,59 @@ class TestSinkSideChoice:
     def test_path_cover_searches_and_pushes(self, i):
         value, result = minimum_path_cover(gen_gc(i).dag)
         assert (value, result.searches, result.pushes) == (2, i - 1, i - 2)
+
+
+class TestTraceChecks:
+    """The greedy trace checks raise MismatchError, which python -O keeps."""
+
+    def test_increasing_gains(self, monkeypatch):
+        dag = build_dag(4, [(0, 1), (1, 2)])
+        real = greedy.max_coverage_path
+        calls = []
+
+        def isolated_vertex_first(d, uncovered):
+            calls.append(len(uncovered))
+            return GraphPath((3,)) if len(calls) == 1 else real(d, uncovered)
+
+        monkeypatch.setattr(greedy, "max_coverage_path", isolated_vertex_first)
+        with pytest.raises(MismatchError, match=r"greedy gains increased: \[1, 3\]"):
+            greedy_k_chains(dag, 2)
+
+    def test_warm_start_bound(self, fig, monkeypatch):
+        real = greedy.min_flow
+
+        def extra_searches(net, f0):
+            result = real(net, f0)
+            result.searches += fig.n
+            return result
+
+        monkeypatch.setattr(greedy, "min_flow", extra_searches)
+        with pytest.raises(MismatchError, match="exceed the warm-start bound"):
+            greedy_k_antichains(fig, 2)
+
+    def test_warm_start_bound_survives_optimized_python(self):
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import build_dag, greedy\n"
+            "from gkcover.errors import MismatchError\n"
+            "real = greedy.min_flow\n"
+            "def extra_searches(net, f0):\n"
+            "    result = real(net, f0)\n"
+            "    result.searches += 3\n"
+            "    return result\n"
+            "greedy.min_flow = extra_searches\n"
+            "try:\n"
+            "    greedy.greedy_k_antichains(build_dag(3, [(0, 1)]), 1)\n"
+            "except MismatchError as exc:\n"
+            "    print('mismatch:', exc)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("mismatch: ")
+        assert "exceed the warm-start bound" in proc.stdout
 
 
 class TestGreedyAntichainCover:

@@ -1,5 +1,6 @@
 import pytest
 
+from gkcover import oracle
 from gkcover import (
     BudgetExceeded,
     OracleBudget,
@@ -13,6 +14,7 @@ from gkcover import (
     run_verification_sweep,
     verify_gk,
 )
+from gkcover.errors import MismatchError
 
 from conftest import FIG_ALPHA, FIG_BETA
 
@@ -74,6 +76,24 @@ class TestVerify:
         result = run_verification_sweep(6, 12, seed=5, k_max=2, workers=2)
         assert result.mismatches == []
         assert len(result.reports) == 24
+
+    def test_worker_count_has_no_effect(self):
+        one = run_verification_sweep(6, 6, seed=3, k_max=2, workers=1)
+        many = run_verification_sweep(6, 6, seed=3, k_max=2, workers=4)
+        assert one.reports == many.reports and one.mismatches == many.mismatches == []
+
+    def test_mismatching_trial_keeps_no_reports(self, monkeypatch):
+        real = oracle.verify_gk
+
+        def fail_on_k2(dag, k, budget):
+            if k == 2:
+                raise MismatchError("forced")
+            return real(dag, k, budget)
+
+        monkeypatch.setattr(oracle, "verify_gk", fail_on_k2)
+        result = run_verification_sweep(6, 3, seed=5, k_max=2)
+        assert result.mismatches == [f"trial {t}: forced" for t in range(3)]
+        assert result.reports == []
 
 
 class TestRandomDag:

@@ -10,11 +10,14 @@ from gkcover import (
     greedy_k_chains,
     greedy_weighted_chain_cover,
     knorm_partition,
+    max_antichain_in_subset,
     minimum_path_cover,
     solve_alpha,
     solve_beta,
 )
 from gkcover.cli import format_dag, parse_dag
+from gkcover.flowcore import min_flow, route_paths
+from gkcover.greedy import build_subset_network, cover_paths
 
 
 @st.composite
@@ -116,23 +119,29 @@ def _random_dag(n, seed):
 LARGE = [(150, 1), (200, 2), (280, 3), (400, 4)]
 
 
+def _width(nx, g, vertices):
+    """Dilworth via Fulkerson: the width of the order that g's reachability
+    induces on ``vertices`` is their number minus a maximum matching of
+    the comparability bipartite graph (u on the left, v on the right,
+    whenever u reaches v)."""
+    comp = nx.Graph()
+    comp.add_nodes_from(("L", u) for u in vertices)
+    comp.add_nodes_from(("R", v) for v in vertices)
+    comp.add_edges_from((("L", u), ("R", v)) for u in vertices
+                        for v in nx.descendants(g, u) if v in vertices)
+    matching = nx.bipartite.hopcroft_karp_matching(comp, top_nodes=[("L", u) for u in vertices])
+    return len(vertices) - len(matching) // 2
+
+
 @pytest.mark.parametrize("n,seed", LARGE)
 def test_large_alpha_anchors(n, seed):
     nx = pytest.importorskip("networkx")
     dag = _random_dag(n, seed)
     g = nx.DiGraph(dag.edges)
     g.add_nodes_from(range(n))
-    # Dilworth via Fulkerson: width = n - maximum matching of the
-    # comparability bipartite graph (u on the left, v on the right,
-    # whenever u reaches v)
-    comp = nx.Graph()
-    comp.add_nodes_from(("L", u) for u in range(n))
-    comp.add_nodes_from(("R", v) for v in range(n))
-    comp.add_edges_from((("L", u), ("R", v)) for u in range(n) for v in nx.descendants(g, u))
-    matching = nx.bipartite.hopcroft_karp_matching(comp, top_nodes=[("L", u) for u in range(n)])
     height = nx.dag_longest_path_length(g) + 1
     res = solve_alpha(dag, 1)
-    assert res.alpha == n - len(matching) // 2
+    assert res.alpha == _width(nx, g, set(range(n)))
     for k in (1, 2, height):
         st = solve_alpha(dag, k).stats
         assert st.iterations <= st.initial_cost - st.final_cost
@@ -152,3 +161,21 @@ def test_large_beta_anchors(n, seed):
         st = solve_beta(dag, k).stats
         assert st.iterations <= st.initial_cost - st.final_cost
         assert st.iterations <= k
+
+
+@pytest.mark.parametrize("n,seed", LARGE)
+def test_large_subset_min_flow_anchor(n, seed):
+    # the minimum flow of the subset network is the width of the subset
+    nx = pytest.importorskip("networkx")
+    dag = _random_dag(n, seed)
+    g = nx.DiGraph(dag.edges)
+    g.add_nodes_from(range(n))
+    rng = random.Random(seed)
+    subset = {v for v in range(n) if rng.random() < 0.5}
+    split = build_subset_network(dag, subset)
+    start = route_paths(split, [p.vertices for p in cover_paths(dag, set(range(n)))])
+    result = min_flow(split.net, start)
+    width = _width(nx, g, subset)
+    assert result.flow.value(split.net) == width
+    assert result.pushes <= start.value(split.net) - width
+    assert len(max_antichain_in_subset(dag, subset, result.flow)) == width
