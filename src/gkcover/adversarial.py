@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .dagcore import Dag, build_dag
-from .errors import DomainError
+from .errors import DomainError, MismatchError
 from .greedy import max_coverage_path
 
 
@@ -190,7 +190,8 @@ def gen_gc(i: int) -> AdversarialInstance:
     ordering edges chain column j of consecutive paths, and skip edges
     return from the short paths into the long one, so two paths suffice
     to cover everything while greedy's best path in round j gains only
-    2^(i-j+1) - 1. Built so the round-1 maximizer is unique (asserted).
+    2^(i-j+1) - 1. Built so the round-1 maximizer is unique; the vertex
+    count and that path are checked, raising MismatchError.
     """
     if i < 1:
         raise DomainError(f"staircase instances need i >= 1, got {i}")
@@ -214,11 +215,12 @@ def gen_gc(i: int) -> AdversarialInstance:
             edges.append((last[(m, j - 1)], first[(m - 1, j - 1)]))
     for j in range(1, i - 1):
         edges.append((last[(j, j - 1)], first[(i, j + 1)]))
-    assert n == 2 ** (i + 1) - i - 2
+    if n != 2 ** (i + 1) - i - 2:
+        raise MismatchError(f"staircase {i} has {n} vertices, not {2 ** (i + 1) - i - 2}")
     dag = build_dag(n, edges)
     path1 = max_coverage_path(dag, set(range(n)))
-    assert list(path1.vertices) == seqs[i], \
-        "round-1 path deviates from the intended staircase path"
+    if list(path1.vertices) != seqs[i]:
+        raise MismatchError("round-1 path deviates from the intended staircase path")
     expected = ExpectedStats(
         optimal=1 if i == 1 else 2,
         greedy=i,

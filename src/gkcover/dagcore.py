@@ -2,12 +2,13 @@
 
 Vertices are dense 0-based ids. Reachability is reflexive: every vertex
 reaches itself, so a single vertex is both a chain and an antichain.
+Topological orders come from a FIFO Kahn's algorithm that yields the
+order of graphlib's ``TopologicalSorter.static_order()`` on the same
+graph; graphlib itself only runs to name a cycle.
 """
 
 from __future__ import annotations
 
-import graphlib
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -119,24 +120,55 @@ class Dag:
             self.pred[v].append(u)
         self.edge_set = frozenset(edges)
         self._closure: list[int] | None = None
-        self._closure_lock = threading.Lock()
 
     def __repr__(self) -> str:
         return f"Dag(n={self.n}, edges={len(self.edges)})"
 
     def closure(self) -> list[int]:
-        """Descendant bitsets (self included), built lazily under a lock."""
+        """Descendant bitsets (self included), built on first use."""
         if self._closure is None:
-            with self._closure_lock:
-                if self._closure is None:
-                    desc = [0] * self.n
-                    for v in reversed(self.topo):
-                        mask = 1 << v
-                        for w in self.succ[v]:
-                            mask |= desc[w]
-                        desc[v] = mask
-                    self._closure = desc
+            desc = [0] * self.n
+            for v in reversed(self.topo):
+                mask = 1 << v
+                for w in self.succ[v]:
+                    mask |= desc[w]
+                desc[v] = mask
+            self._closure = desc
         return self._closure
+
+
+def _topological_order(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Nodes 0..len(succ)-1 in topological order, by FIFO Kahn's algorithm.
+
+    The order equals graphlib's ``TopologicalSorter.static_order()`` with
+    the nodes added in id order and each node's successors in list order:
+    the sources in id order, then each node as soon as the last edge into
+    it is taken, in the order the edges are listed. A repeated edge
+    counts as often as it is listed. On a cycle, raises CycleError naming
+    the cycle that graphlib finds.
+    """
+    indeg = [0] * len(succ)
+    for ws in succ:
+        for w in ws:
+            indeg[w] += 1
+    order = [v for v, d in enumerate(indeg) if not d]
+    for v in order:  # the loop also visits the nodes appended below
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    if len(order) < len(succ):
+        import graphlib
+
+        ts = graphlib.TopologicalSorter({v: [] for v in range(len(succ))})
+        for u, ws in enumerate(succ):
+            for w in ws:
+                ts.add(w, u)
+        try:
+            ts.prepare()
+        except graphlib.CycleError as exc:
+            raise CycleError(f"edge list contains a cycle: {exc.args[1]}") from exc
+    return order
 
 
 def build_dag(n: int, edges: Iterable[tuple[int, int]]) -> Dag:
@@ -157,14 +189,10 @@ def build_dag(n: int, edges: Iterable[tuple[int, int]]) -> Dag:
         if (u, v) not in seen:
             seen.add((u, v))
             dedup.append((u, v))
-    ts = graphlib.TopologicalSorter({v: [] for v in range(n)})
+    succ: list[list[int]] = [[] for _ in range(n)]
     for u, v in dedup:
-        ts.add(v, u)
-    try:
-        topo = tuple(ts.static_order())
-    except graphlib.CycleError as exc:
-        raise CycleError(f"edge list contains a cycle: {exc.args[1]}") from exc
-    return Dag(n, tuple(dedup), topo)
+        succ[u].append(v)
+    return Dag(n, tuple(dedup), tuple(_topological_order(succ)))
 
 
 def reachable(dag: Dag, u: int, v: int) -> bool:

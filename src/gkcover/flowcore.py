@@ -1,25 +1,35 @@
 """Integer min-cost circulation, minimum flow and flow decomposition.
 
+A network is stored as parallel integer lists with one entry per arc
+(``tail``, ``head``, ``lower``, ``upper``, ``cost``) and a flow as one
+more list aligned with them. The adjacency depends only on the
+topology, so each network builds it once, on first use. Residual graphs
+come in two forms. The solvers work on paired arcs (2i along network arc
+i, 2i+1 against it) whose capacities they update in place; residual()
+lists only the arcs with room, as parallel lists, for the Bellman-Ford
+certificate and the shortest-path labels.
+
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971): start potentials from a pass in topological order, then
-Dijkstra on reduced costs over paired residual arcs updated in place,
-and one Bellman-Ford negative-cycle search on the result as an
-independent optimality certificate. min_flow pushes along breadth-first
-t-to-s residual paths over the same paired arcs, with feasibility
-checked on the start flow and on the result. SplitNetwork is the
-vertex-split network of a DAG that the exact solver and the greedy
-rounds share.
+Dijkstra on reduced costs over the paired arcs, and one Bellman-Ford
+negative-cycle search on the result as an independent optimality
+certificate. min_flow pushes along breadth-first t-to-s residual paths
+over the same paired arcs, with feasibility checked on the start flow
+and on the result. SplitNetwork is the vertex-split network of a DAG
+that the exact solver and the greedy rounds share.
 """
 
 from __future__ import annotations
 
-import graphlib
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, cycle
+from operator import gt, mul, neg, sub
 from typing import Container, Iterable, Optional, Sequence
 
+from .dagcore import _topological_order
 from .errors import (
     ConservationError,
     InfeasibleFlowError,
@@ -45,42 +55,76 @@ class Arc:
 class FlowNetwork:
     """Directed network with lower/upper bounds and integer costs.
 
-    ``ts_arc`` names the return arc of a circulation network; without it
-    the network is in plain s-t flow form. Aside from the return arc the
-    underlying graph is acyclic, which decomposition relies on.
+    Arc i runs from ``tail[i]`` to ``head[i]`` with bounds ``lower[i]``
+    and ``upper[i]`` and cost ``cost[i]``. Only ``lower`` may change once
+    the network is built (SplitNetwork.release); the cached adjacency
+    and topological positions read the other lists. ``ts_arc`` names the
+    return arc of a circulation network; without it the network is in
+    plain s-t flow form. Aside from the return arc the underlying graph
+    is acyclic, which decomposition relies on.
     """
 
-    def __init__(self, m: int, arcs: list[Arc], s: int, t: int, ts_arc: Optional[int] = None):
-        self.m = m
-        self.arcs = arcs
-        self.s = s
-        self.t = t
-        self.ts_arc = ts_arc
-        self.out_arcs: list[list[int]] = [[] for _ in range(m)]
-        self.in_arcs: list[list[int]] = [[] for _ in range(m)]
-        for i, a in enumerate(arcs):
-            self.out_arcs[a.tail].append(i)
-            self.in_arcs[a.head].append(i)
-        self._topo: Optional[list[int]] = None
+    def __init__(self, m: int, arcs: Sequence[Arc], s: int, t: int, ts_arc: Optional[int] = None):
+        self.m, self.s, self.t, self.ts_arc = m, s, t, ts_arc
+        self.tail = [a.tail for a in arcs]
+        self.head = [a.head for a in arcs]
+        self.lower = [a.lower for a in arcs]
+        self.upper = [a.upper for a in arcs]
+        self.cost = [a.cost for a in arcs]
+
+    @classmethod
+    def from_lists(cls, m: int, tail: list[int], head: list[int], lower: list[int],
+                   upper: list[int], cost: list[int], s: int, t: int,
+                   ts_arc: Optional[int] = None) -> "FlowNetwork":
+        """A network that takes ownership of its per-arc lists."""
+        net = cls(m, (), s, t, ts_arc)
+        net.tail, net.head, net.lower, net.upper, net.cost = tail, head, lower, upper, cost
+        return net
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as records, built on each access."""
+        return tuple(map(Arc, self.tail, self.head, self.lower, self.upper, self.cost))
+
+    @cached_property
+    def _paired(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """Head and cost of every paired residual arc (2i along network arc
+        i, 2i+1 against it), and the paired arcs leaving each node in
+        network-arc order without the return arc's pair. This is the
+        network's one adjacency: the even ids leaving a node are its
+        outgoing arcs, the odd ones its incoming arcs."""
+        tail, head, cost = self.tail, self.head, self.cost
+        rhead = [0] * (2 * len(tail))
+        rhead[0::2] = head
+        rhead[1::2] = tail
+        rcost = [0] * (2 * len(tail))
+        rcost[0::2] = cost
+        rcost[1::2] = map(neg, cost)
+        out: list[list[int]] = [[] for _ in range(self.m)]
+        skip = self.ts_arc
+        for i, (u, w) in enumerate(zip(tail, head)):
+            if i != skip:
+                out[u].append(2 * i)
+                out[w].append(2 * i + 1)
+        return rhead, rcost, out
+
+    @cached_property
+    def _topo_pos(self) -> list[int]:
+        rhead, _, out = self._paired
+        succ = [[rhead[r] for r in rs if not r & 1] for rs in out]
+        pos = [0] * self.m
+        for idx, v in enumerate(_topological_order(succ)):
+            pos[v] = idx
+        return pos
 
     def node_topo_pos(self) -> list[int]:
         """Topological positions over all arcs except the return arc."""
-        if self._topo is None:
-            ts = graphlib.TopologicalSorter({v: [] for v in range(self.m)})
-            for i, a in enumerate(self.arcs):
-                if i != self.ts_arc:
-                    ts.add(a.head, a.tail)
-            order = list(ts.static_order())
-            pos = [0] * self.m
-            for idx, v in enumerate(order):
-                pos[v] = idx
-            self._topo = pos
-        return self._topo
+        return self._topo_pos
 
 
 @dataclass
 class Flow:
-    """Per-arc flow values, aligned with the network's arc list."""
+    """Per-arc flow values, aligned with the network's arc lists."""
 
     values: list[int]
 
@@ -90,16 +134,15 @@ class Flow:
     def value(self, net: FlowNetwork) -> int:
         if net.ts_arc is not None:
             return self.values[net.ts_arc]
-        out = sum(self.values[i] for i in net.out_arcs[net.s])
-        back = sum(self.values[i] for i in net.in_arcs[net.s])
-        return out - back
+        values = self.values
+        return sum(-values[r >> 1] if r & 1 else values[r >> 1] for r in net._paired[2][net.s])
 
     def cost(self, net: FlowNetwork) -> int:
-        return sum(v * a.cost for v, a in zip(self.values, net.arcs))
+        return sum(map(mul, self.values, net.cost))
 
 
 def zero_flow(net: FlowNetwork) -> Flow:
-    return Flow([0] * len(net.arcs))
+    return Flow([0] * len(net.tail))
 
 
 class SplitNetwork:
@@ -118,20 +161,34 @@ class SplitNetwork:
                  ret: Optional[tuple[int, int]] = None):
         self.n = n
         self.edges = edges
-        self.stride = len(gadgets) + 2
+        stride = self.stride = len(gadgets) + 2
         s, t = 2 * n, 2 * n + 1
-        arcs: list[Arc] = []
-        for v in range(n):
-            arcs.append(Arc(s, 2 * v, 0, INF, 0))
-            for j, (upper, cost) in enumerate(gadgets):
-                lower = 1 if j == 0 and v in demand else 0
-                arcs.append(Arc(2 * v, 2 * v + 1, lower, upper, cost))
-            arcs.append(Arc(2 * v + 1, t, 0, INF, 0))
-        arcs.extend(Arc(2 * u + 1, 2 * v, 0, INF, 0) for u, v in edges)
+        ins, outs = range(0, 2 * n, 2), range(1, 2 * n, 2)
+        base = stride * n
+        size = base + len(edges) + (ret is not None)
+        # Every arc starts as (s, t) with bounds [0, INF] and cost 0; the
+        # slices below set the entry heads, the gadget arcs, the exit
+        # tails and the edge arcs.
+        tail, head = [s] * size, [t] * size
+        lower, upper, cost = [0] * size, [INF] * size, [0] * size
+        head[0:base:stride] = ins
+        for j, (up, c) in enumerate(gadgets, 1):
+            tail[j:base:stride] = ins
+            head[j:base:stride] = outs
+            upper[j:base:stride] = [up] * n
+            cost[j:base:stride] = [c] * n
+        tail[stride - 1:base:stride] = outs
+        if gadgets:
+            lower[1:base:stride] = [1 if v in demand else 0 for v in range(n)]
+        tail[base:base + len(edges)] = [2 * u + 1 for u, _ in edges]
+        head[base:base + len(edges)] = [2 * v for _, v in edges]
+        ts_arc = None
         if ret is not None:
-            arcs.append(Arc(t, s, 0, *ret))
-        self.net = FlowNetwork(2 * n + 2, arcs, s, t,
-                               ts_arc=len(arcs) - 1 if ret is not None else None)
+            ts_arc = size - 1
+            tail[ts_arc], head[ts_arc] = t, s
+            upper[ts_arc], cost[ts_arc] = ret
+        self.net = FlowNetwork.from_lists(2 * n + 2, tail, head, lower, upper, cost,
+                                          s, t, ts_arc)
 
     def v_in(self, v: int) -> int:
         return 2 * v
@@ -158,10 +215,9 @@ class SplitNetwork:
 
         A flow feasible before stays feasible: bounds only relax.
         """
-        arcs = self.net.arcs
+        lower = self.net.lower
         for v in vertices:
-            i = self.gadget(v)
-            arcs[i] = replace(arcs[i], lower=0)
+            lower[self.gadget(v)] = 0
 
     @cached_property
     def edge_arc(self) -> dict[tuple[int, int], int]:
@@ -174,12 +230,12 @@ def route_paths(split: SplitNetwork, paths: Iterable[Sequence[int]]) -> Flow:
     """One unit of flow per vertex sequence, through each vertex's first
     gadget arc with room, and around the return arc when there is one."""
     f = zero_flow(split.net)
-    values, arcs = f.values, split.net.arcs
+    values, upper = f.values, split.net.upper
     for p in paths:
         values[split.entry(p[0])] += 1
         for i, v in enumerate(p):
             ai = split.gadget(v)
-            while values[ai] >= arcs[ai].upper:
+            while values[ai] >= upper[ai]:
                 ai += 1
             values[ai] += 1
             if i + 1 < len(p):
@@ -192,122 +248,133 @@ def route_paths(split: SplitNetwork, paths: Iterable[Sequence[int]]) -> Flow:
 
 def check_feasible(net: FlowNetwork, f: Flow) -> None:
     """Raise InfeasibleFlowError on a bound or conservation violation."""
-    if len(f.values) != len(net.arcs):
+    values, lower, upper = f.values, net.lower, net.upper
+    if len(values) != len(lower):
         raise InfeasibleFlowError("flow vector length does not match arc count")
-    for i, a in enumerate(net.arcs):
-        v = f.values[i]
-        if v < a.lower or v > a.upper:
-            raise InfeasibleFlowError(
-                f"arc {i} carries {v}, outside [{a.lower}, {a.upper}]")
-    exempt = set() if net.ts_arc is not None else {net.s, net.t}
+    if any(map(gt, lower, values)) or any(map(gt, values, upper)):
+        i = next(i for i, v in enumerate(values) if v < lower[i] or v > upper[i])
+        raise InfeasibleFlowError(
+            f"arc {i} carries {values[i]}, outside [{lower[i]}, {upper[i]}]")
     balance = [0] * net.m
-    for i, a in enumerate(net.arcs):
-        balance[a.tail] -= f.values[i]
-        balance[a.head] += f.values[i]
-    for v in range(net.m):
-        if v not in exempt and balance[v] != 0:
-            raise InfeasibleFlowError(f"conservation fails at node {v}")
+    # only arcs that carry flow move a balance
+    for u, w, x in zip(compress(net.tail, values), compress(net.head, values),
+                       compress(values, values)):
+        balance[u] -= x
+        balance[w] += x
+    if net.ts_arc is None:
+        balance[net.s] = balance[net.t] = 0
+    if any(balance):
+        v = next(v for v, b in enumerate(balance) if b)
+        raise InfeasibleFlowError(f"conservation fails at node {v}")
 
 
-@dataclass(frozen=True)
-class ResidualArc:
-    tail: int
-    head: int
-    cap: int
-    cost: int
-    arc: int
-    forward: bool
-
-
+@dataclass
 class ResidualGraph:
-    def __init__(self, m: int, arcs: list[ResidualArc]):
-        self.m = m
-        self.arcs = arcs
-        self.out: list[list[int]] = [[] for _ in range(m)]
-        for i, a in enumerate(arcs):
-            self.out[a.tail].append(i)
+    """The residual arcs with room, as parallel lists.
+
+    Residual arc r runs from ``tail[r]`` to ``head[r]`` with capacity
+    ``cap[r] > 0`` and cost ``cost[r]``, along network arc ``arc[r]``
+    when ``forward[r]``, else against it. The arcs of network arc i come
+    after those of arc i-1, the forward one first.
+    """
+
+    m: int
+    tail: list[int]
+    head: list[int]
+    cap: list[int]
+    cost: list[int]
+    arc: list[int]
+    forward: list[bool]
 
 
 def residual(net: FlowNetwork, f: Flow) -> ResidualGraph:
     """Residual graph of a feasible flow: forward slack and undo arcs."""
     check_feasible(net, f)
-    arcs: list[ResidualArc] = []
-    for i, a in enumerate(net.arcs):
-        v = f.values[i]
-        if v < a.upper:
-            cap = INF if a.upper >= INF else a.upper - v
-            arcs.append(ResidualArc(a.tail, a.head, cap, a.cost, i, True))
-        if v > a.lower:
-            arcs.append(ResidualArc(a.head, a.tail, v - a.lower, -a.cost, i, False))
-    return ResidualGraph(net.m, arcs)
+    values = f.values
+    rhead, rcost, _ = net._paired
+    cap = [0] * len(rhead)
+    cap[0::2] = [INF if up >= INF else up - v for up, v in zip(net.upper, values)]
+    cap[1::2] = map(sub, values, net.lower)
+    # A feasible flow leaves no negative capacity, so compress() keeps
+    # exactly the arcs with room.
+    rtail = [0] * len(rhead)
+    rtail[0::2] = net.tail
+    rtail[1::2] = net.head
+    ids = range(len(values))
+    return ResidualGraph(
+        net.m, list(compress(rtail, cap)), list(compress(rhead, cap)), list(compress(cap, cap)),
+        list(compress(rcost, cap)), list(compress(chain.from_iterable(zip(ids, ids)), cap)),
+        list(compress(cycle((True, False)), cap)))
 
 
-def find_negative_cycle(res: ResidualGraph) -> Optional[list[ResidualArc]]:
-    """Return one negative-cost residual cycle, or None.
+def _usable(res: ResidualGraph) -> list[tuple[int, int, int, int]]:
+    """(id, tail, head, cost) of every residual arc with positive capacity."""
+    return [(r, u, w, c) for r, (u, w, c, k) in
+            enumerate(zip(res.tail, res.head, res.cost, res.cap)) if k > 0]
 
-    Bellman-Ford from a virtual source (all labels start at zero); if
-    labels still improve after m rounds, walking the predecessor arcs
-    lands on a negative cycle.
+
+def find_negative_cycle(res: ResidualGraph) -> Optional[list[int]]:
+    """Return the residual arc ids of one negative-cost cycle, or None.
+
+    Bellman-Ford from a virtual source (all labels start at zero),
+    scanning the arcs in order; if labels still improve after m rounds,
+    walking the predecessor arcs lands on a negative cycle.
     """
     m = res.m
     if m == 0:
         return None
+    arcs = _usable(res)
     dist = [0] * m
-    pred: list[Optional[ResidualArc]] = [None] * m
+    pred = [-1] * m
     last_updated = -1
-    for round_no in range(m + 1):
+    for _ in range(m + 1):
         changed = False
-        for a in res.arcs:
-            if a.cap <= 0:
-                continue
-            nd = dist[a.tail] + a.cost
-            if nd < dist[a.head]:
-                dist[a.head] = nd
-                pred[a.head] = a
+        for r, u, w, c in arcs:
+            nd = dist[u] + c
+            if nd < dist[w]:
+                dist[w] = nd
+                pred[w] = r
                 changed = True
-                last_updated = a.head
+                last_updated = w
         if not changed:
             return None
+    tail = res.tail
     x = last_updated
     for _ in range(m):
-        a = pred[x]
-        assert a is not None
-        x = a.tail
-    cycle_rev: list[ResidualArc] = []
+        if pred[x] < 0:
+            raise MismatchError(f"node {x} improved without a predecessor arc")
+        x = tail[pred[x]]
+    cycle_rev: list[int] = []
     cur = x
     while True:
-        a = pred[cur]
-        assert a is not None
-        cycle_rev.append(a)
-        cur = a.tail
+        r = pred[cur]
+        if r < 0:
+            raise MismatchError(f"node {cur} on the walk back has no predecessor arc")
+        cycle_rev.append(r)
+        cur = tail[r]
         if cur == x:
             break
-    cycle = list(reversed(cycle_rev))
-    assert sum(a.cost for a in cycle) < 0
-    return cycle
+    found = cycle_rev[::-1]
+    total = sum(res.cost[r] for r in found)
+    if total >= 0:
+        raise MismatchError(f"the predecessor cycle costs {total}, not less than zero")
+    return found
 
 
-def _paired_residual(net: FlowNetwork, values: list[int], skip: Optional[int] = None
+def _paired_residual(net: FlowNetwork, values: list[int]
                      ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
     """Residual graph of a flow as paired arcs: 2i along network arc i,
     2i+1 against it.
 
     Returns ``head``, ``cost`` and ``cap`` per residual arc, and ``out``:
-    the arcs leaving each node in network-arc order, without the pair of
-    network arc ``skip``. An arc is usable while its ``cap`` is positive.
+    the arcs leaving each node in network-arc order, without the return
+    arc's pair. Only ``cap`` is new; the rest is the network's cache and
+    must not be edited. An arc is usable while its ``cap`` is positive.
     """
-    head: list[int] = []
-    cost: list[int] = []
-    cap: list[int] = []
-    out: list[list[int]] = [[] for _ in range(net.m)]
-    for i, a in enumerate(net.arcs):
-        v = values[i]
-        head += (a.head, a.tail)
-        cost += (a.cost, -a.cost)
-        cap += (a.upper - v, v - a.lower)
-        if i != skip:
-            out[a.tail].append(2 * i)
-            out[a.head].append(2 * i + 1)
+    head, cost, out = net._paired
+    cap = [0] * len(head)
+    cap[0::2] = map(sub, net.upper, values)
+    cap[1::2] = map(sub, values, net.lower)
     return head, cost, cap, out
 
 
@@ -373,13 +440,13 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
     c0 = f.cost(net)
     m = net.m
     ret_id = net.ts_arc
-    ret = net.arcs[ret_id]
-    src, dst = ret.head, ret.tail
-    head, cost, cap, out = _paired_residual(net, values, skip=ret_id)
+    ret_upper, ret_cost = net.upper[ret_id], net.cost[ret_id]
+    src, dst = net.head[ret_id], net.tail[ret_id]
+    head, cost, cap, out = _paired_residual(net, values)
     order = sorted(range(m), key=net.node_topo_pos().__getitem__)
     pi = _start_potentials(m, order, out, head, cost, cap)
     iterations = 0
-    while values[ret_id] < ret.upper:
+    while values[ret_id] < ret_upper:
         dist = [math.inf] * m
         pred = [-1] * m
         dist[src] = 0
@@ -400,9 +467,9 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
                         pred[w] = r
                         heapq.heappush(heap, (nd, w))
         dt = dist[dst]
-        if dt == math.inf or dt + pi[dst] - pi[src] + ret.cost >= 0:
+        if dt == math.inf or dt + pi[dst] - pi[src] + ret_cost >= 0:
             break
-        push = ret.upper - values[ret_id]
+        push = ret_upper - values[ret_id]
         path: list[int] = []
         x = dst
         while x != src:
@@ -548,51 +615,57 @@ def decompose(net: FlowNetwork, f: Flow) -> list[NetworkPath]:
     value = f.value(net)
     remaining = list(f.values)
     topo = net.node_topo_pos()
+    rhead, _, out = net._paired
     paths: list[NetworkPath] = []
     for _ in range(value):
         nodes = [net.s]
         arcs: list[int] = []
         cur = net.s
         while cur != net.t:
-            best = -1
-            for ai in net.out_arcs[cur]:
-                if ai == net.ts_arc or remaining[ai] <= 0:
+            best = best_pos = -1
+            for r in out[cur]:
+                ai = r >> 1
+                if r & 1 or remaining[ai] <= 0:
                     continue
-                if best < 0 or topo[net.arcs[ai].head] < topo[net.arcs[best].head] or (
-                        topo[net.arcs[ai].head] == topo[net.arcs[best].head] and ai < best):
-                    best = ai
+                pos = topo[rhead[r]]
+                if best < 0 or pos < best_pos or (pos == best_pos and ai < best):
+                    best, best_pos = ai, pos
             if best < 0:
                 raise ConservationError(cur)
             remaining[best] -= 1
-            cur = net.arcs[best].head
+            cur = rhead[2 * best]
             nodes.append(cur)
             arcs.append(best)
         paths.append(NetworkPath(tuple(nodes), tuple(arcs)))
     for i, left in enumerate(remaining):
         if i != net.ts_arc and left != 0:
-            raise ConservationError(net.arcs[i].tail)
+            raise ConservationError(net.tail[i])
     return paths
 
 
 def shortest_distances(res: ResidualGraph, s: int) -> list[Optional[int]]:
     """Exact shortest distances from s over positive-capacity arcs.
 
-    Bellman-Ford with early exit; raises NegativeCycleError if labels
-    still improve after m rounds. Unreachable nodes get None.
+    Bellman-Ford with early exit, scanning the arcs in order; raises
+    NegativeCycleError if labels still improve after m rounds.
+    Unreachable nodes get None.
     """
     m = res.m
     dist: list[Optional[int]] = [None] * m
     if m == 0:
         return dist
+    arcs = _usable(res)
     dist[s] = 0
     for _ in range(m + 1):
         changed = False
-        for a in res.arcs:
-            if a.cap <= 0 or dist[a.tail] is None:
+        for _r, u, w, c in arcs:
+            du = dist[u]
+            if du is None:
                 continue
-            nd = dist[a.tail] + a.cost
-            if dist[a.head] is None or nd < dist[a.head]:
-                dist[a.head] = nd
+            nd = du + c
+            dw = dist[w]
+            if dw is None or nd < dw:
+                dist[w] = nd
                 changed = True
         if not changed:
             return dist

@@ -209,7 +209,8 @@ def brute_min_knorm_chain_partition(dag: Dag, k: int,
                 w &= w - 1
 
         try_chain(v, 1 << v, [v])
-        assert best_val is not None
+        if best_val is None:
+            raise MismatchError("no chain through the first vertex was scored")
         memo[mask] = (best_val, best_chain)
         return memo[mask]
 
@@ -272,7 +273,8 @@ def brute_min_knorm_antichain_partition(dag: Dag, k: int,
 
         vi = order.index(v)
         try_antichain(1 << v, 1, vi + 1)
-        assert best_val is not None
+        if best_val is None:
+            raise MismatchError("no antichain through the first vertex was scored")
         memo[mask] = (best_val, best_ac)
         return memo[mask]
 

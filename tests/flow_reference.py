@@ -1,0 +1,151 @@
+"""Object-based reference copies of the flow code the list layout replaced.
+
+Each network arc is a frozen Arc record and each residual arc a frozen
+ResidualArc record; the Bellman-Ford searches scan those records. Tests
+compare the list-based flowcore against these on random inputs.
+"""
+
+from dataclasses import dataclass
+from typing import Optional
+
+from gkcover.errors import NegativeCycleError
+from gkcover.flowcore import INF, Arc
+
+
+def split_arcs(n, edges, gadgets, demand=(), ret=None):
+    """The vertex-split network's arcs, built one Arc at a time."""
+    s, t = 2 * n, 2 * n + 1
+    arcs = []
+    for v in range(n):
+        arcs.append(Arc(s, 2 * v, 0, INF, 0))
+        for j, (upper, cost) in enumerate(gadgets):
+            lower = 1 if j == 0 and v in demand else 0
+            arcs.append(Arc(2 * v, 2 * v + 1, lower, upper, cost))
+        arcs.append(Arc(2 * v + 1, t, 0, INF, 0))
+    arcs.extend(Arc(2 * u + 1, 2 * v, 0, INF, 0) for u, v in edges)
+    if ret is not None:
+        arcs.append(Arc(t, s, 0, *ret))
+    return arcs
+
+
+@dataclass(frozen=True)
+class ResidualArc:
+    tail: int
+    head: int
+    cap: int
+    cost: int
+    arc: int
+    forward: bool
+
+
+def residual_arcs(arcs, values):
+    """Residual arcs of a flow: forward slack and undo arcs, in arc order."""
+    out = []
+    for i, a in enumerate(arcs):
+        v = values[i]
+        if v < a.upper:
+            cap = INF if a.upper >= INF else a.upper - v
+            out.append(ResidualArc(a.tail, a.head, cap, a.cost, i, True))
+        if v > a.lower:
+            out.append(ResidualArc(a.head, a.tail, v - a.lower, -a.cost, i, False))
+    return out
+
+
+def find_negative_cycle(m, arcs) -> Optional[list[ResidualArc]]:
+    """Bellman-Ford from a virtual source over ResidualArc records."""
+    if m == 0:
+        return None
+    dist = [0] * m
+    pred = [None] * m
+    last_updated = -1
+    for _ in range(m + 1):
+        changed = False
+        for a in arcs:
+            if a.cap <= 0:
+                continue
+            nd = dist[a.tail] + a.cost
+            if nd < dist[a.head]:
+                dist[a.head] = nd
+                pred[a.head] = a
+                changed = True
+                last_updated = a.head
+        if not changed:
+            return None
+    x = last_updated
+    for _ in range(m):
+        x = pred[x].tail
+    cycle_rev = []
+    cur = x
+    while True:
+        a = pred[cur]
+        cycle_rev.append(a)
+        cur = a.tail
+        if cur == x:
+            break
+    return list(reversed(cycle_rev))
+
+
+def shortest_distances(m, arcs, s):
+    """Bellman-Ford from s over ResidualArc records; None marks unreachable."""
+    dist = [None] * m
+    if m == 0:
+        return dist
+    dist[s] = 0
+    for _ in range(m + 1):
+        changed = False
+        for a in arcs:
+            if a.cap <= 0 or dist[a.tail] is None:
+                continue
+            nd = dist[a.tail] + a.cost
+            if dist[a.head] is None or nd < dist[a.head]:
+                dist[a.head] = nd
+                changed = True
+        if not changed:
+            return dist
+    raise NegativeCycleError("negative cycle reachable from source")
+
+
+def residual_bfs(m, arcs, src, dst):
+    """Breadth-first search over ResidualArc records, scanning each node's
+    arcs in order and stopping when dst is first seen."""
+    out = [[] for _ in range(m)]
+    for a in arcs:
+        out[a.tail].append(a)
+    prev = [None] * m
+    seen = [False] * m
+    seen[src] = True
+    queue = [src]
+    while queue:
+        nxt = []
+        for x in queue:
+            for a in out[x]:
+                if a.cap > 0 and not seen[a.head]:
+                    seen[a.head] = True
+                    prev[a.head] = a
+                    if a.head == dst:
+                        path, cur = [], dst
+                        while cur != src:
+                            path.append(prev[cur])
+                            cur = prev[cur].tail
+                        return path, seen
+                    nxt.append(a.head)
+        queue = nxt
+    return None, seen
+
+
+def min_flow(net, f0):
+    """The minimum flow computed by rebuilding the residual arcs before
+    every search: (flow values, searches, pushes, nodes seen by the last
+    search)."""
+    arcs = net.arcs
+    f = f0.copy()
+    searches = pushes = 0
+    while True:
+        searches += 1
+        path, seen = residual_bfs(net.m, residual_arcs(arcs, f.values), net.t, net.s)
+        if path is None:
+            return f.values, searches, pushes, seen
+        push = min(a.cap for a in path)
+        for a in path:
+            f.values[a.arc] += push if a.forward else -push
+        pushes += 1

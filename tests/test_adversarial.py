@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+from gkcover import adversarial
+from gkcover.errors import MismatchError
 from gkcover import (
     DomainError,
     certify_antichain,
@@ -108,7 +114,7 @@ class TestLogPathFamily:
         assert covered == set(range(inst.dag.n))
 
     def test_round1_maximizer_is_unique(self):
-        # the build already asserts the round-1 path; check the score DP
+        # the build already checks the round-1 path; check the score DP
         # has a strict argmax so ties never decide the trace
         for i in (2, 3, 4, 5, 6):
             inst = gen_gc(i)
@@ -123,6 +129,40 @@ class TestLogPathFamily:
     def test_i_below_one_rejected(self):
         with pytest.raises(DomainError):
             gen_gc(0)
+
+    def test_wrong_round1_path_is_a_mismatch(self, monkeypatch):
+        real = adversarial.max_coverage_path
+
+        def reversed_tie_break(dag, uncovered):
+            return real(dag, set(uncovered) - {0})
+
+        monkeypatch.setattr(adversarial, "max_coverage_path", reversed_tie_break)
+        with pytest.raises(MismatchError, match="round-1 path deviates"):
+            gen_gc(4)
+
+    def test_wrong_vertex_count_is_a_mismatch(self, monkeypatch):
+        monkeypatch.setattr(adversarial, "comb", lambda m, j: 1)
+        with pytest.raises(MismatchError, match="staircase 4 has 10 vertices, not 26"):
+            gen_gc(4)
+
+    def test_round1_check_survives_optimized_python(self):
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import adversarial\n"
+            "from gkcover.dagcore import GraphPath\n"
+            "from gkcover.errors import MismatchError\n"
+            "adversarial.max_coverage_path = lambda dag, uncovered: GraphPath((0,))\n"
+            "try:\n"
+            "    adversarial.gen_gc(3)\n"
+            "except MismatchError as exc:\n"
+            "    print('mismatch:', exc)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "mismatch: round-1 path deviates from the intended staircase path\n"
 
 
 class TestLogAntichainFamily:

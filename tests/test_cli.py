@@ -128,6 +128,14 @@ class TestSolveCommand:
         path.write_text("2\n0 1\n1 0\n")
         assert main(["solve", "ma-k", "--k", "1", str(path)]) == 1
 
+    def test_cycle_is_named_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "cyc.txt"
+        path.write_text("3\na b\nb c\nc a\n")
+        assert main(["solve", "ma-k", "--k", "1", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: edge list contains a cycle: [0, 1, 2, 0]\n"
+
     def test_invalid_k_is_input_error(self, fig_file, capsys):
         assert main(["solve", "ma-k", "--k", "0", fig_file]) == 1
 

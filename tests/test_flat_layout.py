@@ -1,0 +1,266 @@
+"""The list-based networks, residual graphs and topological orders agree
+with the object-based code and with graphlib on random inputs."""
+
+import graphlib
+import random
+
+import pytest
+
+from gkcover import CycleError, build_dag
+from gkcover.flowcore import (
+    INF,
+    Arc,
+    Flow,
+    FlowNetwork,
+    SplitNetwork,
+    find_negative_cycle,
+    min_cost_circulation,
+    residual,
+    route_paths,
+    shortest_distances,
+    zero_flow,
+)
+from gkcover.errors import NegativeCycleError
+from gkcover.greedy import cover_paths
+from gkcover.networks import ALPHA, BETA, build_network
+
+import flow_reference as ref
+
+
+def random_dag(rng, n_max=40):
+    n = rng.randint(0, n_max)
+    density = rng.choice([0.05, 0.2, 0.5])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < density]
+    # duplicates are dropped by build_dag
+    edges += rng.sample(edges, min(len(edges), 3))
+    rng.shuffle(edges)
+    return build_dag(n, edges)
+
+
+def columns(net):
+    return (net.tail, net.head, net.lower, net.upper, net.cost)
+
+
+def arc_columns(arcs):
+    return tuple([getattr(a, f) for a in arcs] for f in ("tail", "head", "lower", "upper", "cost"))
+
+
+def residual_rows(res):
+    return list(zip(res.tail, res.head, res.cap, res.cost, res.arc, res.forward))
+
+
+def reference_rows(arcs):
+    return [(a.tail, a.head, a.cap, a.cost, a.arc, a.forward) for a in arcs]
+
+
+def static_order(n, succ):
+    ts = graphlib.TopologicalSorter({v: [] for v in range(n)})
+    for u, ws in enumerate(succ):
+        for w in ws:
+            ts.add(w, u)
+    return list(ts.static_order())
+
+
+def network_static_pos(net):
+    succ = [[] for _ in range(net.m)]
+    for i, (u, w) in enumerate(zip(net.tail, net.head)):
+        if i != net.ts_arc:
+            succ[u].append(w)
+    pos = [0] * net.m
+    for idx, v in enumerate(static_order(net.m, succ)):
+        pos[v] = idx
+    return pos
+
+
+class TestSplitNetworkLists:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_lists_match_the_arc_build(self, seed):
+        rng = random.Random(seed)
+        dag = random_dag(rng)
+        gadgets = [(rng.choice([1, 2, INF]), rng.randint(-2, 2))
+                   for _ in range(rng.randint(0, 3))]
+        demand = {v for v in range(dag.n) if rng.random() < 0.5}
+        if rng.random() < 0.3:
+            demand = range(dag.n)
+        ret = rng.choice([None, (INF, 3), (2, 0)])
+        split = SplitNetwork(dag.n, dag.edges, gadgets, demand=demand, ret=ret)
+        want = ref.split_arcs(dag.n, dag.edges, gadgets, demand, ret)
+        net = split.net
+        assert columns(net) == arc_columns(want)
+        assert list(net.arcs) == want
+        assert net.ts_arc == (len(want) - 1 if ret is not None else None)
+        assert (net.m, net.s, net.t) == (2 * dag.n + 2, 2 * dag.n, 2 * dag.n + 1)
+        assert columns(FlowNetwork(net.m, want, net.s, net.t, net.ts_arc)) == columns(net)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_release_changes_only_the_released_lower_bounds(self, seed):
+        rng = random.Random(seed)
+        dag = random_dag(rng)
+        split = SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=range(dag.n))
+        before = [list(col) for col in columns(split.net)]
+        released = [v for v in range(dag.n) if rng.random() < 0.4]
+        split.release(released)
+        after = columns(split.net)
+        assert after[:2] == tuple(before[:2]) and after[3:] == tuple(before[3:])
+        gadget_ids = {split.gadget(v) for v in released}
+        for i, (old, new) in enumerate(zip(before[2], after[2])):
+            assert new == (0 if i in gadget_ids else old)
+
+
+def random_flows(seed):
+    """Networks and feasible flows with undo arcs: circulation solves,
+    path-cover flows on subset networks before and after a release, and
+    the zero flow."""
+    rng = random.Random(seed)
+    dag = random_dag(rng, 25)
+    gk = build_network(dag, rng.randint(1, 4), rng.choice([ALPHA, BETA]))
+    yield gk.net, zero_flow(gk.net)
+    yield gk.net, min_cost_circulation(gk.net, zero_flow(gk.net)).flow
+    subset = {v for v in range(dag.n) if rng.random() < 0.6}
+    split = SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=subset)
+    f = route_paths(split, [p.vertices for p in cover_paths(dag, set(range(dag.n)))])
+    yield split.net, f
+    split.release([v for v in subset if rng.random() < 0.5])
+    yield split.net, f
+
+
+def random_circulation(rng):
+    """A digraph with cycles and a feasible circulation on it: flow goes
+    around random node cycles, and extra arcs carry none. Costs may make
+    residual cycles negative; some nodes are left without arcs."""
+    m = rng.randint(1, 9)
+    arcs, values = [], []
+    for _ in range(rng.randint(0, 4)):
+        cyc = rng.sample(range(m), rng.randint(1, m)) if m > 1 else []
+        if len(cyc) < 2:
+            continue
+        x = rng.randint(1, 2)
+        for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+            arcs.append(Arc(u, w, rng.randint(0, x), x + rng.randint(0, 2), rng.randint(-3, 3)))
+            values.append(x)
+    for _ in range(rng.randint(0, 12)):
+        u, w = rng.randrange(m), rng.randrange(m)
+        arcs.append(Arc(u, w, 0, rng.randint(1, 3), rng.randint(-2, 4)))
+        values.append(0)
+    return FlowNetwork(m, arcs, 0, m - 1), Flow(values)
+
+
+class TestResidualLists:
+    @pytest.mark.parametrize("seed", range(15))
+    def test_residual_matches_the_record_build(self, seed):
+        for net, f in random_flows(seed):
+            want = ref.residual_arcs(net.arcs, f.values)
+            assert residual_rows(residual(net, f)) == reference_rows(want)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_bellman_ford_on_solved_flows(self, seed):
+        for net, f in random_flows(seed):
+            res = residual(net, f)
+            arcs = ref.residual_arcs(net.arcs, f.values)
+            cyc = find_negative_cycle(res)
+            want = ref.find_negative_cycle(net.m, arcs)
+            assert (cyc is None) == (want is None)
+            if want is not None:
+                assert [residual_rows(res)[r] for r in cyc] == reference_rows(want)
+            for s in (net.s, net.t):
+                try:
+                    want_d = ref.shortest_distances(net.m, arcs, s)
+                except NegativeCycleError:
+                    with pytest.raises(NegativeCycleError):
+                        shortest_distances(res, s)
+                else:
+                    assert shortest_distances(res, s) == want_d
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_bellman_ford_with_cycles(self, seed):
+        net, f = random_circulation(random.Random(seed))
+        res = residual(net, f)
+        arcs = ref.residual_arcs(net.arcs, f.values)
+        assert residual_rows(res) == reference_rows(arcs)
+        cyc = find_negative_cycle(res)
+        want = ref.find_negative_cycle(net.m, arcs)
+        if want is None:
+            assert cyc is None
+        else:
+            rows = residual_rows(res)
+            assert [rows[r] for r in cyc] == reference_rows(want)
+            assert sum(res.cost[r] for r in cyc) < 0
+        for s in range(net.m):
+            try:
+                want_d = ref.shortest_distances(net.m, arcs, s)
+            except NegativeCycleError:
+                with pytest.raises(NegativeCycleError):
+                    shortest_distances(res, s)
+            else:
+                assert shortest_distances(res, s) == want_d
+
+    def test_forced_negative_cycle_and_unreachable_nodes(self):
+        # 0 -> 1 -> 2 -> 0 costs -1 in total; node 3 has no arcs
+        arcs = [Arc(0, 1, 0, 1, 2), Arc(1, 2, 0, 1, -4), Arc(2, 0, 0, 1, 1)]
+        net = FlowNetwork(4, arcs, 0, 3)
+        res = residual(net, zero_flow(net))
+        want = ref.find_negative_cycle(4, ref.residual_arcs(net.arcs, [0, 0, 0]))
+        cyc = find_negative_cycle(res)
+        assert [residual_rows(res)[r] for r in cyc] == reference_rows(want)
+        assert sorted(res.arc[r] for r in cyc) == [0, 1, 2]
+        with pytest.raises(NegativeCycleError):
+            shortest_distances(res, 0)
+        # with the cycle saturated, only undo arcs remain and 3 stays unreachable
+        res = residual(net, Flow([1, 1, 1]))
+        assert find_negative_cycle(res) is None
+        assert shortest_distances(res, 0) == [0, 3, -1, None]
+        assert shortest_distances(res, 0) == ref.shortest_distances(
+            4, ref.residual_arcs(net.arcs, [1, 1, 1]), 0)
+
+
+class TestKahnOrder:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_build_dag_order_is_graphlibs(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 60)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < rng.choice([0.05, 0.3])]
+        rng.shuffle(edges)
+        dag = build_dag(n, edges)
+        assert list(dag.topo) == static_order(n, dag.succ)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_network_orders_are_graphlibs(self, seed):
+        rng = random.Random(seed)
+        dag = random_dag(rng)
+        nets = [SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=range(dag.n)).net]
+        for kind in (ALPHA, BETA):
+            nets.append(build_network(dag, rng.randint(1, 3), kind).net)
+        for net in nets:
+            assert net.node_topo_pos() == network_static_pos(net)
+
+    def test_parallel_arcs(self):
+        arcs = [Arc(0, 2, 0, 1, 0), Arc(0, 2, 0, 1, 0), Arc(1, 2, 0, 1, 0), Arc(2, 3, 0, 1, 0)]
+        net = FlowNetwork(4, arcs, 0, 3)
+        assert net.node_topo_pos() == network_static_pos(net) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 0)],
+        [(3, 4), (0, 1), (4, 2), (1, 0), (2, 3)],
+        [(0, 1), (1, 2), (2, 3), (3, 1), (4, 0)],
+    ])
+    def test_cycle_message_is_graphlibs(self, edges):
+        n = 1 + max(max(e) for e in edges)
+        ts = graphlib.TopologicalSorter({v: [] for v in range(n)})
+        for u, v in edges:
+            ts.add(v, u)
+        with pytest.raises(graphlib.CycleError) as want:
+            ts.prepare()
+        with pytest.raises(CycleError) as got:
+            build_dag(n, edges)
+        assert str(got.value) == f"edge list contains a cycle: {want.value.args[1]}"
+
+    def test_cyclic_network_is_rejected(self):
+        arcs = [Arc(0, 1, 0, 1, 0), Arc(1, 0, 0, 1, 0), Arc(1, 2, 0, 1, 0)]
+        with pytest.raises(CycleError, match=r"\[0, 1, 0\]"):
+            FlowNetwork(3, arcs, 0, 2).node_topo_pos()

@@ -29,6 +29,8 @@ from gkcover.flowcore import (
 )
 from gkcover.greedy import cover_paths
 
+import flow_reference
+
 
 def diamond(lower_mid=0):
     """s=0 -> {1,2} -> t=3, unit arcs; optional lower bound on 1->3."""
@@ -96,7 +98,7 @@ class TestResidual:
     def test_arc_directions(self):
         net = diamond()
         res = residual(net, Flow([1, 0, 1, 0]))
-        pairs = {(a.tail, a.head, a.forward) for a in res.arcs}
+        pairs = set(zip(res.tail, res.head, res.forward))
         assert (0, 1, True) in pairs    # slack remains
         assert (1, 0, False) in pairs   # undo arc
         assert (2, 0, False) not in pairs  # no flow to undo
@@ -104,16 +106,17 @@ class TestResidual:
     def test_saturated_arc_has_no_forward_residual(self):
         net = diamond()
         res = residual(net, Flow([2, 0, 2, 0]))
-        assert (0, 1, True) not in {(a.tail, a.head, a.forward) for a in res.arcs}
+        assert (0, 1, True) not in set(zip(res.tail, res.head, res.forward))
 
 
 class TestNegativeCycles:
     def test_cycle_found_and_canceled(self):
         net = two_node_circulation()
         f = zero_flow(net)
-        cyc = find_negative_cycle(residual(net, f))
+        res = residual(net, f)
+        cyc = find_negative_cycle(res)
         assert cyc is not None
-        assert sum(a.cost for a in cyc) < 0
+        assert sum(res.cost[r] for r in cyc) < 0
         f2 = min_cost_circulation(net, f).flow
         check_feasible(net, f2)
         assert f2.cost(net) < f.cost(net)
@@ -257,48 +260,6 @@ class TestMinFlow:
             min_flow(diamond(), Flow([1, 0, 1, 0]))
 
 
-def _reference_bfs(res, src, dst):
-    """Breadth-first search over a ResidualGraph, scanning arcs in order
-    and stopping when dst is first seen."""
-    prev = [None] * res.m
-    seen = [False] * res.m
-    seen[src] = True
-    queue = [src]
-    while queue:
-        nxt = []
-        for x in queue:
-            for ai in res.out[x]:
-                a = res.arcs[ai]
-                if a.cap > 0 and not seen[a.head]:
-                    seen[a.head] = True
-                    prev[a.head] = a
-                    if a.head == dst:
-                        path, cur = [], dst
-                        while cur != src:
-                            path.append(prev[cur])
-                            cur = prev[cur].tail
-                        return path, seen
-                    nxt.append(a.head)
-        queue = nxt
-    return None, seen
-
-
-def _reference_min_flow(net, f0):
-    """The minimum flow computed by rebuilding residual() before every
-    search: (flow values, searches, pushes, nodes seen by the last search)."""
-    f = f0.copy()
-    searches = pushes = 0
-    while True:
-        searches += 1
-        path, seen = _reference_bfs(residual(net, f), net.t, net.s)
-        if path is None:
-            return f.values, searches, pushes, seen
-        push = min(a.cap for a in path)
-        for a in path:
-            f.values[a.arc] += push if a.forward else -push
-        pushes += 1
-
-
 def _random_subset_network(seed):
     """A seeded random DAG's subset network, a random subset, and a start
     flow that covers every vertex by best-path rounds or by singletons."""
@@ -330,7 +291,7 @@ class TestMinFlowMatchesReference:
         # some subset vertices lose their lower bound between solves
         for _ in range(3):
             result = min_flow(net, flow)
-            values, searches, pushes, seen = _reference_min_flow(net, flow)
+            values, searches, pushes, seen = flow_reference.min_flow(net, flow)
             assert result.flow.values == values
             assert (result.searches, result.pushes) == (searches, pushes)
             assert result.t_reach == seen == sink_reach(net, result.flow)
