@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -426,9 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built once per process: parsing leaves it
+    unchanged, so every call of main can share it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except MismatchError as exc:

@@ -104,21 +104,26 @@ class Family:
 
 
 class Dag:
-    """Immutable DAG over vertices 0..n-1 with a cached topological order."""
+    """Immutable DAG over vertices 0..n-1 with its adjacency and a cached
+    topological order.
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...], topo: tuple[int, ...]):
+    ``edges`` must be in range, free of self-loops and duplicates;
+    build_dag checks them.
+    """
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         self.n = n
         self.edges = edges
-        self.topo = topo
-        self.topo_pos = [0] * n
-        for i, v in enumerate(topo):
-            self.topo_pos[v] = i
         self.succ: list[list[int]] = [[] for _ in range(n)]
         self.pred: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             self.succ[u].append(v)
             self.pred[v].append(u)
         self.edge_set = frozenset(edges)
+        self.topo = tuple(_topological_order(self.succ))
+        self.topo_pos = [0] * n
+        for i, v in enumerate(self.topo):
+            self.topo_pos[v] = i
         self._closure: list[int] | None = None
 
     def __repr__(self) -> str:
@@ -189,10 +194,7 @@ def build_dag(n: int, edges: Iterable[tuple[int, int]]) -> Dag:
         if (u, v) not in seen:
             seen.add((u, v))
             dedup.append((u, v))
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in dedup:
-        succ[u].append(v)
-    return Dag(n, tuple(dedup), tuple(_topological_order(succ)))
+    return Dag(n, tuple(dedup))
 
 
 def reachable(dag: Dag, u: int, v: int) -> bool:

@@ -6,17 +6,23 @@ more list aligned with them. The adjacency depends only on the
 topology, so each network builds it once, on first use. Residual graphs
 come in two forms. The solvers work on paired arcs (2i along network arc
 i, 2i+1 against it) whose capacities they update in place; residual()
-lists only the arcs with room, as parallel lists, for the Bellman-Ford
-certificate and the shortest-path labels.
+lists only the arcs with room, as parallel lists, for the two checks
+on a solved flow.
 
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971): start potentials from a pass in topological order, then
-Dijkstra on reduced costs over the paired arcs, and one Bellman-Ford
-negative-cycle search on the result as an independent optimality
-certificate. min_flow pushes along breadth-first t-to-s residual paths
-over the same paired arcs, with feasibility checked on the start flow
-and on the result. SplitNetwork is the vertex-split network of a DAG
-that the exact solver and the greedy rounds share.
+Dijkstra on reduced costs over the paired arcs. One last, full Dijkstra
+gives the exact residual distances from the source as labels. A
+Bellman-Ford negative-cycle search started from these labels is the
+optimality certificate: it confirms a valid potential in one pass, and
+any other labels fall through to the full search. check_distances
+proves in O(m) that given labels are the exact shortest distances, so
+callers can read the labels without trusting them.
+
+min_flow pushes along breadth-first t-to-s residual paths over the same
+paired arcs, with feasibility checked on the start flow and on the
+result. SplitNetwork is the vertex-split network of a DAG that the
+exact solver and the greedy rounds share.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, cycle
-from operator import gt, mul, neg, sub
+from itertools import chain, compress, cycle, repeat
+from operator import add, gt, mul, neg, sub
 from typing import Container, Iterable, Optional, Sequence
 
 from .dagcore import _topological_order
@@ -307,24 +313,27 @@ def residual(net: FlowNetwork, f: Flow) -> ResidualGraph:
         list(compress(cycle((True, False)), cap)))
 
 
-def _usable(res: ResidualGraph) -> list[tuple[int, int, int, int]]:
-    """(id, tail, head, cost) of every residual arc with positive capacity."""
-    return [(r, u, w, c) for r, (u, w, c, k) in
-            enumerate(zip(res.tail, res.head, res.cost, res.cap)) if k > 0]
-
-
-def find_negative_cycle(res: ResidualGraph) -> Optional[list[int]]:
+def find_negative_cycle(res: ResidualGraph,
+                        labels: Optional[Sequence[int]] = None) -> Optional[list[int]]:
     """Return the residual arc ids of one negative-cost cycle, or None.
 
-    Bellman-Ford from a virtual source (all labels start at zero),
-    scanning the arcs in order; if labels still improve after m rounds,
-    walking the predecessor arcs lands on a negative cycle.
+    Bellman-Ford from a virtual source, scanning the arcs in order, with
+    the labels starting at ``labels`` (zeros when not given). Labels that
+    no arc improves, a valid potential, are confirmed in the first pass;
+    any others only shorten or lengthen the search, so the verdict does
+    not depend on them. If labels still improve after m rounds, walking
+    the predecessor arcs lands on a negative cycle.
     """
     m = res.m
     if m == 0:
         return None
-    arcs = _usable(res)
-    dist = [0] * m
+    dist = [0] * m if labels is None else list(labels)
+    # the first pass, in one sweep: d[u] + c - d[w] on every arc
+    label = dist.__getitem__
+    if min(map(sub, map(add, map(label, res.tail), res.cost), map(label, res.head)),
+           default=0) >= 0:
+        return None
+    arcs = list(zip(range(len(res.tail)), res.tail, res.head, res.cost))
     pred = [-1] * m
     last_updated = -1
     for _ in range(m + 1):
@@ -361,6 +370,39 @@ def find_negative_cycle(res: ResidualGraph) -> Optional[list[int]]:
     return found
 
 
+def check_distances(res: ResidualGraph, s: int, d: Sequence[int]) -> None:
+    """Raise MismatchError unless ``d`` holds the exact shortest distances
+    from s over the residual arcs.
+
+    Three checks in O(m) prove it: d[s] is zero, no arc (u, w, c) has
+    d[w] > d[u] + c, and the arcs with d[w] == d[u] + c reach every node
+    from s. The first two bound every label by the cost of any path to
+    it, the third gives each label a path of exactly that cost.
+    """
+    m = res.m
+    if len(d) != m or d[s] != 0:
+        raise MismatchError(f"the labels do not start at 0 on node {s}")
+    tight: list[list[int]] = [[] for _ in range(m)]
+    for u, w, c in zip(res.tail, res.head, res.cost):
+        du = d[u] + c
+        dw = d[w]
+        if dw > du:
+            raise MismatchError(f"residual arc ({u}, {w}) of cost {c} "
+                                f"lowers the label of node {w}")
+        if dw == du:
+            tight[u].append(w)
+    seen = [False] * m
+    seen[s] = True
+    stack = [s]
+    while stack:
+        for w in tight[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    if not all(seen):
+        raise MismatchError(f"no path of label cost reaches node {seen.index(False)}")
+
+
 def _paired_residual(net: FlowNetwork, values: list[int]
                      ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
     """Residual graph of a flow as paired arcs: 2i along network arc i,
@@ -388,10 +430,16 @@ def _augment(path: Iterable[int], push: int, cap: list[int], values: list[int]) 
 
 @dataclass
 class CirculationResult:
+    """An optimal circulation with its augmentation count and costs, and
+    ``labels``: the exact shortest distances from the head of the return
+    arc over the residual graph of the flow, the return arc's forward
+    pair aside."""
+
     flow: Flow
     iterations: int
     initial_cost: int
     final_cost: int
+    labels: list[int]
 
 
 def _start_potentials(m: int, order: list[int], out: list[list[int]], head: list[int],
@@ -417,6 +465,41 @@ def _start_potentials(m: int, order: list[int], out: list[list[int]], head: list
     raise NegativeCycleError("the start flow leaves a negative residual cycle")
 
 
+def _dijkstra(out: list[list[int]], head: list[int], cost: list[int], cap: list[int],
+              pi: list[int], heap: list[tuple[int, int]], stop: int = -1
+              ) -> tuple[list[float], list[int]]:
+    """Dijkstra on reduced costs over the paired residual arcs in ``out``
+    with room, from the (label, node) pairs in ``heap``, until ``stop``
+    is taken.
+
+    Returns the reduced labels (math.inf where not reached) and the arc
+    that last lowered each label.
+    """
+    dist: list[float] = [math.inf] * len(out)
+    pred = [-1] * len(out)
+    for d, v in heap:
+        if d < dist[v]:
+            dist[v] = d
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            continue
+        if u == stop:
+            break
+        base = d + pi[u]
+        for r in out[u]:
+            if cap[r] > 0:
+                w = head[r]
+                nd = base + cost[r] - pi[w]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    pred[w] = r
+                    push(heap, (nd, w))
+    return dist, pred
+
+
 def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
     """Minimum-cost circulation by successive shortest paths.
 
@@ -426,11 +509,19 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
     cycle has negative cost and the return arc has room. Path costs do
     not decrease from round to round, so the first non-negative one ends
     the solve. Residual capacities live in one array of paired arcs (2i
-    along network arc i, 2i+1 against it) updated in place. One
-    Bellman-Ford search for a negative residual cycle certifies the
-    result. Costs are integers, so every round lowers the cost by at
-    least one and ``iterations`` (the augmentations) is bounded by the
-    total improvement.
+    along network arc i, 2i+1 against it) updated in place. Costs are
+    integers, so every round lowers the cost by at least one and
+    ``iterations`` (the augmentations) is bounded by the total
+    improvement.
+
+    One more, full Dijkstra from the head of the return arc, now also
+    over the return arc's undo arc, gives the exact residual distances
+    (``labels``). Nodes it does not reach, which only hand-built
+    networks have, get their potential plus the largest distance found,
+    so the labels stay a valid potential. A Bellman-Ford search for a
+    negative residual cycle, started from these labels, certifies the
+    result: it confirms a valid potential in one pass and searches in
+    full otherwise.
     """
     if net.ts_arc is None:
         raise InvalidCycleError("min_cost_circulation expects a network with a return arc")
@@ -440,58 +531,45 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
     c0 = f.cost(net)
     m = net.m
     ret_id = net.ts_arc
-    ret_upper, ret_cost = net.upper[ret_id], net.cost[ret_id]
+    ret_cost = net.cost[ret_id]
     src, dst = net.head[ret_id], net.tail[ret_id]
     head, cost, cap, out = _paired_residual(net, values)
     order = sorted(range(m), key=net.node_topo_pos().__getitem__)
     pi = _start_potentials(m, order, out, head, cost, cap)
     iterations = 0
-    while values[ret_id] < ret_upper:
-        dist = [math.inf] * m
-        pred = [-1] * m
-        dist[src] = 0
-        heap = [(0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            if u == dst:
-                break
-            base = d + pi[u]
-            for r in out[u]:
-                if cap[r] > 0:
-                    w = head[r]
-                    nd = base + cost[r] - pi[w]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        pred[w] = r
-                        heapq.heappush(heap, (nd, w))
+    while cap[2 * ret_id] > 0:
+        dist, pred = _dijkstra(out, head, cost, cap, pi, [(0, src)], dst)
         dt = dist[dst]
         if dt == math.inf or dt + pi[dst] - pi[src] + ret_cost >= 0:
             break
-        push = ret_upper - values[ret_id]
-        path: list[int] = []
+        # the return arc closes the cycle and bounds the push
+        path = [2 * ret_id]
         x = dst
         while x != src:
             r = pred[x]
             path.append(r)
-            push = min(push, cap[r])
             x = head[r ^ 1]
-        _augment(path, push, cap, values)
-        values[ret_id] += push
+        _augment(path, min(map(cap.__getitem__, path)), cap, values)
         # Labels still in the heap are at least dt, so this keeps every
         # reduced cost non-negative without finishing the search.
-        for v in range(m):
-            pi[v] += min(dist[v], dt)
+        pi = list(map(add, pi, map(min, dist, repeat(dt))))
         iterations += 1
+    undo = 2 * ret_id + 1
+    starts = [(0, src)]
+    if cap[undo] > 0:
+        starts.append((cost[undo] + pi[src] - pi[dst], dst))
+    dist, _ = _dijkstra(out, head, cost, cap, pi, starts)
+    far = max(filter(math.isfinite, dist))
+    p0 = pi[src]
+    labels = [(x if x != math.inf else far) + p - p0 for x, p in zip(dist, pi)]
     # residual() re-checks feasibility of the final flow.
-    if find_negative_cycle(residual(net, f)) is not None:
+    if find_negative_cycle(residual(net, f), labels) is not None:
         raise MismatchError("a negative residual cycle remains after the last augmentation")
     cf = f.cost(net)
     if iterations > c0 - cf:
         raise MismatchError(
             f"{iterations} augmentations for a cost improvement of {c0 - cf}")
-    return CirculationResult(f, iterations, c0, cf)
+    return CirculationResult(f, iterations, c0, cf, labels)
 
 
 @dataclass
@@ -563,7 +641,7 @@ def min_flow(net: FlowNetwork, f0: Flow) -> MinFlowResult:
         path, reach = _residual_bfs(out, head, cap, net.t, net.s)
         if path is None:
             break
-        _augment(path, min(cap[r] for r in path), cap, values)
+        _augment(path, min(map(cap.__getitem__, path)), cap, values)
         pushes += 1
     check_feasible(net, f)
     if pushes > v0 - f.value(net):
@@ -641,32 +719,3 @@ def decompose(net: FlowNetwork, f: Flow) -> list[NetworkPath]:
         if i != net.ts_arc and left != 0:
             raise ConservationError(net.tail[i])
     return paths
-
-
-def shortest_distances(res: ResidualGraph, s: int) -> list[Optional[int]]:
-    """Exact shortest distances from s over positive-capacity arcs.
-
-    Bellman-Ford with early exit, scanning the arcs in order; raises
-    NegativeCycleError if labels still improve after m rounds.
-    Unreachable nodes get None.
-    """
-    m = res.m
-    dist: list[Optional[int]] = [None] * m
-    if m == 0:
-        return dist
-    arcs = _usable(res)
-    dist[s] = 0
-    for _ in range(m + 1):
-        changed = False
-        for _r, u, w, c in arcs:
-            du = dist[u]
-            if du is None:
-                continue
-            nd = du + c
-            dw = dist[w]
-            if dw is None or nd < dw:
-                dist[w] = nd
-                changed = True
-        if not changed:
-            return dist
-    raise NegativeCycleError("negative cycle reachable from source")

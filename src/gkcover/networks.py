@@ -7,10 +7,12 @@ the circulation; its cost (problem Alpha) or capacity (problem Beta)
 carries k. The minimum cost then equals alpha_k - n, respectively
 -beta_k. Every solve starts from the zero flow and runs
 flowcore.min_cost_circulation (successive shortest paths, certified by
-a negative-cycle search). Chain witnesses are read off the flow's
-decomposition, antichain witnesses off the residual shortest-path
-labels, and every value a witness family scores is checked against the
-circulation cost, raising MismatchError on a difference.
+a negative-cycle search seeded with its final labels). Chain witnesses
+are read off the flow's decomposition. Antichain witnesses are read off
+the solver's labels, the residual shortest distances from s, once
+flowcore.check_distances has proved them exact on the residual graph
+of the reported flow. Every value a witness family scores is checked
+against the circulation cost, raising MismatchError on a difference.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from .flowcore import (
     Flow,
     NetworkPath,
     SplitNetwork,
+    check_distances,
     decompose,
     min_cost_circulation,
     residual,
-    shortest_distances,
     zero_flow,
 )
 
@@ -161,21 +163,23 @@ def height_levels(dag: Dag) -> list[set[int]]:
     return levels
 
 
-def extract_antichains(gk: GkNetwork, f: Flow) -> Family:
+def extract_antichains(gk: GkNetwork, f: Flow, labels: Sequence[int]) -> Family:
     """Antichain levels from residual shortest-path labels.
 
-    Vertex v lands in level d(v_in) - d(t) whenever d(v_in) > d(v_out);
-    level indices run 1..d(s)-d(t). For problem Alpha a circulation that
-    routes nothing is degenerate and raised to the caller.
+    ``labels`` are the circulation's residual distances from s; they are
+    checked to be exact on the residual graph of ``f`` (MismatchError
+    otherwise). Vertex v lands in level d(v_in) - d(t) whenever
+    d(v_in) > d(v_out); level indices run 1..d(s)-d(t). For problem
+    Alpha a circulation that routes nothing is degenerate and raised to
+    the caller.
     """
     if gk.n == 0:
         return Family((), disjoint=True)
     if gk.kind == ALPHA and f.values[gk.net.ts_arc] == 0:
         raise DegenerateError("no circulation through the return arc")
-    res = residual(gk.net, f)
-    d = shortest_distances(res, gk.net.s)
+    check_distances(residual(gk.net, f), gk.net.s, labels)
+    d = labels
     dt = d[gk.net.t]
-    _expect(dt is not None and d[gk.net.s] == 0, "t has no residual distance from s")
     h = -dt
     if gk.kind == ALPHA:
         _expect(h == gk.k, f"label spread {h} differs from k={gk.k}")
@@ -185,8 +189,6 @@ def extract_antichains(gk: GkNetwork, f: Flow) -> Family:
         _expect(h >= 0, f"label spread {h} negative")
     buckets: dict[int, list[int]] = {}
     for v in range(gk.n):
-        # s reaches v_in by the entry arc and v_out by the uncapped overflow
-        # arc, so both labels exist
         din, dout = d[gk.v_in(v)], d[gk.v_out(v)]
         if din > dout:
             level = din - dt
@@ -263,7 +265,7 @@ def solve_alpha(dag: Dag, k: int, warm: bool = True) -> AlphaResult:
     mcp_value = knorm_partition(mcp_family, n, k)
     _expect(mcp_value == alpha_k, f"chain partition norm {mcp_value} != alpha {alpha_k}")
     try:
-        ma_family = extract_antichains(gk, f)
+        ma_family = extract_antichains(gk, f, circ.labels)
     except DegenerateError:
         levels = height_levels(dag)
         _expect(len(levels) <= k, f"zero circulation optimal at height {len(levels)} > k={k}")
@@ -311,7 +313,7 @@ def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
     mc_value = mc_family.coverage()
     _expect(mc_value == beta_k, f"chain coverage {mc_value} != beta {beta_k}")
     _expect(len(mc_family) <= k, f"{len(mc_family)} chains for k={k}")
-    mas_family = extract_antichains(gk, fN)
+    mas_family = extract_antichains(gk, fN, circ.labels)
     mas_value = knorm_collection(mas_family.members, n, k)
     _expect(mas_value == beta_k, f"antichain collection norm {mas_value} != beta {beta_k}")
     map_family = partition_completion(mas_family, n, Antichain)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gkcover import ParseError, build_dag
+from gkcover import ParseError, build_dag, cli
 from gkcover.cli import format_dag, main, parse_dag
 
 from conftest import FIG_EDGES
@@ -138,6 +138,36 @@ class TestSolveCommand:
 
     def test_invalid_k_is_input_error(self, fig_file, capsys):
         assert main(["solve", "ma-k", "--k", "0", fig_file]) == 1
+
+
+class TestParserReuse:
+    def test_one_parser_per_process_keeps_every_byte(self, fig_file, capsys, monkeypatch):
+        real = cli.build_parser
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        cases = [["solve", "nope", "--k", "2", fig_file], ["solve", "--help"], ["--help"],
+                 ["greedy", "chains", fig_file], []]
+
+        def outcome(parse, argv):
+            try:
+                code = parse(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        try:
+            want = [outcome(real().parse_args, argv) for argv in cases]
+            assert [code for code, *_ in want] == [("exit", 2), ("exit", 0), ("exit", 0),
+                                                   ("exit", 2), ("exit", 2)]
+            for _ in range(2):
+                assert [outcome(main, argv) for argv in cases] == want
+                assert main(["solve", "ma-k", "--k", "2", fig_file]) == 0
+                capsys.readouterr()
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
 
 
 class TestGreedyCommand:

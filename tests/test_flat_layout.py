@@ -13,16 +13,16 @@ from gkcover.flowcore import (
     Flow,
     FlowNetwork,
     SplitNetwork,
+    check_distances,
     find_negative_cycle,
     min_cost_circulation,
     residual,
     route_paths,
-    shortest_distances,
     zero_flow,
 )
-from gkcover.errors import NegativeCycleError
+from gkcover.errors import MismatchError, NegativeCycleError
 from gkcover.greedy import cover_paths
-from gkcover.networks import ALPHA, BETA, build_network
+from gkcover.networks import ALPHA, BETA, build_network, normalize_beta
 
 import flow_reference as ref
 
@@ -166,17 +166,12 @@ class TestResidualLists:
             if want is not None:
                 assert [residual_rows(res)[r] for r in cyc] == reference_rows(want)
             for s in (net.s, net.t):
-                try:
-                    want_d = ref.shortest_distances(net.m, arcs, s)
-                except NegativeCycleError:
-                    with pytest.raises(NegativeCycleError):
-                        shortest_distances(res, s)
-                else:
-                    assert shortest_distances(res, s) == want_d
+                assert_label_check_agrees(res, arcs, s)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_bellman_ford_with_cycles(self, seed):
-        net, f = random_circulation(random.Random(seed))
+        rng = random.Random(seed)
+        net, f = random_circulation(rng)
         res = residual(net, f)
         arcs = ref.residual_arcs(net.arcs, f.values)
         assert residual_rows(res) == reference_rows(arcs)
@@ -188,14 +183,21 @@ class TestResidualLists:
             rows = residual_rows(res)
             assert [rows[r] for r in cyc] == reference_rows(want)
             assert sum(res.cost[r] for r in cyc) < 0
+        # Seeded with any labels, the search reaches the same verdict.
+        seeds = [[rng.randint(-6, 6) for _ in range(net.m)] for _ in range(4)]
         for s in range(net.m):
             try:
-                want_d = ref.shortest_distances(net.m, arcs, s)
+                d = ref.shortest_distances(net.m, arcs, s)
             except NegativeCycleError:
-                with pytest.raises(NegativeCycleError):
-                    shortest_distances(res, s)
-            else:
-                assert shortest_distances(res, s) == want_d
+                continue
+            seeds.append([rng.randint(-6, 6) if x is None else x for x in d])
+        for labels in seeds:
+            cyc = find_negative_cycle(res, labels)
+            assert (cyc is None) == (want is None)
+            if cyc is not None:
+                assert_negative_cycle(res, cyc)
+        for s in range(net.m):
+            assert_label_check_agrees(res, arcs, s)
 
     def test_forced_negative_cycle_and_unreachable_nodes(self):
         # 0 -> 1 -> 2 -> 0 costs -1 in total; node 3 has no arcs
@@ -206,14 +208,77 @@ class TestResidualLists:
         cyc = find_negative_cycle(res)
         assert [residual_rows(res)[r] for r in cyc] == reference_rows(want)
         assert sorted(res.arc[r] for r in cyc) == [0, 1, 2]
-        with pytest.raises(NegativeCycleError):
-            shortest_distances(res, 0)
+        for labels in ([0, 2, -2, 0], [0, 0, 0, 0], [0, 9, 9, 9]):
+            assert_negative_cycle(res, find_negative_cycle(res, labels))
+            with pytest.raises(MismatchError):
+                check_distances(res, 0, labels)
         # with the cycle saturated, only undo arcs remain and 3 stays unreachable
         res = residual(net, Flow([1, 1, 1]))
         assert find_negative_cycle(res) is None
-        assert shortest_distances(res, 0) == [0, 3, -1, None]
-        assert shortest_distances(res, 0) == ref.shortest_distances(
-            4, ref.residual_arcs(net.arcs, [1, 1, 1]), 0)
+        assert ref.shortest_distances(
+            4, ref.residual_arcs(net.arcs, [1, 1, 1]), 0) == [0, 3, -1, None]
+        assert find_negative_cycle(res, [0, 3, -1, 5]) is None
+        with pytest.raises(MismatchError, match="node 3"):
+            check_distances(res, 0, [0, 3, -1, 5])
+
+
+def assert_negative_cycle(res, cyc):
+    """The residual arc ids form a closed walk of negative cost."""
+    assert cyc
+    for r, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+        assert res.head[r] == res.tail[nxt]
+    assert sum(res.cost[r] for r in cyc) < 0
+
+
+def assert_label_check_agrees(res, arcs, s):
+    """check_distances accepts the reference distances from s when they
+    exist and reach every node, and rejects them with any one label
+    moved; it rejects every labelling otherwise."""
+    try:
+        d = ref.shortest_distances(res.m, arcs, s)
+    except NegativeCycleError:
+        d = None
+    if d is None or None in d:
+        labels = [0] * res.m if d is None else [x or 0 for x in d]
+        with pytest.raises(MismatchError):
+            check_distances(res, s, labels)
+        return
+    check_distances(res, s, d)
+    for v in range(res.m):
+        for delta in (-1, 1):
+            moved = list(d)
+            moved[v] += delta
+            with pytest.raises(MismatchError):
+                check_distances(res, s, moved)
+
+
+class TestCirculationLabels:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_labels_are_the_reference_distances(self, seed):
+        rng = random.Random(seed)
+        dag = random_dag(rng)
+        for kind in (ALPHA, BETA):
+            for k in (1, 2, 3, 5):
+                gk = build_network(dag, k, kind)
+                net = gk.net
+                circ = min_cost_circulation(net, zero_flow(net))
+                flows = [circ.flow]
+                if kind == BETA:
+                    flows.append(normalize_beta(gk, circ.flow))
+                for f in flows:
+                    arcs = ref.residual_arcs(net.arcs, f.values)
+                    assert circ.labels == ref.shortest_distances(net.m, arcs, net.s)
+                    check_distances(residual(net, f), net.s, circ.labels)
+
+    def test_labels_survive_the_beta_padding(self):
+        # a path of 4 has width 1, so k = 5 leaves four units to pad
+        gk = build_network(build_dag(4, [(0, 1), (1, 2), (2, 3)]), 5, BETA)
+        net = gk.net
+        circ = min_cost_circulation(net, zero_flow(net))
+        padded = normalize_beta(gk, circ.flow)
+        assert padded.values[net.ts_arc] == 5 > circ.flow.values[net.ts_arc]
+        assert circ.labels == ref.shortest_distances(
+            net.m, ref.residual_arcs(net.arcs, padded.values), net.s)
 
 
 class TestKahnOrder:

@@ -23,7 +23,6 @@ from gkcover.flowcore import (
     find_negative_cycle,
     has_decrementing_path,
     route_paths,
-    shortest_distances,
     sink_reach,
     zero_flow,
 )
@@ -181,7 +180,7 @@ class TestMinCostCirculation:
     def test_certificate_failure_is_a_mismatch(self, monkeypatch):
         net = two_node_circulation()
         cycle = find_negative_cycle(residual(net, zero_flow(net)))
-        monkeypatch.setattr(flowcore, "find_negative_cycle", lambda res: cycle)
+        monkeypatch.setattr(flowcore, "find_negative_cycle", lambda res, labels: cycle)
         with pytest.raises(MismatchError):
             min_cost_circulation(net, zero_flow(net))
 
@@ -319,27 +318,62 @@ class TestDecompose:
         assert decompose(net, zero_flow(net)) == []
 
 
-class TestShortestDistances:
-    def test_line_distances(self):
-        net = diamond()
-        res = residual(net, zero_flow(net))
-        d = shortest_distances(res, 0)
-        assert d[0] == 0 and d[1] == 1 and d[2] == 2 and d[3] == 2
+def with_return_arc(net, cost, upper=INF):
+    """The network with a return arc t -> s appended."""
+    arcs = list(net.arcs) + [Arc(net.t, net.s, 0, upper, cost)]
+    return FlowNetwork(net.m, arcs, net.s, net.t, ts_arc=len(arcs) - 1)
 
-    def test_unreachable_is_none(self):
-        net = diamond()
-        res = residual(net, zero_flow(net))
-        assert shortest_distances(res, 3) == [None, None, None, 0]
+
+def reference_distances(net, f):
+    arcs = flow_reference.residual_arcs(net.arcs, f.values)
+    return flow_reference.shortest_distances(net.m, arcs, net.s)
+
+
+class TestShortestDistances:
+    """The circulation's labels are the exact residual distances from s."""
+
+    def test_line_distances(self):
+        # a return arc of cost 5 makes every s-t path unprofitable
+        net = with_return_arc(diamond(), 5)
+        circ = min_cost_circulation(net, zero_flow(net))
+        assert circ.iterations == 0
+        assert circ.labels == [0, 1, 2, 2] == reference_distances(net, circ.flow)
+
+    def test_unreachable_nodes_get_capped_labels(self):
+        # node 2 only sends: s = 0 reaches 1 and t = 3
+        arcs = [Arc(0, 1, 0, 1, 4), Arc(1, 3, 0, 1, 1), Arc(2, 1, 0, 1, -7),
+                Arc(3, 0, 0, INF, 9)]
+        net = FlowNetwork(4, arcs, 0, 3, ts_arc=3)
+        circ = min_cost_circulation(net, zero_flow(net))
+        assert reference_distances(net, circ.flow) == [0, 4, None, 5]
+        assert circ.labels[:2] + circ.labels[3:] == [0, 4, 5]
+        res = residual(net, circ.flow)
+        assert all(circ.labels[w] <= circ.labels[u] + c
+                   for u, w, c in zip(res.tail, res.head, res.cost))
 
     def test_negative_cycle_raises(self):
-        net = two_node_circulation()
-        res = residual(net, zero_flow(net))
+        # the start flow's residual graph has a negative cycle, so no
+        # labels are computed
+        arcs = [Arc(0, 1, 0, 1, 5), Arc(0, 1, 0, 1, 1), Arc(1, 0, 0, 1, -10)]
+        net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
         with pytest.raises(NegativeCycleError):
-            shortest_distances(res, 0)
+            min_cost_circulation(net, Flow([1, 0, 1]))
 
     def test_uses_undo_arcs(self):
-        net = diamond()
-        res = residual(net, Flow([1, 0, 1, 0]))
-        d = shortest_distances(res, 3)
-        # t -> 1 via the undo arc of 1->3 (cost -1), then 1 -> 0 (cost -1)
-        assert d[1] == -1 and d[0] == -2
+        # The unit routed on 0 -> 1 -> 2 saturates both arcs, so s reaches
+        # t only by the return arc's undo arc (cost 5) and node 1 by the
+        # undo arc of 1 -> 2 (cost -1).
+        arcs = [Arc(0, 1, 0, 1, 1), Arc(1, 2, 0, 1, 1), Arc(2, 0, 0, INF, -5)]
+        net = FlowNetwork(3, arcs, 0, 2, ts_arc=2)
+        circ = min_cost_circulation(net, zero_flow(net))
+        assert circ.flow.values == [1, 1, 1]
+        assert circ.labels == [0, 4, 5] == reference_distances(net, circ.flow)
+
+    def test_warm_start_labels(self):
+        # The start flow already routes everything, and no round runs.
+        # The return arc enters node 0, so the labels count from there.
+        net = two_node_circulation()
+        circ = min_cost_circulation(net, Flow([5, 5]))
+        assert circ.iterations == 0
+        arcs = flow_reference.residual_arcs(net.arcs, [5, 5])
+        assert circ.labels == [0, -1] == flow_reference.shortest_distances(2, arcs, 0)

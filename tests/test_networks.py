@@ -19,8 +19,14 @@ from gkcover import (
     solve_beta,
 )
 from gkcover.errors import MismatchError, NotChainError
-from gkcover.flowcore import INF
-from gkcover.networks import COVER, OVERFLOW, chains_from_paths, height_levels
+from gkcover.flowcore import INF, min_cost_circulation, zero_flow
+from gkcover.networks import (
+    COVER,
+    OVERFLOW,
+    chains_from_paths,
+    height_levels,
+    normalize_beta,
+)
 
 from conftest import FIG_ALPHA, FIG_BETA
 
@@ -215,6 +221,42 @@ class TestValueChecks:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("mismatch: chain partition norm")
+
+    # alpha at k = 3 routes nothing and takes the height levels instead
+    @pytest.mark.parametrize("kind,k", [(ALPHA, 1), (ALPHA, 2), (BETA, 1), (BETA, 3)])
+    def test_perturbed_labels_are_a_mismatch(self, fig, kind, k):
+        gk = build_network(fig, k, kind)
+        circ = min_cost_circulation(gk.net, zero_flow(gk.net))
+        f = circ.flow if kind == ALPHA else normalize_beta(gk, circ.flow)
+        networks.extract_antichains(gk, f, circ.labels)
+        for v in range(gk.net.m):
+            for delta in (-1, 1):
+                labels = list(circ.labels)
+                labels[v] += delta
+                with pytest.raises(MismatchError):
+                    networks.extract_antichains(gk, f, labels)
+
+    def test_perturbed_labels_survive_optimized_python(self):
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import build_dag, networks\n"
+            "from gkcover.errors import MismatchError\n"
+            "from gkcover.flowcore import min_cost_circulation, zero_flow\n"
+            "gk = networks.build_network(build_dag(3, [(0, 1)]), 1, networks.ALPHA)\n"
+            "circ = min_cost_circulation(gk.net, zero_flow(gk.net))\n"
+            "labels = list(circ.labels)\n"
+            "labels[gk.v_in(2)] -= 1\n"
+            "try:\n"
+            "    networks.extract_antichains(gk, circ.flow, labels)\n"
+            "except MismatchError as exc:\n"
+            "    print('mismatch:', exc)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("mismatch: ")
 
 
 class TestRecomputeValue:
