@@ -10,7 +10,7 @@ import argparse
 import os
 import time
 
-from gkcover import gen_gc, greedy_weighted_chain_cover, minimum_path_cover
+from gkcover import MismatchError, gen_gc, greedy_weighted_chain_cover, minimum_path_cover
 
 HEADER = """# Staircase path-cover scaling
 
@@ -42,8 +42,12 @@ def measure(i: int) -> str:
     mpc, mf = minimum_path_cover(dag)
     exact_ms = (time.perf_counter() - t0) * 1000
 
-    assert len(trace.rounds) == i
-    assert mpc == inst.expected.optimal
+    # raised, not asserted, so that python -O cannot publish a wrong row
+    if len(trace.rounds) != i:
+        raise MismatchError(f"gc {i}: greedy took {len(trace.rounds)} paths, not {i}")
+    if mpc != inst.expected.optimal:
+        raise MismatchError(
+            f"gc {i}: minimum path cover {mpc}, expected {inst.expected.optimal}")
     return (f"| {i} | {dag.n} | {len(dag.edges)} | {len(trace.rounds)} "
             f"| {greedy_ms:.1f} | {mpc} | {exact_ms:.1f} "
             f"| {mf.searches} | {mf.pushes} |")

@@ -118,6 +118,20 @@ def _certify_family(dag: Dag, family: Family) -> None:
             certify_path(dag, m.vertices)
 
 
+def _read_dag(path: str) -> tuple[Dag, list[str]]:
+    with open(path) as fh:
+        return parse_dag(fh.read())
+
+
+def _timings_ms(t0: float, t1: float, t2: float, t3: float) -> dict[str, float]:
+    """Wall-clock milliseconds of the parse, solve and certify phases."""
+    return {
+        "parse": round(1000 * (t1 - t0), 3),
+        "solve": round(1000 * (t2 - t1), 3),
+        "certify": round(1000 * (t3 - t2), 3),
+    }
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         report = {k: v for k, v in report.items() if k != "timings_ms"}
@@ -138,8 +152,7 @@ SOLVE_PROBLEMS = ("ma-k", "mc-k", "mp-k", "mcp-k", "map-k", "mas-k", "mps-k")
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    with open(args.file) as fh:
-        dag, names = parse_dag(fh.read())
+    dag, names = _read_dag(args.file)
     t1 = time.perf_counter()
     alpha_side = args.problem in ("ma-k", "mps-k", "mcp-k")
     if alpha_side:
@@ -166,11 +179,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "initial_cost": stats.initial_cost,
             "final_cost": stats.final_cost,
         },
-        "timings_ms": {
-            "parse": round(1000 * (t1 - t0), 3),
-            "solve": round(1000 * (t2 - t1), 3),
-            "certify": round(1000 * (t3 - t2), 3),
-        },
+        "timings_ms": _timings_ms(t0, t1, t2, t3),
         "certificate": certificate,
     }
     _emit(report, args.json)
@@ -187,8 +196,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
         # the message solve gets from networks.build_network
         raise ValueError(f"k must be positive, got {args.k}")
     t0 = time.perf_counter()
-    with open(args.file) as fh:
-        dag, names = parse_dag(fh.read())
+    dag, names = _read_dag(args.file)
     t1 = time.perf_counter()
     iterations: dict[str, int] = {}
     families: dict[str, Family] = {}
@@ -225,11 +233,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
         "stop_reason": trace.stop_reason,
         "families": {name: _family_lists(f, names) for name, f in families.items()},
         "iterations": iterations,
-        "timings_ms": {
-            "parse": round(1000 * (t1 - t0), 3),
-            "solve": round(1000 * (t2 - t1), 3),
-            "certify": round(1000 * (t3 - t2), 3),
-        },
+        "timings_ms": _timings_ms(t0, t1, t2, t3),
         "certificate": "verified",
     }
     _emit(report, args.json)
@@ -320,8 +324,7 @@ ORACLE_PROBLEMS = ("alpha", "beta", "chain-partition", "antichain-partition")
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    with open(args.file) as fh:
-        dag, names = parse_dag(fh.read())
+    dag, names = _read_dag(args.file)
     budget = oracle.OracleBudget.from_env()
     t1 = time.perf_counter()
     fn = {
@@ -344,11 +347,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "k": args.k,
         "value": value,
         "families": {args.problem: _family_lists(family, names)},
-        "timings_ms": {
-            "parse": round(1000 * (t1 - t0), 3),
-            "solve": round(1000 * (t2 - t1), 3),
-            "certify": round(1000 * (t3 - t2), 3),
-        },
+        "timings_ms": _timings_ms(t0, t1, t2, t3),
         "certificate": certificate,
     }
     _emit(report, args.json)

@@ -3,11 +3,11 @@
 A network is stored as parallel integer lists with one entry per arc
 (``tail``, ``head``, ``lower``, ``upper``, ``cost``) and a flow as one
 more list aligned with them. The adjacency depends only on the
-topology, so each network builds it once, on first use. Residual graphs
-come in two forms. The solvers work on paired arcs (2i along network arc
-i, 2i+1 against it) whose capacities they update in place; residual()
-lists only the arcs with room, as parallel lists, for the two checks
-on a solved flow.
+topology, so each network builds it once, on first use. The residual
+graph of a flow pairs the arcs: 2i runs along network arc i, 2i+1
+against it. residual() builds only their capacities; the solvers update
+them in place, and the two checks on a solved flow scan the arcs that
+have room.
 
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971): start potentials from a pass in topological order, then
@@ -31,7 +31,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, cycle, repeat
+from itertools import compress, repeat
 from operator import add, gt, mul, neg, sub
 from typing import Container, Iterable, Optional, Sequence
 
@@ -93,13 +93,16 @@ class FlowNetwork:
         return tuple(map(Arc, self.tail, self.head, self.lower, self.upper, self.cost))
 
     @cached_property
-    def _paired(self) -> tuple[list[int], list[int], list[list[int]]]:
-        """Head and cost of every paired residual arc (2i along network arc
-        i, 2i+1 against it), and the paired arcs leaving each node in
-        network-arc order without the return arc's pair. This is the
-        network's one adjacency: the even ids leaving a node are its
+    def _paired(self) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+        """Tail, head and cost of every paired residual arc (2i along
+        network arc i, 2i+1 against it), and the paired arcs leaving each
+        node in network-arc order without the return arc's pair. This is
+        the network's one adjacency: the even ids leaving a node are its
         outgoing arcs, the odd ones its incoming arcs."""
         tail, head, cost = self.tail, self.head, self.cost
+        rtail = [0] * (2 * len(tail))
+        rtail[0::2] = tail
+        rtail[1::2] = head
         rhead = [0] * (2 * len(tail))
         rhead[0::2] = head
         rhead[1::2] = tail
@@ -112,11 +115,11 @@ class FlowNetwork:
             if i != skip:
                 out[u].append(2 * i)
                 out[w].append(2 * i + 1)
-        return rhead, rcost, out
+        return rtail, rhead, rcost, out
 
     @cached_property
     def _topo_pos(self) -> list[int]:
-        rhead, _, out = self._paired
+        _, rhead, _, out = self._paired
         succ = [[rhead[r] for r in rs if not r & 1] for rs in out]
         pos = [0] * self.m
         for idx, v in enumerate(_topological_order(succ)):
@@ -141,7 +144,7 @@ class Flow:
         if net.ts_arc is not None:
             return self.values[net.ts_arc]
         values = self.values
-        return sum(-values[r >> 1] if r & 1 else values[r >> 1] for r in net._paired[2][net.s])
+        return sum(-values[r >> 1] if r & 1 else values[r >> 1] for r in net._paired[3][net.s])
 
     def cost(self, net: FlowNetwork) -> int:
         return sum(map(mul, self.values, net.cost))
@@ -276,12 +279,15 @@ def check_feasible(net: FlowNetwork, f: Flow) -> None:
 
 @dataclass
 class ResidualGraph:
-    """The residual arcs with room, as parallel lists.
+    """The residual graph of a flow as paired arcs: 2i along network arc
+    i, 2i+1 against it.
 
-    Residual arc r runs from ``tail[r]`` to ``head[r]`` with capacity
-    ``cap[r] > 0`` and cost ``cost[r]``, along network arc ``arc[r]``
-    when ``forward[r]``, else against it. The arcs of network arc i come
-    after those of arc i-1, the forward one first.
+    Residual arc r runs from ``tail[r]`` to ``head[r]`` with cost
+    ``cost[r]`` and is usable while ``cap[r]`` is positive; ``out[u]``
+    lists the arcs leaving node u in network-arc order, without the
+    return arc's pair. Only ``cap`` is built per flow, and the solvers
+    update it in place; the other lists are the network's cache and must
+    not be edited.
     """
 
     m: int
@@ -289,51 +295,44 @@ class ResidualGraph:
     head: list[int]
     cap: list[int]
     cost: list[int]
-    arc: list[int]
-    forward: list[bool]
+    out: list[list[int]]
 
 
 def residual(net: FlowNetwork, f: Flow) -> ResidualGraph:
-    """Residual graph of a feasible flow: forward slack and undo arcs."""
+    """Residual graph of a feasible flow: forward slack and undo arcs.
+
+    An uncapped arc's forward capacity is INF less its flow.
+    """
     check_feasible(net, f)
-    values = f.values
-    rhead, rcost, _ = net._paired
-    cap = [0] * len(rhead)
-    cap[0::2] = [INF if up >= INF else up - v for up, v in zip(net.upper, values)]
-    cap[1::2] = map(sub, values, net.lower)
-    # A feasible flow leaves no negative capacity, so compress() keeps
-    # exactly the arcs with room.
-    rtail = [0] * len(rhead)
-    rtail[0::2] = net.tail
-    rtail[1::2] = net.head
-    ids = range(len(values))
-    return ResidualGraph(
-        net.m, list(compress(rtail, cap)), list(compress(rhead, cap)), list(compress(cap, cap)),
-        list(compress(rcost, cap)), list(compress(chain.from_iterable(zip(ids, ids)), cap)),
-        list(compress(cycle((True, False)), cap)))
+    tail, head, cost, out = net._paired
+    cap = [0] * len(head)
+    cap[0::2] = map(sub, net.upper, f.values)
+    cap[1::2] = map(sub, f.values, net.lower)
+    return ResidualGraph(net.m, tail, head, cap, cost, out)
 
 
 def find_negative_cycle(res: ResidualGraph,
                         labels: Optional[Sequence[int]] = None) -> Optional[list[int]]:
     """Return the residual arc ids of one negative-cost cycle, or None.
 
-    Bellman-Ford from a virtual source, scanning the arcs in order, with
-    the labels starting at ``labels`` (zeros when not given). Labels that
-    no arc improves, a valid potential, are confirmed in the first pass;
-    any others only shorten or lengthen the search, so the verdict does
-    not depend on them. If labels still improve after m rounds, walking
-    the predecessor arcs lands on a negative cycle.
+    Bellman-Ford from a virtual source, scanning the arcs with room in id
+    order, with the labels starting at ``labels`` (zeros when not given).
+    Labels that no arc improves, a valid potential, are confirmed in the
+    first pass; any others only shorten or lengthen the search, so the
+    verdict does not depend on them. If labels still improve after m
+    rounds, walking the predecessor arcs lands on a negative cycle. Of a
+    returned id r, ``r >> 1`` is the network arc, and ``r & 1`` marks an
+    undo arc.
     """
     m = res.m
     if m == 0:
         return None
     dist = [0] * m if labels is None else list(labels)
+    arcs = [(r, u, w, c) for r, (u, w, c, x)
+            in enumerate(zip(res.tail, res.head, res.cost, res.cap)) if x > 0]
     # the first pass, in one sweep: d[u] + c - d[w] on every arc
-    label = dist.__getitem__
-    if min(map(sub, map(add, map(label, res.tail), res.cost), map(label, res.head)),
-           default=0) >= 0:
+    if min((dist[u] + c - dist[w] for _, u, w, c in arcs), default=0) >= 0:
         return None
-    arcs = list(zip(range(len(res.tail)), res.tail, res.head, res.cost))
     pred = [-1] * m
     last_updated = -1
     for _ in range(m + 1):
@@ -372,7 +371,7 @@ def find_negative_cycle(res: ResidualGraph,
 
 def check_distances(res: ResidualGraph, s: int, d: Sequence[int]) -> None:
     """Raise MismatchError unless ``d`` holds the exact shortest distances
-    from s over the residual arcs.
+    from s over the residual arcs with room.
 
     Three checks in O(m) prove it: d[s] is zero, no arc (u, w, c) has
     d[w] > d[u] + c, and the arcs with d[w] == d[u] + c reach every node
@@ -383,7 +382,9 @@ def check_distances(res: ResidualGraph, s: int, d: Sequence[int]) -> None:
     if len(d) != m or d[s] != 0:
         raise MismatchError(f"the labels do not start at 0 on node {s}")
     tight: list[list[int]] = [[] for _ in range(m)]
-    for u, w, c in zip(res.tail, res.head, res.cost):
+    for u, w, c, x in zip(res.tail, res.head, res.cost, res.cap):
+        if x <= 0:
+            continue
         du = d[u] + c
         dw = d[w]
         if dw > du:
@@ -401,23 +402,6 @@ def check_distances(res: ResidualGraph, s: int, d: Sequence[int]) -> None:
                 stack.append(w)
     if not all(seen):
         raise MismatchError(f"no path of label cost reaches node {seen.index(False)}")
-
-
-def _paired_residual(net: FlowNetwork, values: list[int]
-                     ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-    """Residual graph of a flow as paired arcs: 2i along network arc i,
-    2i+1 against it.
-
-    Returns ``head``, ``cost`` and ``cap`` per residual arc, and ``out``:
-    the arcs leaving each node in network-arc order, without the return
-    arc's pair. Only ``cap`` is new; the rest is the network's cache and
-    must not be edited. An arc is usable while its ``cap`` is positive.
-    """
-    head, cost, out = net._paired
-    cap = [0] * len(head)
-    cap[0::2] = map(sub, net.upper, values)
-    cap[1::2] = map(sub, values, net.lower)
-    return head, cost, cap, out
 
 
 def _augment(path: Iterable[int], push: int, cap: list[int], values: list[int]) -> None:
@@ -508,9 +492,8 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
     pushes the bottleneck around the path and the return arc while that
     cycle has negative cost and the return arc has room. Path costs do
     not decrease from round to round, so the first non-negative one ends
-    the solve. Residual capacities live in one array of paired arcs (2i
-    along network arc i, 2i+1 against it) updated in place. Costs are
-    integers, so every round lowers the cost by at least one and
+    the solve. The capacities of residual() are updated in place. Costs
+    are integers, so every round lowers the cost by at least one and
     ``iterations`` (the augmentations) is bounded by the total
     improvement.
 
@@ -525,15 +508,15 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
     """
     if net.ts_arc is None:
         raise InvalidCycleError("min_cost_circulation expects a network with a return arc")
-    check_feasible(net, f0)
     f = f0.copy()
+    res = residual(net, f)
     values = f.values
     c0 = f.cost(net)
     m = net.m
     ret_id = net.ts_arc
     ret_cost = net.cost[ret_id]
     src, dst = net.head[ret_id], net.tail[ret_id]
-    head, cost, cap, out = _paired_residual(net, values)
+    head, cost, cap, out = res.head, res.cost, res.cap, res.out
     order = sorted(range(m), key=net.node_topo_pos().__getitem__)
     pi = _start_potentials(m, order, out, head, cost, cap)
     iterations = 0
@@ -629,11 +612,11 @@ def min_flow(net: FlowNetwork, f0: Flow) -> MinFlowResult:
     """
     if net.ts_arc is not None:
         raise InvalidCycleError("min_flow expects a network without a return arc")
-    check_feasible(net, f0)
     f = f0.copy()
+    res = residual(net, f)
     values = f.values
     v0 = f.value(net)
-    head, _, cap, out = _paired_residual(net, values)
+    head, cap, out = res.head, res.cap, res.out
     searches = 0
     pushes = 0
     while True:
@@ -650,25 +633,14 @@ def min_flow(net: FlowNetwork, f0: Flow) -> MinFlowResult:
     return MinFlowResult(f, searches, pushes, reach)
 
 
-def _sink_search(net: FlowNetwork, f: Flow) -> tuple[Optional[list[int]], list[bool]]:
-    """min_flow's search from t to s on the residual graph of a feasible flow."""
-    check_feasible(net, f)
-    head, _, cap, out = _paired_residual(net, f.values)
-    return _residual_bfs(out, head, cap, net.t, net.s)
-
-
-def has_decrementing_path(net: FlowNetwork, f: Flow) -> bool:
-    """True when a t-to-s residual path still exists."""
-    return _sink_search(net, f)[0] is not None
-
-
 def sink_reach(net: FlowNetwork, f: Flow) -> list[bool]:
     """The nodes reachable from t in the residual graph of a minimum flow.
 
     Raises NotMinimumError when s is among them: a decrementing path
     remains.
     """
-    path, reach = _sink_search(net, f)
+    res = residual(net, f)
+    path, reach = _residual_bfs(res.out, res.head, res.cap, net.t, net.s)
     if path is not None:
         raise NotMinimumError("a decrementing path remains; the flow is not minimum")
     return reach
@@ -693,7 +665,7 @@ def decompose(net: FlowNetwork, f: Flow) -> list[NetworkPath]:
     value = f.value(net)
     remaining = list(f.values)
     topo = net.node_topo_pos()
-    rhead, _, out = net._paired
+    _, rhead, _, out = net._paired
     paths: list[NetworkPath] = []
     for _ in range(value):
         nodes = [net.s]

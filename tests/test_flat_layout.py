@@ -48,8 +48,15 @@ def arc_columns(arcs):
     return tuple([getattr(a, f) for a in arcs] for f in ("tail", "head", "lower", "upper", "cost"))
 
 
-def residual_rows(res):
-    return list(zip(res.tail, res.head, res.cap, res.cost, res.arc, res.forward))
+def residual_rows(net, res, ids=None):
+    """(tail, head, cap, cost, network arc, forward) of the paired arcs
+    ``ids``, by default of every arc with room in id order. An uncapped
+    arc's forward cap reads as INF, as in the reference."""
+    if ids is None:
+        ids = [r for r, x in enumerate(res.cap) if x > 0]
+    return [(res.tail[r], res.head[r],
+             INF if not r & 1 and net.upper[r >> 1] >= INF else res.cap[r],
+             res.cost[r], r >> 1, not r & 1) for r in ids]
 
 
 def reference_rows(arcs):
@@ -153,7 +160,7 @@ class TestResidualLists:
     def test_residual_matches_the_record_build(self, seed):
         for net, f in random_flows(seed):
             want = ref.residual_arcs(net.arcs, f.values)
-            assert residual_rows(residual(net, f)) == reference_rows(want)
+            assert residual_rows(net, residual(net, f)) == reference_rows(want)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_bellman_ford_on_solved_flows(self, seed):
@@ -164,7 +171,7 @@ class TestResidualLists:
             want = ref.find_negative_cycle(net.m, arcs)
             assert (cyc is None) == (want is None)
             if want is not None:
-                assert [residual_rows(res)[r] for r in cyc] == reference_rows(want)
+                assert residual_rows(net, res, cyc) == reference_rows(want)
             for s in (net.s, net.t):
                 assert_label_check_agrees(res, arcs, s)
 
@@ -174,14 +181,13 @@ class TestResidualLists:
         net, f = random_circulation(rng)
         res = residual(net, f)
         arcs = ref.residual_arcs(net.arcs, f.values)
-        assert residual_rows(res) == reference_rows(arcs)
+        assert residual_rows(net, res) == reference_rows(arcs)
         cyc = find_negative_cycle(res)
         want = ref.find_negative_cycle(net.m, arcs)
         if want is None:
             assert cyc is None
         else:
-            rows = residual_rows(res)
-            assert [rows[r] for r in cyc] == reference_rows(want)
+            assert residual_rows(net, res, cyc) == reference_rows(want)
             assert sum(res.cost[r] for r in cyc) < 0
         # Seeded with any labels, the search reaches the same verdict.
         seeds = [[rng.randint(-6, 6) for _ in range(net.m)] for _ in range(4)]
@@ -206,8 +212,8 @@ class TestResidualLists:
         res = residual(net, zero_flow(net))
         want = ref.find_negative_cycle(4, ref.residual_arcs(net.arcs, [0, 0, 0]))
         cyc = find_negative_cycle(res)
-        assert [residual_rows(res)[r] for r in cyc] == reference_rows(want)
-        assert sorted(res.arc[r] for r in cyc) == [0, 1, 2]
+        assert residual_rows(net, res, cyc) == reference_rows(want)
+        assert sorted(r >> 1 for r in cyc) == [0, 1, 2]
         for labels in ([0, 2, -2, 0], [0, 0, 0, 0], [0, 9, 9, 9]):
             assert_negative_cycle(res, find_negative_cycle(res, labels))
             with pytest.raises(MismatchError):
@@ -223,10 +229,11 @@ class TestResidualLists:
 
 
 def assert_negative_cycle(res, cyc):
-    """The residual arc ids form a closed walk of negative cost."""
+    """The residual arc ids form a closed walk of negative cost over
+    arcs with room."""
     assert cyc
     for r, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-        assert res.head[r] == res.tail[nxt]
+        assert res.cap[r] > 0 and res.head[r] == res.tail[nxt]
     assert sum(res.cost[r] for r in cyc) < 0
 
 

@@ -16,12 +16,11 @@ from gkcover import (
     min_flow,
     residual,
 )
-from gkcover.errors import InvalidCycleError, MismatchError, NegativeCycleError
+from gkcover.errors import InvalidCycleError, MismatchError, NegativeCycleError, NotMinimumError
 from gkcover.flowcore import (
     INF,
     SplitNetwork,
     find_negative_cycle,
-    has_decrementing_path,
     route_paths,
     sink_reach,
     zero_flow,
@@ -93,19 +92,22 @@ class TestFlowAccessors:
         assert Flow([1, 1, 1, 1]).cost(net) == 1 + 2 + 1 + 1
 
 
+def usable_arcs(res):
+    """(tail, head, forward) of every residual arc with room."""
+    return {(res.tail[r], res.head[r], not r & 1) for r, x in enumerate(res.cap) if x > 0}
+
+
 class TestResidual:
     def test_arc_directions(self):
         net = diamond()
-        res = residual(net, Flow([1, 0, 1, 0]))
-        pairs = set(zip(res.tail, res.head, res.forward))
+        pairs = usable_arcs(residual(net, Flow([1, 0, 1, 0])))
         assert (0, 1, True) in pairs    # slack remains
         assert (1, 0, False) in pairs   # undo arc
         assert (2, 0, False) not in pairs  # no flow to undo
 
     def test_saturated_arc_has_no_forward_residual(self):
         net = diamond()
-        res = residual(net, Flow([2, 0, 2, 0]))
-        assert (0, 1, True) not in set(zip(res.tail, res.head, res.forward))
+        assert (0, 1, True) not in usable_arcs(residual(net, Flow([2, 0, 2, 0])))
 
 
 class TestNegativeCycles:
@@ -225,12 +227,13 @@ class TestMinFlow:
         result = min_flow(net, Flow([2, 2, 2, 2]))
         assert result.flow.value(net) == 1
         assert result.flow.values[2] == 1
-        assert not has_decrementing_path(net, result.flow)
+        assert not sink_reach(net, result.flow)[net.s]
 
     def test_decrementing_path_detection(self):
         net = diamond()
-        assert has_decrementing_path(net, Flow([1, 1, 1, 1]))
-        assert not has_decrementing_path(net, zero_flow(net))
+        with pytest.raises(NotMinimumError):
+            sink_reach(net, Flow([1, 1, 1, 1]))
+        assert not sink_reach(net, zero_flow(net))[net.s]
 
     def test_rejects_circulation_networks(self):
         net = two_node_circulation()
@@ -348,8 +351,8 @@ class TestShortestDistances:
         assert reference_distances(net, circ.flow) == [0, 4, None, 5]
         assert circ.labels[:2] + circ.labels[3:] == [0, 4, 5]
         res = residual(net, circ.flow)
-        assert all(circ.labels[w] <= circ.labels[u] + c
-                   for u, w, c in zip(res.tail, res.head, res.cost))
+        assert all(circ.labels[res.head[r]] <= circ.labels[res.tail[r]] + res.cost[r]
+                   for r, x in enumerate(res.cap) if x > 0)
 
     def test_negative_cycle_raises(self):
         # the start flow's residual graph has a negative cycle, so no
