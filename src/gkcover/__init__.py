@@ -6,16 +6,12 @@ antichains) measured by the k-norm sum(min(|C|, k)).  This package solves
 both sides exactly by min-cost circulation, approximately by greedy
 set-cover rounds, and provides brute-force oracles plus adversarial
 instance generators that realize the worst-case greedy ratios.
+
+The names below are the public API that README documents. Everything
+else stays importable from its own module.
 """
 
-from .adversarial import (
-    AdversarialInstance,
-    ExpectedStats,
-    gen_antichain_ratio,
-    gen_chain_ratio,
-    gen_ga,
-    gen_gc,
-)
+from .adversarial import gen_antichain_ratio, gen_chain_ratio, gen_ga, gen_gc
 from .dagcore import (
     Antichain,
     Chain,
@@ -28,68 +24,28 @@ from .dagcore import (
     certify_path,
     knorm_collection,
     knorm_partition,
-    partition_completion,
-    reachable,
 )
 from .errors import (
     BudgetExceeded,
-    ConservationError,
     CycleError,
-    DegenerateError,
     DomainError,
     GkError,
-    InfeasibleFlowError,
-    InvalidCycleError,
     MismatchError,
-    NegativeCycleError,
     NotAntichainError,
     NotChainError,
-    NotMinimumError,
     NotPartitionError,
     OverlapError,
     ParseError,
 )
-from .flowcore import (
-    Arc,
-    CirculationResult,
-    Flow,
-    FlowNetwork,
-    MinFlowResult,
-    check_feasible,
-    decompose,
-    min_cost_circulation,
-    min_flow,
-    residual,
-)
 from .greedy import (
-    GreedyTrace,
     greedy_antichain_cover,
     greedy_k_antichains,
     greedy_k_chains,
     greedy_weighted_chain_cover,
-    max_antichain_in_subset,
-    max_coverage_path,
     minimum_path_cover,
 )
-from .networks import (
-    ALPHA,
-    BETA,
-    AlphaResult,
-    BetaResult,
-    GkNetwork,
-    GkSolution,
-    SolveStats,
-    build_network,
-    extract_antichains,
-    height_levels,
-    recompute_value,
-    solve_alpha,
-    solve_beta,
-)
+from .networks import recompute_value, solve_alpha, solve_beta
 from .oracle import (
-    GkReport,
-    OracleBudget,
-    SweepResult,
     brute_alpha,
     brute_beta,
     brute_min_knorm_antichain_partition,
@@ -102,80 +58,50 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA",
-    "AdversarialInstance",
-    "AlphaResult",
-    "Antichain",
-    "Arc",
-    "BETA",
-    "BetaResult",
-    "BudgetExceeded",
-    "Chain",
-    "CirculationResult",
-    "ConservationError",
-    "CycleError",
-    "Dag",
-    "DegenerateError",
-    "DomainError",
-    "ExpectedStats",
-    "Family",
-    "Flow",
-    "FlowNetwork",
-    "GkError",
-    "GkNetwork",
-    "GkReport",
-    "GkSolution",
-    "GraphPath",
-    "GreedyTrace",
-    "InfeasibleFlowError",
-    "InvalidCycleError",
-    "MinFlowResult",
-    "MismatchError",
-    "NegativeCycleError",
-    "NotAntichainError",
-    "NotChainError",
-    "NotMinimumError",
-    "NotPartitionError",
-    "OracleBudget",
-    "OverlapError",
-    "ParseError",
-    "SolveStats",
-    "SweepResult",
+    # graphs
     "build_dag",
-    "build_network",
-    "brute_alpha",
-    "brute_beta",
-    "brute_min_knorm_antichain_partition",
-    "brute_min_knorm_chain_partition",
+    "Dag",
+    "Family",
+    "Chain",
+    "Antichain",
+    "GraphPath",
     "certify_antichain",
     "certify_chain",
     "certify_path",
-    "check_feasible",
-    "decompose",
-    "extract_antichains",
-    "gen_antichain_ratio",
-    "gen_chain_ratio",
-    "gen_ga",
-    "gen_gc",
-    "greedy_antichain_cover",
-    "greedy_k_antichains",
-    "greedy_k_chains",
-    "greedy_weighted_chain_cover",
     "knorm_collection",
     "knorm_partition",
-    "max_antichain_in_subset",
-    "max_coverage_path",
-    "min_cost_circulation",
-    "min_flow",
-    "minimum_path_cover",
-    "height_levels",
-    "partition_completion",
-    "random_dag",
-    "reachable",
-    "recompute_value",
-    "residual",
-    "run_verification_sweep",
+    # exact
     "solve_alpha",
     "solve_beta",
+    "recompute_value",
+    # greedy
+    "greedy_k_chains",
+    "greedy_k_antichains",
+    "greedy_weighted_chain_cover",
+    "greedy_antichain_cover",
+    "minimum_path_cover",
+    # oracle
+    "brute_alpha",
+    "brute_beta",
+    "brute_min_knorm_chain_partition",
+    "brute_min_knorm_antichain_partition",
     "verify_gk",
+    "run_verification_sweep",
+    "random_dag",
+    # generators
+    "gen_chain_ratio",
+    "gen_antichain_ratio",
+    "gen_gc",
+    "gen_ga",
+    # errors
+    "GkError",
+    "MismatchError",
+    "ParseError",
+    "CycleError",
+    "DomainError",
+    "BudgetExceeded",
+    "NotAntichainError",
+    "NotChainError",
+    "NotPartitionError",
+    "OverlapError",
 ]

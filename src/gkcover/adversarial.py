@@ -141,20 +141,13 @@ def _g3_anti_edges() -> list[tuple[int, int]]:
 
 
 def _compose_chained(blocks: list[tuple[int, list[tuple[int, int]], list[list[int]]]]) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
-    """Union plus all edges from each block to the next."""
-    n = 0
-    edges: list[tuple[int, int]] = []
-    rows: list[list[int]] = []
-    offsets = []
-    for bn, bedges, brows in blocks:
-        offsets.append(n)
-        edges.extend((u + n, v + n) for u, v in bedges)
-        rows.extend([v + n for v in row] for row in brows)
-        n += bn
-    for b in range(len(blocks) - 1):
-        lo1, hi1 = offsets[b], offsets[b] + blocks[b][0]
-        lo2, hi2 = offsets[b + 1], offsets[b + 1] + blocks[b + 1][0]
-        edges.extend((u, v) for u in range(lo1, hi1) for v in range(lo2, hi2))
+    """Disjoint union plus all edges from each block to the next."""
+    n, edges, rows = _compose_disjoint(blocks)
+    lo = 0
+    for (n1, _, _), (n2, _, _) in zip(blocks, blocks[1:]):
+        mid = lo + n1
+        edges.extend((u, v) for u in range(lo, mid) for v in range(mid, mid + n2))
+        lo = mid
     return n, edges, rows
 
 

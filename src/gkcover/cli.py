@@ -1,7 +1,8 @@
 """Command-line front end: solve, greedy, gen, oracle, verify.
 
 One solve per invocation. Exit codes: 0 when the reported family
-re-certifies, 1 on input errors, 2 when values that must agree do not.
+re-certifies, 1 on input errors, 2 when values that must agree do not
+or any other package error escapes (an internal certification failure).
 JSON output omits wall-clock timings so identical inputs give identical
 bytes.
 """
@@ -32,6 +33,7 @@ from .errors import (
     BudgetExceeded,
     CycleError,
     DomainError,
+    GkError,
     MismatchError,
     ParseError,
 )
@@ -437,13 +439,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except MismatchError as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return 2
     except (ParseError, CycleError, DomainError, BudgetExceeded, IndexError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except GkError as exc:
+        # MismatchError, or a certification error from inside a solve
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -47,10 +47,6 @@ class InvalidCycleError(GkError):
     """The network has, or lacks, the return arc the flow routine needs."""
 
 
-class NegativeCycleError(GkError):
-    """Shortest distances are undefined: a negative cycle is reachable."""
-
-
 class ConservationError(GkError):
     """Flow conservation fails at some node during decomposition."""
 
@@ -61,10 +57,6 @@ class ConservationError(GkError):
 
 class DegenerateError(GkError):
     """The circulation routes nothing through the return arc."""
-
-
-class NotMinimumError(GkError):
-    """The given flow is not minimum: a decrementing path exists."""
 
 
 class BudgetExceeded(GkError):

@@ -10,19 +10,23 @@ them in place, and the two checks on a solved flow scan the arcs that
 have room.
 
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
-Tomizawa 1971): start potentials from a pass in topological order, then
-Dijkstra on reduced costs over the paired arcs. One last, full Dijkstra
-gives the exact residual distances from the source as labels. A
-Bellman-Ford negative-cycle search started from these labels is the
-optimality certificate: it confirms a valid potential in one pass, and
-any other labels fall through to the full search. check_distances
-proves in O(m) that given labels are the exact shortest distances, so
-callers can read the labels without trusting them.
+Tomizawa 1971) from the zero flow: start potentials from one pass in
+topological order, which settles them because at the zero flow only the
+acyclic forward arcs have room, then Dijkstra on reduced costs over the
+paired arcs. One last, full Dijkstra gives the exact residual distances
+from the source as labels. A Bellman-Ford negative-cycle search started
+from these labels is the optimality certificate, and the one
+Bellman-Ford left: it confirms a valid potential in one pass, and any
+other labels fall through to the full search. check_distances proves in
+O(m) that given labels are the exact shortest distances, so callers can
+read the labels without trusting them.
 
 min_flow pushes along breadth-first t-to-s residual paths over the same
 paired arcs, with feasibility checked on the start flow and on the
-result. SplitNetwork is the vertex-split network of a DAG that the
-exact solver and the greedy rounds share.
+result. Its last, failed search marks the nodes reachable from t
+(MinFlowResult.t_reach), the cut that a maximum antichain is read off.
+SplitNetwork is the vertex-split network of a DAG that the exact solver
+and the greedy rounds share.
 """
 
 from __future__ import annotations
@@ -36,14 +40,7 @@ from operator import add, gt, mul, neg, sub
 from typing import Container, Iterable, Optional, Sequence
 
 from .dagcore import _topological_order
-from .errors import (
-    ConservationError,
-    InfeasibleFlowError,
-    InvalidCycleError,
-    MismatchError,
-    NegativeCycleError,
-    NotMinimumError,
-)
+from .errors import ConservationError, InfeasibleFlowError, InvalidCycleError, MismatchError
 
 # Sentinel capacity, larger than any finite value our networks can carry.
 INF = 10**18
@@ -414,10 +411,10 @@ def _augment(path: Iterable[int], push: int, cap: list[int], values: list[int]) 
 
 @dataclass
 class CirculationResult:
-    """An optimal circulation with its augmentation count and costs, and
-    ``labels``: the exact shortest distances from the head of the return
-    arc over the residual graph of the flow, the return arc's forward
-    pair aside."""
+    """An optimal circulation with its augmentation count and costs (the
+    initial cost, of the zero flow, is 0), and ``labels``: the exact
+    shortest distances from the head of the return arc over the residual
+    graph of the flow, the return arc's forward pair aside."""
 
     flow: Flow
     iterations: int
@@ -430,23 +427,18 @@ def _start_potentials(m: int, order: list[int], out: list[list[int]], head: list
                       cost: list[int], cap: list[int]) -> list[int]:
     """Labels with non-negative reduced cost on every residual arc in ``out``.
 
-    Label-correcting passes over the nodes in topological order of the
-    network, every label starting at zero. Where the residual graph has
-    only forward arcs, as it has at the zero flow, the first pass settles
-    every label and the second confirms it.
+    One pass over the nodes in topological order of the network, every
+    label starting at zero. At the zero flow only forward arcs have room,
+    and without the return arc they are acyclic, so every arc into a node
+    is relaxed before the node's own arcs and one pass settles every label.
     """
     pi = [0] * m
-    for _ in range(m + 1):
-        changed = False
-        for u in order:
-            pu = pi[u]
-            for r in out[u]:
-                if cap[r] > 0 and pu + cost[r] < pi[head[r]]:
-                    pi[head[r]] = pu + cost[r]
-                    changed = True
-        if not changed:
-            return pi
-    raise NegativeCycleError("the start flow leaves a negative residual cycle")
+    for u in order:
+        pu = pi[u]
+        for r in out[u]:
+            if cap[r] > 0 and pu + cost[r] < pi[head[r]]:
+                pi[head[r]] = pu + cost[r]
+    return pi
 
 
 def _dijkstra(out: list[list[int]], head: list[int], cost: list[int], cap: list[int],
@@ -484,8 +476,9 @@ def _dijkstra(out: list[list[int]], head: list[int], cost: list[int], cap: list[
     return dist, pred
 
 
-def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
-    """Minimum-cost circulation by successive shortest paths.
+def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
+    """Minimum-cost circulation by successive shortest paths from the
+    zero flow.
 
     Each round runs Dijkstra on reduced costs from the head of the return
     arc to its tail, over the residual graph without the return arc, and
@@ -508,10 +501,9 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
     """
     if net.ts_arc is None:
         raise InvalidCycleError("min_cost_circulation expects a network with a return arc")
-    f = f0.copy()
+    f = zero_flow(net)
     res = residual(net, f)
     values = f.values
-    c0 = f.cost(net)
     m = net.m
     ret_id = net.ts_arc
     ret_cost = net.cost[ret_id]
@@ -549,10 +541,9 @@ def min_cost_circulation(net: FlowNetwork, f0: Flow) -> CirculationResult:
     if find_negative_cycle(residual(net, f), labels) is not None:
         raise MismatchError("a negative residual cycle remains after the last augmentation")
     cf = f.cost(net)
-    if iterations > c0 - cf:
-        raise MismatchError(
-            f"{iterations} augmentations for a cost improvement of {c0 - cf}")
-    return CirculationResult(f, iterations, c0, cf, labels)
+    if iterations > -cf:
+        raise MismatchError(f"{iterations} augmentations for a cost improvement of {-cf}")
+    return CirculationResult(f, iterations, 0, cf, labels)
 
 
 @dataclass
@@ -631,19 +622,6 @@ def min_flow(net: FlowNetwork, f0: Flow) -> MinFlowResult:
         raise MismatchError(
             f"{pushes} pushes for a value decrease of {v0 - f.value(net)}")
     return MinFlowResult(f, searches, pushes, reach)
-
-
-def sink_reach(net: FlowNetwork, f: Flow) -> list[bool]:
-    """The nodes reachable from t in the residual graph of a minimum flow.
-
-    Raises NotMinimumError when s is among them: a decrementing path
-    remains.
-    """
-    res = residual(net, f)
-    path, reach = _residual_bfs(res.out, res.head, res.cap, net.t, net.s)
-    if path is not None:
-        raise NotMinimumError("a decrementing path remains; the flow is not minimum")
-    return reach
 
 
 @dataclass(frozen=True)

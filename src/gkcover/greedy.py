@@ -3,9 +3,11 @@
 Chains come from a longest-path dynamic program over the uncovered set;
 antichains come from minimum flows on one vertex-split network per run,
 whose lower bounds drop as vertices are covered, each round's flow
-warm-started from the previous round's. Tie-breaking is deterministic
-throughout: predecessor ties prefer the smallest vertex id, endpoint
-ties prefer a still-uncovered vertex, then the smallest id.
+warm-started from the previous round's. Each round reads its antichain
+off the cut that min_flow's last, failed search leaves
+(MinFlowResult.t_reach), so no search is run twice. Tie-breaking is
+deterministic throughout: predecessor ties prefer the smallest vertex
+id, endpoint ties prefer a still-uncovered vertex, then the smallest id.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .flowcore import (
     SplitNetwork,
     min_flow,
     route_paths,
-    sink_reach,
 )
 
 
@@ -188,13 +189,6 @@ def _extract_antichain(dag: Dag, split: SplitNetwork, subset: Iterable[int],
     if len(ac) != value:
         raise MismatchError(f"extracted {len(ac)} vertices from a flow of value {value}")
     return ac
-
-
-def max_antichain_in_subset(dag: Dag, subset: set[int] | frozenset[int], fmin: Flow) -> Antichain:
-    """Read a maximum antichain within the subset off a minimum flow."""
-    split = build_subset_network(dag, subset)
-    return _extract_antichain(dag, split, subset, fmin.value(split.net),
-                              sink_reach(split.net, fmin))
 
 
 def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:

@@ -43,7 +43,6 @@ from .flowcore import (
     decompose,
     min_cost_circulation,
     residual,
-    zero_flow,
 )
 
 ALPHA = "alpha"
@@ -248,7 +247,7 @@ def solve_alpha(dag: Dag, k: int, warm: bool = True) -> AlphaResult:
     """
     gk = build_network(dag, k, ALPHA)
     n = dag.n
-    circ = min_cost_circulation(gk.net, zero_flow(gk.net))
+    circ = min_cost_circulation(gk.net)
     f = circ.flow
     _check_gadget_invariant(gk, f)
     alpha_k = circ.final_cost + n
@@ -294,7 +293,7 @@ def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
     """
     gk = build_network(dag, k, BETA)
     n = dag.n
-    circ = min_cost_circulation(gk.net, zero_flow(gk.net))
+    circ = min_cost_circulation(gk.net)
     f = circ.flow
     _check_gadget_invariant(gk, f)
     beta_k = -circ.final_cost

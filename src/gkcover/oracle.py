@@ -375,8 +375,12 @@ def run_verification_sweep(n_max: int, trials: int, seed: int, k_max: int,
     Each trial derives its own seed, so results depend only on the
     arguments. ``workers`` is accepted for compatibility and ignored: the
     solvers are pure Python, so a thread pool ran no faster than one
-    thread.
+    thread. Raises ValueError when ``n_max``, ``trials`` or ``k_max`` is
+    below 1, since such a sweep would check nothing.
     """
+    for name, value in (("n_max", n_max), ("trials", trials), ("k_max", k_max)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     budget = budget or OracleBudget.from_env()
     result = SweepResult(trials, k_max)
     for t in range(trials):

@@ -1,6 +1,7 @@
 import pytest
 
-from gkcover import OracleBudget, build_dag
+from gkcover import build_dag
+from gkcover.oracle import OracleBudget
 
 # 9-vertex working example: two near-trees joined at vertex 4.
 FIG_EDGES = [(0, 4), (0, 5), (1, 4), (1, 6), (2, 7), (4, 7), (3, 8), (4, 8)]

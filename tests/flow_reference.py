@@ -8,8 +8,11 @@ compare the list-based flowcore against these on random inputs.
 from dataclasses import dataclass
 from typing import Optional
 
-from gkcover.errors import NegativeCycleError
 from gkcover.flowcore import INF, Arc
+
+
+class NegativeCycleError(Exception):
+    """The reference search reached a negative cycle from its source."""
 
 
 def split_arcs(n, edges, gadgets, demand=(), ret=None):

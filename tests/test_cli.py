@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from gkcover import ParseError, build_dag, cli
+from gkcover import Antichain, Family, ParseError, build_dag, cli, networks, run_verification_sweep
 from gkcover.cli import format_dag, main, parse_dag
 
 from conftest import FIG_EDGES
@@ -139,6 +140,23 @@ class TestSolveCommand:
     def test_invalid_k_is_input_error(self, fig_file, capsys):
         assert main(["solve", "ma-k", "--k", "0", fig_file]) == 1
 
+    def test_internal_certification_error_exits_2(self, fig_file, capsys, monkeypatch):
+        # An MA-k family holding the edge 0 -> 4 (dense ids 0 and 1) fails
+        # the CLI's re-certification with NotAntichainError, no input error.
+        real = networks.solve_alpha
+
+        def comparable_pair(dag, k):
+            res = real(dag, k)
+            bad = Family((Antichain(frozenset({0, 1})),), disjoint=True)
+            res.ma = dataclasses.replace(res.ma, family=bad)
+            return res
+
+        monkeypatch.setattr(networks, "solve_alpha", comparable_pair)
+        assert main(["solve", "ma-k", "--k", "2", fig_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mismatch: vertices 0 and 1 are comparable\n"
+
 
 class TestParserReuse:
     def test_one_parser_per_process_keeps_every_byte(self, fig_file, capsys, monkeypatch):
@@ -268,3 +286,17 @@ class TestVerifyCommand:
                      "--kmax", "2", "--workers", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["checks"] == 20 and doc["mismatches"] == []
+
+    @pytest.mark.parametrize("n,trials,kmax,message", [
+        (8, 50, 0, "k_max must be at least 1, got 0"),
+        (8, 0, 3, "trials must be at least 1, got 0"),
+        (-1, -2, 3, "n_max must be at least 1, got -1"),
+    ])
+    def test_sweep_that_checks_nothing_is_input_error(self, capsys, n, trials, kmax, message):
+        with pytest.raises(ValueError, match=message):
+            run_verification_sweep(n, trials, 0, kmax)
+        assert main(["verify", "--n", str(n), "--trials", str(trials),
+                     "--kmax", str(kmax), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

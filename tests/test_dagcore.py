@@ -16,9 +16,8 @@ from gkcover import (
     certify_path,
     knorm_collection,
     knorm_partition,
-    partition_completion,
-    reachable,
 )
+from gkcover.dagcore import partition_completion, reachable
 
 
 class TestBuildDag:

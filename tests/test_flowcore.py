@@ -3,26 +3,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkcover import flowcore
-from gkcover import (
+from gkcover import CycleError, build_dag, flowcore
+from gkcover.errors import InfeasibleFlowError, InvalidCycleError, MismatchError
+from gkcover.flowcore import (
+    INF,
     Arc,
     Flow,
     FlowNetwork,
-    InfeasibleFlowError,
-    build_dag,
+    SplitNetwork,
     check_feasible,
     decompose,
+    find_negative_cycle,
     min_cost_circulation,
     min_flow,
     residual,
-)
-from gkcover.errors import InvalidCycleError, MismatchError, NegativeCycleError, NotMinimumError
-from gkcover.flowcore import (
-    INF,
-    SplitNetwork,
-    find_negative_cycle,
     route_paths,
-    sink_reach,
     zero_flow,
 )
 from gkcover.greedy import cover_paths
@@ -118,7 +113,7 @@ class TestNegativeCycles:
         cyc = find_negative_cycle(res)
         assert cyc is not None
         assert sum(res.cost[r] for r in cyc) < 0
-        f2 = min_cost_circulation(net, f).flow
+        f2 = min_cost_circulation(net).flow
         check_feasible(net, f2)
         assert f2.cost(net) < f.cost(net)
         assert find_negative_cycle(residual(net, f2)) is None
@@ -131,16 +126,11 @@ class TestNegativeCycles:
 class TestMinCostCirculation:
     def test_two_node_optimum(self):
         net = two_node_circulation()
-        result = min_cost_circulation(net, zero_flow(net))
+        result = min_cost_circulation(net)
         assert result.final_cost == -5
         assert result.flow.values == [5, 5]
         assert result.initial_cost == 0
         assert result.iterations <= result.initial_cost - result.final_cost
-
-    def test_warm_start_preserved_optimum(self):
-        net = two_node_circulation()
-        result = min_cost_circulation(net, Flow([5, 5]))
-        assert result.iterations == 0 and result.final_cost == -5
 
     def test_second_path_reroutes_through_an_undo_arc(self):
         # s=0, a=1, b=2, t=3. The first shortest path s-a-b-t (cost 3)
@@ -149,7 +139,7 @@ class TestMinCostCirculation:
         arcs = [Arc(0, 1, 0, 1, 1), Arc(1, 2, 0, 1, 1), Arc(2, 3, 0, 1, 1),
                 Arc(0, 2, 0, 1, 2), Arc(1, 3, 0, 1, 2), Arc(3, 0, 0, INF, -4)]
         net = FlowNetwork(4, arcs, 0, 3, ts_arc=5)
-        result = min_cost_circulation(net, zero_flow(net))
+        result = min_cost_circulation(net)
         assert result.flow.values == [1, 0, 1, 1, 1, 2]
         assert result.iterations == 2 and result.final_cost == 6 - 8
 
@@ -157,34 +147,48 @@ class TestMinCostCirculation:
         # parallel s-t arcs of cost -3 and -1 against a return cost of 2
         arcs = [Arc(0, 1, 0, 1, -3), Arc(0, 1, 0, 5, -1), Arc(1, 0, 0, INF, 2)]
         net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
-        result = min_cost_circulation(net, zero_flow(net))
+        result = min_cost_circulation(net)
         assert result.flow.values == [1, 0, 1] and result.iterations == 1
 
     def test_return_capacity_bounds_the_augmentations(self):
         arcs = [Arc(0, 1, 0, 1, -3), Arc(0, 1, 0, 5, -1), Arc(1, 0, 0, 2, 0)]
         net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
-        result = min_cost_circulation(net, zero_flow(net))
+        result = min_cost_circulation(net)
         assert result.flow.values == [1, 1, 2] and result.final_cost == -4
         assert result.iterations == 2
 
     def test_rejects_networks_without_return_arc(self):
         net = diamond()
         with pytest.raises(InvalidCycleError):
-            min_cost_circulation(net, zero_flow(net))
+            min_cost_circulation(net)
 
-    def test_start_flow_with_negative_residual_cycle(self):
-        # one unit on the cost-5 arc while the cost-1 arc is free
-        arcs = [Arc(0, 1, 0, 1, 5), Arc(0, 1, 0, 1, 1), Arc(1, 0, 0, 1, -10)]
-        net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
-        with pytest.raises(NegativeCycleError):
-            min_cost_circulation(net, Flow([1, 0, 1]))
+    def test_rejects_cycles_besides_the_return_arc(self):
+        # 1 -> 2 -> 1 would leave the start potentials unsettled after one pass
+        arcs = [Arc(0, 1, 0, 1, -1), Arc(1, 2, 0, 1, -1), Arc(2, 1, 0, 1, -1),
+                Arc(2, 3, 0, 1, 0), Arc(3, 0, 0, INF, 0)]
+        net = FlowNetwork(4, arcs, 0, 3, ts_arc=4)
+        with pytest.raises(CycleError):
+            min_cost_circulation(net)
+
+    def test_start_potentials_settle_in_one_pass(self):
+        # the path 0 -> 1 -> 2 -> 3 listed backwards: one pass in arc
+        # order would stop at [0, -1, -1, -1]
+        arcs = [Arc(2, 3, 0, 1, -1), Arc(1, 2, 0, 1, -1), Arc(0, 1, 0, 1, -1),
+                Arc(3, 0, 0, INF, 9)]
+        net = FlowNetwork(4, arcs, 0, 3, ts_arc=3)
+        res = residual(net, zero_flow(net))
+        order = sorted(range(4), key=net.node_topo_pos().__getitem__)
+        pi = flowcore._start_potentials(4, order, res.out, res.head, res.cost, res.cap)
+        assert pi == [0, -1, -2, -3]
+        assert all(pi[res.head[r]] <= pi[res.tail[r]] + res.cost[r]
+                   for rs in res.out for r in rs if res.cap[r] > 0)
 
     def test_certificate_failure_is_a_mismatch(self, monkeypatch):
         net = two_node_circulation()
         cycle = find_negative_cycle(residual(net, zero_flow(net)))
         monkeypatch.setattr(flowcore, "find_negative_cycle", lambda res, labels: cycle)
         with pytest.raises(MismatchError):
-            min_cost_circulation(net, zero_flow(net))
+            min_cost_circulation(net)
 
 
 @st.composite
@@ -209,7 +213,7 @@ def test_circulation_cost_matches_network_simplex(net):
     for a in net.arcs:
         g.add_edge(a.tail, a.head, capacity=a.upper, weight=a.cost)
     want, _ = nx.network_simplex(g)
-    result = min_cost_circulation(net, zero_flow(net))
+    result = min_cost_circulation(net)
     check_feasible(net, result.flow)
     assert result.final_cost == want
     assert result.iterations <= result.initial_cost - result.final_cost
@@ -227,13 +231,15 @@ class TestMinFlow:
         result = min_flow(net, Flow([2, 2, 2, 2]))
         assert result.flow.value(net) == 1
         assert result.flow.values[2] == 1
-        assert not sink_reach(net, result.flow)[net.s]
+        assert not result.t_reach[net.s]
 
     def test_decrementing_path_detection(self):
         net = diamond()
-        with pytest.raises(NotMinimumError):
-            sink_reach(net, Flow([1, 1, 1, 1]))
-        assert not sink_reach(net, zero_flow(net))[net.s]
+        found = min_flow(net, Flow([1, 1, 1, 1]))
+        assert found.pushes == 2 and found.searches == 3
+        none = min_flow(net, zero_flow(net))
+        assert (none.searches, none.pushes) == (1, 0)
+        assert not none.t_reach[net.s]
 
     def test_rejects_circulation_networks(self):
         net = two_node_circulation()
@@ -296,7 +302,7 @@ class TestMinFlowMatchesReference:
             values, searches, pushes, seen = flow_reference.min_flow(net, flow)
             assert result.flow.values == values
             assert (result.searches, result.pushes) == (searches, pushes)
-            assert result.t_reach == seen == sink_reach(net, result.flow)
+            assert result.t_reach == seen
             flow = result.flow
             dropped = [v for v in subset if rng.random() < 0.4]
             split.release(dropped)
@@ -338,7 +344,7 @@ class TestShortestDistances:
     def test_line_distances(self):
         # a return arc of cost 5 makes every s-t path unprofitable
         net = with_return_arc(diamond(), 5)
-        circ = min_cost_circulation(net, zero_flow(net))
+        circ = min_cost_circulation(net)
         assert circ.iterations == 0
         assert circ.labels == [0, 1, 2, 2] == reference_distances(net, circ.flow)
 
@@ -347,20 +353,12 @@ class TestShortestDistances:
         arcs = [Arc(0, 1, 0, 1, 4), Arc(1, 3, 0, 1, 1), Arc(2, 1, 0, 1, -7),
                 Arc(3, 0, 0, INF, 9)]
         net = FlowNetwork(4, arcs, 0, 3, ts_arc=3)
-        circ = min_cost_circulation(net, zero_flow(net))
+        circ = min_cost_circulation(net)
         assert reference_distances(net, circ.flow) == [0, 4, None, 5]
         assert circ.labels[:2] + circ.labels[3:] == [0, 4, 5]
         res = residual(net, circ.flow)
         assert all(circ.labels[res.head[r]] <= circ.labels[res.tail[r]] + res.cost[r]
                    for r, x in enumerate(res.cap) if x > 0)
-
-    def test_negative_cycle_raises(self):
-        # the start flow's residual graph has a negative cycle, so no
-        # labels are computed
-        arcs = [Arc(0, 1, 0, 1, 5), Arc(0, 1, 0, 1, 1), Arc(1, 0, 0, 1, -10)]
-        net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
-        with pytest.raises(NegativeCycleError):
-            min_cost_circulation(net, Flow([1, 0, 1]))
 
     def test_uses_undo_arcs(self):
         # The unit routed on 0 -> 1 -> 2 saturates both arcs, so s reaches
@@ -368,15 +366,6 @@ class TestShortestDistances:
         # undo arc of 1 -> 2 (cost -1).
         arcs = [Arc(0, 1, 0, 1, 1), Arc(1, 2, 0, 1, 1), Arc(2, 0, 0, INF, -5)]
         net = FlowNetwork(3, arcs, 0, 2, ts_arc=2)
-        circ = min_cost_circulation(net, zero_flow(net))
+        circ = min_cost_circulation(net)
         assert circ.flow.values == [1, 1, 1]
         assert circ.labels == [0, 4, 5] == reference_distances(net, circ.flow)
-
-    def test_warm_start_labels(self):
-        # The start flow already routes everything, and no round runs.
-        # The return arc enters node 0, so the labels count from there.
-        net = two_node_circulation()
-        circ = min_cost_circulation(net, Flow([5, 5]))
-        assert circ.iterations == 0
-        arcs = flow_reference.residual_arcs(net.arcs, [5, 5])
-        assert circ.labels == [0, -1] == flow_reference.shortest_distances(2, arcs, 0)

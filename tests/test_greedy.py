@@ -15,8 +15,6 @@ from gkcover import (
     greedy_k_chains,
     greedy_weighted_chain_cover,
     knorm_collection,
-    max_antichain_in_subset,
-    max_coverage_path,
     minimum_path_cover,
     solve_alpha,
     solve_beta,
@@ -24,7 +22,7 @@ from gkcover import (
 from gkcover.dagcore import GraphPath
 from gkcover.errors import MismatchError
 from gkcover.flowcore import min_flow, route_paths
-from gkcover.greedy import build_subset_network, cover_paths
+from gkcover.greedy import _extract_antichain, build_subset_network, cover_paths, max_coverage_path
 
 from conftest import FIG_MPC
 
@@ -99,7 +97,7 @@ class TestSubsetNetwork:
         f0 = route_paths(sub, [p.vertices for p in cover_paths(fig, subset)])
         result = min_flow(sub.net, f0)
         assert result.flow.value(sub.net) == 5  # the width
-        ac = max_antichain_in_subset(fig, subset, result.flow)
+        ac = _extract_antichain(fig, sub, subset, 5, result.t_reach)
         assert sorted(ac.vertices) == [2, 3, 4, 5, 6]
 
     def test_restricted_subset(self, fig):
@@ -107,7 +105,7 @@ class TestSubsetNetwork:
         sub = build_subset_network(fig, subset)
         f0 = route_paths(sub, [p.vertices for p in cover_paths(fig, subset)])
         result = min_flow(sub.net, f0)
-        ac = max_antichain_in_subset(fig, subset, result.flow)
+        ac = _extract_antichain(fig, sub, subset, result.flow.value(sub.net), result.t_reach)
         assert sorted(ac.vertices) == [7, 8]  # sink-side maximum antichain
 
     def test_gadget_lower_bounds_follow_subset(self, fig):

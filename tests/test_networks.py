@@ -6,12 +6,9 @@ import pytest
 
 from gkcover import networks
 from gkcover import (
-    ALPHA,
-    BETA,
     Antichain,
     Chain,
     build_dag,
-    build_network,
     knorm_collection,
     knorm_partition,
     recompute_value,
@@ -19,10 +16,13 @@ from gkcover import (
     solve_beta,
 )
 from gkcover.errors import MismatchError, NotChainError
-from gkcover.flowcore import INF, min_cost_circulation, zero_flow
+from gkcover.flowcore import INF, min_cost_circulation
 from gkcover.networks import (
+    ALPHA,
+    BETA,
     COVER,
     OVERFLOW,
+    build_network,
     chains_from_paths,
     height_levels,
     normalize_beta,
@@ -226,7 +226,7 @@ class TestValueChecks:
     @pytest.mark.parametrize("kind,k", [(ALPHA, 1), (ALPHA, 2), (BETA, 1), (BETA, 3)])
     def test_perturbed_labels_are_a_mismatch(self, fig, kind, k):
         gk = build_network(fig, k, kind)
-        circ = min_cost_circulation(gk.net, zero_flow(gk.net))
+        circ = min_cost_circulation(gk.net)
         f = circ.flow if kind == ALPHA else normalize_beta(gk, circ.flow)
         networks.extract_antichains(gk, f, circ.labels)
         for v in range(gk.net.m):
@@ -242,9 +242,9 @@ class TestValueChecks:
             "    raise SystemExit('not running under -O')\n"
             "from gkcover import build_dag, networks\n"
             "from gkcover.errors import MismatchError\n"
-            "from gkcover.flowcore import min_cost_circulation, zero_flow\n"
+            "from gkcover.flowcore import min_cost_circulation\n"
             "gk = networks.build_network(build_dag(3, [(0, 1)]), 1, networks.ALPHA)\n"
-            "circ = min_cost_circulation(gk.net, zero_flow(gk.net))\n"
+            "circ = min_cost_circulation(gk.net)\n"
             "labels = list(circ.labels)\n"
             "labels[gk.v_in(2)] -= 1\n"
             "try:\n"

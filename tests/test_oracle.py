@@ -3,7 +3,6 @@ import pytest
 from gkcover import oracle
 from gkcover import (
     BudgetExceeded,
-    OracleBudget,
     brute_alpha,
     brute_beta,
     brute_min_knorm_antichain_partition,
@@ -15,6 +14,7 @@ from gkcover import (
     verify_gk,
 )
 from gkcover.errors import MismatchError
+from gkcover.oracle import OracleBudget
 
 from conftest import FIG_ALPHA, FIG_BETA
 

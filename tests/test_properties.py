@@ -10,14 +10,13 @@ from gkcover import (
     greedy_k_chains,
     greedy_weighted_chain_cover,
     knorm_partition,
-    max_antichain_in_subset,
     minimum_path_cover,
     solve_alpha,
     solve_beta,
 )
 from gkcover.cli import format_dag, parse_dag
 from gkcover.flowcore import min_flow, route_paths
-from gkcover.greedy import build_subset_network, cover_paths
+from gkcover.greedy import _extract_antichain, build_subset_network, cover_paths
 
 
 @st.composite
@@ -178,4 +177,4 @@ def test_large_subset_min_flow_anchor(n, seed):
     width = _width(nx, g, subset)
     assert result.flow.value(split.net) == width
     assert result.pushes <= start.value(split.net) - width
-    assert len(max_antichain_in_subset(dag, subset, result.flow)) == width
+    assert len(_extract_antichain(dag, split, subset, width, result.t_reach)) == width

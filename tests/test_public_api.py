@@ -1,0 +1,25 @@
+"""The package exports exactly the API that README lists."""
+
+import re
+from pathlib import Path
+
+import gkcover
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_api_names():
+    """Backquoted names on the bullet lines of README's Public API section."""
+    section = README.read_text().split("### Public API\n", 1)[1]
+    section = re.split(r"^#", section, maxsplit=1, flags=re.M)[0]
+    bullets = [line for line in section.splitlines() if line.startswith("- ")]
+    return [name for line in bullets for name in re.findall(r"`(\w+)`", line)]
+
+
+def test_readme_all_and_star_import_agree():
+    listed = readme_api_names()
+    assert len(listed) == len(set(listed)) == len(gkcover.__all__) == len(set(gkcover.__all__))
+    namespace = {}
+    exec("from gkcover import *", namespace)
+    bound = set(namespace) - {"__builtins__"}
+    assert set(listed) == set(gkcover.__all__) == bound
