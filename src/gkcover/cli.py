@@ -53,20 +53,10 @@ def parse_dag(text: str) -> tuple[Dag, list[str]]:
     ids: dict[str, int] = {}
     first_line: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-
-    def vertex(tok: str, lineno: int) -> int:
-        if tok not in ids:
-            if n is not None and len(ids) >= n:
-                raise ParseError(f"more than {n} distinct vertex names", lineno)
-            ids[tok] = len(ids)
-            first_line[tok] = lineno
-        return ids[tok]
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not toks:
             continue
-        toks = line.split()
         if n is None:
             if len(toks) != 1:
                 raise ParseError("expected the vertex count alone on the first line", lineno)
@@ -79,7 +69,17 @@ def parse_dag(text: str) -> tuple[Dag, list[str]]:
             continue
         if len(toks) != 2:
             raise ParseError(f"expected 'u v', got {len(toks)} tokens", lineno)
-        edges.append((vertex(toks[0], lineno), vertex(toks[1], lineno)))
+        a, b = toks
+        u, v = ids.get(a), ids.get(b)
+        if u is None or v is None:
+            for tok in toks:
+                if tok not in ids:
+                    if len(ids) >= n:
+                        raise ParseError(f"more than {n} distinct vertex names", lineno)
+                    ids[tok] = len(ids)
+                    first_line[tok] = lineno
+            u, v = ids[a], ids[b]
+        edges.append((u, v))
     if n is None:
         raise ParseError("empty input: missing the vertex count", 1)
     isolated = [str(v) for v in range(n) if str(v) not in ids]

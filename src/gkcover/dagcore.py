@@ -125,6 +125,9 @@ class Dag:
         for i, v in enumerate(self.topo):
             self.topo_pos[v] = i
         self._closure: list[int] | None = None
+        # greedy's best-path rounds and the vertices they leave uncovered,
+        # memoised and extended by greedy._best_path_rounds
+        self._path_rounds: tuple[list, set[int]] | None = None
 
     def __repr__(self) -> str:
         return f"Dag(n={self.n}, edges={len(self.edges)})"

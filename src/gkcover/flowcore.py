@@ -22,8 +22,10 @@ O(m) that given labels are the exact shortest distances, so callers can
 read the labels without trusting them.
 
 min_flow pushes along breadth-first t-to-s residual paths over the same
-paired arcs, with feasibility checked on the start flow and on the
-result. Its last, failed search marks the nodes reachable from t
+paired arcs, in place, on a residual graph its caller built once: the
+greedy rounds keep one per run and relax it between rounds. residual()
+checks the start flow, and min_flow checks every flow it returns. Its
+last, failed search marks the nodes reachable from t
 (MinFlowResult.t_reach), the cut that a maximum antichain is read off.
 SplitNetwork is the vertex-split network of a DAG that the exact solver
 and the greedy rounds share.
@@ -216,14 +218,21 @@ class SplitNetwork:
         v, j = divmod(arc_id, self.stride)
         return v if v < self.n and 0 < j < self.stride - 1 else None
 
-    def release(self, vertices: Iterable[int]) -> None:
+    def release(self, vertices: Iterable[int]) -> list[int]:
         """Drop the lower bound of each vertex's first gadget arc, in place.
 
-        A flow feasible before stays feasible: bounds only relax.
+        A flow feasible before stays feasible: bounds only relax. Returns
+        the arcs whose bound dropped from 1 to 0; in a residual graph of
+        such a flow, the undo capacity of each (2i + 1) rises by one.
         """
         lower = self.net.lower
+        dropped = []
         for v in vertices:
-            lower[self.gadget(v)] = 0
+            a = self.gadget(v)
+            if lower[a]:
+                lower[a] = 0
+                dropped.append(a)
+        return dropped
 
     @cached_property
     def edge_arc(self) -> dict[tuple[int, int], int]:
@@ -592,19 +601,19 @@ def _residual_bfs(out: list[list[int]], head: list[int], cap: list[int],
     return None, seen
 
 
-def min_flow(net: FlowNetwork, f0: Flow) -> MinFlowResult:
-    """Reduce a feasible s-t flow to minimum value.
+def min_flow(net: FlowNetwork, res: ResidualGraph, f: Flow) -> MinFlowResult:
+    """Reduce a feasible s-t flow to minimum value, in place.
 
-    Repeatedly finds a t-to-s residual path by breadth-first search and
-    pushes the bottleneck along it, updating the paired residual arcs
-    and the flow in place. Feasibility is checked on the start flow and
-    on the result. Each push lowers the flow value, so successful
-    searches are bounded by the total decrease.
+    ``res`` is the residual graph of ``f``, built by residual(), which
+    checks the flow, and kept exact since. Repeatedly finds a t-to-s
+    residual path by breadth-first search and pushes the bottleneck
+    along it, updating ``res.cap`` and ``f`` in place, so both stay
+    exact for a caller that relaxes bounds and reduces again.
+    Feasibility of the result is checked. Each push lowers the flow
+    value, so successful searches are bounded by the total decrease.
     """
     if net.ts_arc is not None:
         raise InvalidCycleError("min_flow expects a network without a return arc")
-    f = f0.copy()
-    res = residual(net, f)
     values = f.values
     v0 = f.value(net)
     head, cap, out = res.head, res.cap, res.out

@@ -1,13 +1,16 @@
 """Greedy maximum-coverage procedures for chains and antichains.
 
-Chains come from a longest-path dynamic program over the uncovered set;
-antichains come from minimum flows on one vertex-split network per run,
-whose lower bounds drop as vertices are covered, each round's flow
-warm-started from the previous round's. Each round reads its antichain
-off the cut that min_flow's last, failed search leaves
-(MinFlowResult.t_reach), so no search is run twice. Tie-breaking is
-deterministic throughout: predecessor ties prefer the smallest vertex
-id, endpoint ties prefer a still-uncovered vertex, then the smallest id.
+Chains come from a longest-path dynamic program over the uncovered set.
+Its rounds from U = every vertex depend only on the DAG, so they are
+memoised on it and shared by the chain commands and the path cover that
+seeds the antichain flow. Antichains come from minimum flows on one
+vertex-split network, one flow and one residual graph per run: lower
+bounds drop as vertices are covered, and each round reduces the
+previous round's flow in place. Each round reads its antichain off the
+cut that min_flow's last, failed search leaves (MinFlowResult.t_reach),
+so no search is run twice. Tie-breaking is deterministic throughout:
+predecessor ties prefer the smallest vertex id, endpoint ties prefer a
+still-uncovered vertex, then the smallest id.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .flowcore import (
     MinFlowResult,
     SplitNetwork,
     min_flow,
+    residual,
     route_paths,
 )
 
@@ -74,51 +78,78 @@ def max_coverage_path(dag: Dag, uncovered: set[int]) -> GraphPath:
     n = dag.n
     if n == 0:
         return GraphPath(())
-    score = [0] * n
+    seed = [0] * n
+    for v in uncovered:
+        seed[v] = 1
+    score = seed.copy()
+    pred = dag.pred
     for v in dag.topo:
-        best = 0
-        for u in dag.pred[v]:
-            if score[u] > best:
-                best = score[u]
-        score[v] = (1 if v in uncovered else 0) + best
-    end = 0
-    end_key = (-1, -1)
-    for v in range(n):
-        key = (score[v], 1 if v in uncovered else 0)
-        if key > end_key:
-            end_key = key
-            end = v
-    seq = [end]
-    cur = end
+        ps = pred[v]
+        if len(ps) == 1:
+            score[v] += score[ps[0]]
+        elif ps:
+            best = 0
+            for u in ps:
+                if score[u] > best:
+                    best = score[u]
+            score[v] += best
+    top = max(score)
+    cur = score.index(top)
+    if not seed[cur]:
+        # an uncovered endpoint of the same score wins
+        for v in range(cur + 1, n):
+            if seed[v] and score[v] == top:
+                cur = v
+                break
+    seq = [cur]
     while True:
-        best_u = -1
-        best_s = 0
-        for u in dag.pred[cur]:
-            if score[u] > best_s or (score[u] == best_s and best_s > 0 and u < best_u):
-                best_s = score[u]
-                best_u = u
-        if best_u < 0 or best_s <= 0:
+        # the best predecessor's score, which is 0 at a source
+        best = score[cur] - seed[cur]
+        if best <= 0:
             break
-        seq.append(best_u)
-        cur = best_u
+        nxt = n
+        for u in pred[cur]:
+            if u < nxt and score[u] == best:
+                nxt = u
+        cur = nxt
+        seq.append(cur)
     return GraphPath(tuple(reversed(seq)))
+
+
+def _best_path_rounds(dag: Dag) -> Iterator[tuple[GraphPath, tuple[int, ...], int]]:
+    """The best-path loop from U = every vertex: per round the path, the
+    vertices of U it picks (in path order) and |U| after the round.
+
+    The rounds depend only on the DAG, so they are memoised on it, like
+    Dag.closure(), and extended as far as a caller reads; once U is
+    empty every round picks nothing.
+    """
+    if dag._path_rounds is None:
+        dag._path_rounds = ([], set(range(dag.n)))
+    rounds, left = dag._path_rounds
+    i = 0
+    while True:
+        if i == len(rounds):
+            path = max_coverage_path(dag, left)
+            picked = tuple(v for v in path.vertices if v in left)
+            left.difference_update(picked)
+            rounds.append((path, picked, len(left)))
+        yield rounds[i]
+        i += 1
 
 
 def greedy_k_chains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
     """k rounds of best-path selection, each chain the path's uncovered part."""
-    uncovered = set(range(dag.n))
     members: list[Chain] = []
     trace = GreedyTrace()
-    for _ in range(k):
-        path = max_coverage_path(dag, uncovered)
-        picked = [v for v in path.vertices if v in uncovered]
-        trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), max(0, len(uncovered) - len(picked))))
+    left = dag.n
+    for path, picked, left in islice(_best_path_rounds(dag), max(k, 0)):
+        trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), left))
         if picked:
             members.append(certify_chain(dag, picked))
-            uncovered.difference_update(picked)
         else:
             trace.exhausted_early = True
-    trace.stop_reason = "U empty" if not uncovered else "k reached"
+    trace.stop_reason = "U empty" if not left else "k reached"
     trace.assert_monotone()
     return Family(tuple(members), disjoint=True), trace
 
@@ -129,20 +160,20 @@ def greedy_weighted_chain_cover(dag: Dag, k: int) -> tuple[Family, Family, Greed
     Returns the chosen paths as a collection and the chain partition they
     induce (path remnants plus singleton chains for everything left).
     """
-    uncovered = set(range(dag.n))
     paths: list[GraphPath] = []
     chains: list[Chain] = []
     trace = GreedyTrace()
-    while uncovered:
-        path = max_coverage_path(dag, uncovered)
-        picked = [v for v in path.vertices if v in uncovered]
+    rounds = _best_path_rounds(dag)
+    left = dag.n
+    while left:
+        path, picked, after = next(rounds)
         if len(picked) <= k:
             trace.stop_reason = "gain <= threshold"
             break
-        trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), len(uncovered) - len(picked)))
+        trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), after))
         paths.append(path)
         chains.append(certify_chain(dag, picked))
-        uncovered.difference_update(picked)
+        left = after
     else:
         trace.stop_reason = "U empty"
     trace.assert_monotone()
@@ -158,21 +189,21 @@ def build_subset_network(dag: Dag, subset: Container[int]) -> SplitNetwork:
     return SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=subset)
 
 
-def cover_paths(dag: Dag, subset: set[int]) -> list[GraphPath]:
-    """Best-path rounds until the subset is exhausted."""
-    left = set(subset)
+def cover_paths(dag: Dag) -> list[GraphPath]:
+    """Best-path rounds until every vertex is covered."""
     out: list[GraphPath] = []
+    rounds = _best_path_rounds(dag)
+    left = dag.n
     while left:
-        p = max_coverage_path(dag, left)
-        out.append(p)
-        left.difference_update(p.vertices)
+        path, _, left = next(rounds)
+        out.append(path)
     return out
 
 
 def _path_cover_flow(dag: Dag, split: SplitNetwork) -> Flow:
     """Feasible start flow for a subset network: a cover of every vertex
     by best-path rounds."""
-    return route_paths(split, [p.vertices for p in cover_paths(dag, set(range(dag.n)))])
+    return route_paths(split, [p.vertices for p in cover_paths(dag)])
 
 
 def _extract_antichain(dag: Dag, split: SplitNetwork, subset: Iterable[int],
@@ -196,31 +227,37 @@ def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:
     if dag.n == 0:
         return 0, MinFlowResult(Flow([]), 0, 0, [])
     split = build_subset_network(dag, range(dag.n))
-    result = min_flow(split.net, _path_cover_flow(dag, split))
-    return result.flow.value(split.net), result
+    flow = _path_cover_flow(dag, split)
+    result = min_flow(split.net, residual(split.net, flow), flow)
+    return flow.value(split.net), result
 
 
 def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
     """A maximum antichain of the still-uncovered set U per round.
 
-    One subset network serves every round. Round 1 reduces a path-cover
-    flow to a minimum flow; later rounds reuse the previous flow, which
-    stays feasible because covered vertices only lose their lower bound.
-    A yielded antichain leaves U when the next round is asked for.
+    One subset network, one flow and one residual graph serve every
+    round. Round 1 reduces a path-cover flow to a minimum flow; later
+    rounds reduce the previous round's flow in place, which stays
+    feasible because covered vertices only lose their lower bound, and
+    the residual graph follows by raising each released gadget arc's
+    undo capacity. min_flow checks the flow every round ends with. A
+    yielded antichain leaves U when the next round is asked for.
     """
     uncovered = set(range(dag.n))
     split = build_subset_network(dag, uncovered)
     flow = _path_cover_flow(dag, split)
+    res = residual(split.net, flow)
+    cap = res.cap
     while uncovered:
-        result = min_flow(split.net, flow)
-        flow = result.flow
+        result = min_flow(split.net, res, flow)
         value = flow.value(split.net)
         ac = _extract_antichain(dag, split, uncovered, value, result.t_reach)
         yield ac, GreedyRound(
             tuple(sorted(ac.vertices)), len(ac), len(uncovered) - len(ac),
             flow_value=value, searches=result.searches, pushes=result.pushes)
         uncovered.difference_update(ac.vertices)
-        split.release(ac.vertices)
+        for a in split.release(ac.vertices):
+            cap[2 * a + 1] += 1
 
 
 def greedy_k_antichains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:

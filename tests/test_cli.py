@@ -69,8 +69,11 @@ class TestParseDag:
         assert exc.value.line == 2
 
     def test_too_many_names(self):
-        with pytest.raises(ParseError):
-            parse_dag("2\na b\nb c\nc d\n")
+        # the second file names exactly one vertex too many
+        for text in ("2\na b\nb c\nc d\n", "2\na b\nc a\n"):
+            with pytest.raises(ParseError, match="more than 2 distinct vertex names") as exc:
+                parse_dag(text)
+            assert exc.value.line == 3
 
     def test_negative_count(self):
         with pytest.raises(ParseError):

@@ -128,7 +128,7 @@ def random_flows(seed):
     yield gk.net, min_cost_circulation(gk.net).flow
     subset = {v for v in range(dag.n) if rng.random() < 0.6}
     split = SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=subset)
-    f = route_paths(split, [p.vertices for p in cover_paths(dag, set(range(dag.n)))])
+    f = route_paths(split, [p.vertices for p in cover_paths(dag)])
     yield split.net, f
     split.release([v for v in subset if rng.random() < 0.5])
     yield split.net, f

@@ -219,37 +219,51 @@ def test_circulation_cost_matches_network_simplex(net):
     assert result.iterations <= result.initial_cost - result.final_cost
 
 
+def reduce(net, f):
+    """min_flow on a fresh residual graph of f, which it reduces in place."""
+    return min_flow(net, residual(net, f), f)
+
+
 class TestMinFlow:
     def test_reduces_to_zero_without_lower_bounds(self):
         net = diamond()
-        result = min_flow(net, Flow([1, 1, 1, 1]))
+        result = reduce(net, Flow([1, 1, 1, 1]))
         assert result.flow.value(net) == 0
         assert result.pushes <= 2
 
     def test_respects_lower_bound(self):
         net = diamond(lower_mid=1)
-        result = min_flow(net, Flow([2, 2, 2, 2]))
+        result = reduce(net, Flow([2, 2, 2, 2]))
         assert result.flow.value(net) == 1
         assert result.flow.values[2] == 1
         assert not result.t_reach[net.s]
 
+    def test_reduces_the_given_flow_and_residual_graph_in_place(self):
+        net = diamond(lower_mid=1)
+        f = Flow([2, 2, 2, 2])
+        res = residual(net, f)
+        result = min_flow(net, res, f)
+        assert result.flow is f and f.values == [1, 0, 1, 0]
+        assert res.cap == residual(net, f).cap
+
     def test_decrementing_path_detection(self):
         net = diamond()
-        found = min_flow(net, Flow([1, 1, 1, 1]))
+        found = reduce(net, Flow([1, 1, 1, 1]))
         assert found.pushes == 2 and found.searches == 3
-        none = min_flow(net, zero_flow(net))
+        none = reduce(net, zero_flow(net))
         assert (none.searches, none.pushes) == (1, 0)
         assert not none.t_reach[net.s]
 
     def test_rejects_circulation_networks(self):
         net = two_node_circulation()
         with pytest.raises(InvalidCycleError):
-            min_flow(net, zero_flow(net))
+            reduce(net, zero_flow(net))
 
     def test_infeasible_start_flow_is_rejected(self):
+        # residual() checks the start flow, so min_flow never sees it
         net = diamond(lower_mid=1)
         with pytest.raises(InfeasibleFlowError):
-            min_flow(net, zero_flow(net))
+            reduce(net, zero_flow(net))
 
     def test_push_bound_is_checked(self, monkeypatch):
         # a search that returns an arc and its own undo arc makes a push
@@ -265,7 +279,7 @@ class TestMinFlow:
 
         monkeypatch.setattr(flowcore, "_residual_bfs", with_idle_push)
         with pytest.raises(MismatchError, match="2 pushes for a value decrease of 1"):
-            min_flow(diamond(), Flow([1, 0, 1, 0]))
+            reduce(diamond(), Flow([1, 0, 1, 0]))
 
 
 def _random_subset_network(seed):
@@ -281,7 +295,7 @@ def _random_subset_network(seed):
     subset = {v for v in range(n) if rng.random() < rng.choice([0.3, 0.7, 1.0])}
     split = SplitNetwork(n, dag.edges, [(INF, 0)], demand=subset)
     if rng.random() < 0.5:
-        paths = [p.vertices for p in cover_paths(dag, set(range(n)))]
+        paths = [p.vertices for p in cover_paths(dag)]
     else:
         paths = [(v,) for v in range(n)]
     return rng, split, subset, route_paths(split, paths)
@@ -289,24 +303,29 @@ def _random_subset_network(seed):
 
 class TestMinFlowMatchesReference:
     """min_flow over paired residual arcs takes the same paths as a
-    search of the rebuilt residual graph before every push."""
+    search of the rebuilt residual graph before every push, also when
+    one residual graph is carried across rounds."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_same_flow_and_counts(self, seed):
         rng, split, subset, flow = _random_subset_network(seed)
         net = split.net
+        res = residual(net, flow)
         # one cold solve, then warm starts as the greedy rounds run them:
-        # some subset vertices lose their lower bound between solves
+        # some subset vertices lose their lower bound between solves, and
+        # the residual graph follows by raising their undo capacities
         for _ in range(3):
-            result = min_flow(net, flow)
             values, searches, pushes, seen = flow_reference.min_flow(net, flow)
+            result = min_flow(net, res, flow)
             assert result.flow.values == values
             assert (result.searches, result.pushes) == (searches, pushes)
             assert result.t_reach == seen
-            flow = result.flow
+            assert res.cap == residual(net, flow).cap
             dropped = [v for v in subset if rng.random() < 0.4]
-            split.release(dropped)
+            for a in split.release(dropped):
+                res.cap[2 * a + 1] += 1
             subset.difference_update(dropped)
+            assert res.cap == residual(net, flow).cap
 
 
 class TestDecompose:

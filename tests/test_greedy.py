@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gkcover import greedy
+from gkcover import flowcore, greedy
 from gkcover import (
     build_dag,
     gen_antichain_ratio,
@@ -20,11 +20,11 @@ from gkcover import (
     solve_beta,
 )
 from gkcover.dagcore import GraphPath
-from gkcover.errors import MismatchError
-from gkcover.flowcore import min_flow, route_paths
+from gkcover.errors import InfeasibleFlowError, MismatchError
+from gkcover.flowcore import min_flow, residual, route_paths
 from gkcover.greedy import _extract_antichain, build_subset_network, cover_paths, max_coverage_path
 
-from conftest import FIG_MPC
+from conftest import FIG_EDGES, FIG_MPC
 
 
 class TestMaxCoveragePath:
@@ -75,6 +75,31 @@ class TestGreedyChains:
             seen.update(c.vertices)
 
 
+class TestBestPathRounds:
+    """The best-path rounds are computed once per DAG and shared."""
+
+    def test_chain_cover_and_path_cover_share_the_rounds(self, monkeypatch):
+        real = greedy.max_coverage_path
+        calls = []
+
+        def counted(d, uncovered):
+            calls.append(len(uncovered))
+            return real(d, uncovered)
+
+        monkeypatch.setattr(greedy, "max_coverage_path", counted)
+        dag = gen_gc(5).dag
+        _, _, trace = greedy_weighted_chain_cover(dag, 0)
+        assert minimum_path_cover(dag)[0] == 2
+        greedy_k_chains(dag, 3)
+        assert len(trace.rounds) == 5 and len(calls) == 5
+
+    def test_memoised_rounds_match_a_cold_run(self, fig):
+        cover_paths(fig)  # every round up to U empty
+        warm = greedy_k_chains(fig, 7)
+        cold = greedy_k_chains(build_dag(9, FIG_EDGES), 7)
+        assert warm == cold and warm[1].exhausted_early
+
+
 class TestGreedyWeightedChainCover:
     def test_stops_when_gain_at_threshold(self, fig):
         collection, partition, trace = greedy_weighted_chain_cover(fig, 2)
@@ -94,8 +119,8 @@ class TestSubsetNetwork:
     def test_min_flow_value_is_max_antichain(self, fig):
         subset = set(range(fig.n))
         sub = build_subset_network(fig, subset)
-        f0 = route_paths(sub, [p.vertices for p in cover_paths(fig, subset)])
-        result = min_flow(sub.net, f0)
+        f0 = route_paths(sub, [p.vertices for p in cover_paths(fig)])
+        result = min_flow(sub.net, residual(sub.net, f0), f0)
         assert result.flow.value(sub.net) == 5  # the width
         ac = _extract_antichain(fig, sub, subset, 5, result.t_reach)
         assert sorted(ac.vertices) == [2, 3, 4, 5, 6]
@@ -103,8 +128,8 @@ class TestSubsetNetwork:
     def test_restricted_subset(self, fig):
         subset = {0, 1, 7, 8}
         sub = build_subset_network(fig, subset)
-        f0 = route_paths(sub, [p.vertices for p in cover_paths(fig, subset)])
-        result = min_flow(sub.net, f0)
+        f0 = route_paths(sub, [p.vertices for p in cover_paths(fig)])
+        result = min_flow(sub.net, residual(sub.net, f0), f0)
         ac = _extract_antichain(fig, sub, subset, result.flow.value(sub.net), result.t_reach)
         assert sorted(ac.vertices) == [7, 8]  # sink-side maximum antichain
 
@@ -117,7 +142,8 @@ class TestSubsetNetwork:
     def test_release_drops_only_the_given_lower_bounds(self, fig):
         sub = build_subset_network(fig, {3, 4, 5})
         before = list(sub.net.arcs)
-        sub.release([3, 5])
+        # vertex 6 has no lower bound to drop
+        assert sub.release([3, 5, 6]) == [sub.gadget(3), sub.gadget(5)]
         for i, (old, new) in enumerate(zip(before, sub.net.arcs)):
             if i in (sub.gadget(3), sub.gadget(5)):
                 assert old.lower == 1 and new.lower == 0
@@ -218,14 +244,42 @@ class TestTraceChecks:
     def test_warm_start_bound(self, fig, monkeypatch):
         real = greedy.min_flow
 
-        def extra_searches(net, f0):
-            result = real(net, f0)
+        def extra_searches(net, res, f):
+            result = real(net, res, f)
             result.searches += fig.n
             return result
 
         monkeypatch.setattr(greedy, "min_flow", extra_searches)
         with pytest.raises(MismatchError, match="exceed the warm-start bound"):
             greedy_k_antichains(fig, 2)
+
+    def test_every_round_checks_its_flow(self, fig, monkeypatch):
+        # the flow that round 1 reduces is carried into every later
+        # round; corrupting it after round 2's last search must be
+        # caught before round 2 is reported
+        flows = []
+        real_seed = greedy._path_cover_flow
+
+        def seed(dag, split):
+            flows.append(real_seed(dag, split))
+            return flows[-1]
+
+        real_bfs = flowcore._residual_bfs
+        failed = []
+
+        def corrupt_after_round_2(out, head, cap, src, dst):
+            path, seen = real_bfs(out, head, cap, src, dst)
+            if path is None:
+                failed.append(1)
+                if len(failed) == 2:
+                    flows[0].values[0] += 1
+            return path, seen
+
+        monkeypatch.setattr(greedy, "_path_cover_flow", seed)
+        monkeypatch.setattr(flowcore, "_residual_bfs", corrupt_after_round_2)
+        with pytest.raises(InfeasibleFlowError, match="conservation fails at node 0"):
+            greedy_k_antichains(fig, 3)
+        assert len(failed) == 2
 
     def test_warm_start_bound_survives_optimized_python(self):
         script = (
@@ -234,8 +288,8 @@ class TestTraceChecks:
             "from gkcover import build_dag, greedy\n"
             "from gkcover.errors import MismatchError\n"
             "real = greedy.min_flow\n"
-            "def extra_searches(net, f0):\n"
-            "    result = real(net, f0)\n"
+            "def extra_searches(net, res, f):\n"
+            "    result = real(net, res, f)\n"
             "    result.searches += 3\n"
             "    return result\n"
             "greedy.min_flow = extra_searches\n"

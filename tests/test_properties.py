@@ -15,7 +15,7 @@ from gkcover import (
     solve_beta,
 )
 from gkcover.cli import format_dag, parse_dag
-from gkcover.flowcore import min_flow, route_paths
+from gkcover.flowcore import min_flow, residual, route_paths
 from gkcover.greedy import _extract_antichain, build_subset_network, cover_paths
 
 
@@ -172,9 +172,10 @@ def test_large_subset_min_flow_anchor(n, seed):
     rng = random.Random(seed)
     subset = {v for v in range(n) if rng.random() < 0.5}
     split = build_subset_network(dag, subset)
-    start = route_paths(split, [p.vertices for p in cover_paths(dag, set(range(n)))])
-    result = min_flow(split.net, start)
+    start = route_paths(split, [p.vertices for p in cover_paths(dag)])
+    start_value = start.value(split.net)
+    result = min_flow(split.net, residual(split.net, start), start)
     width = _width(nx, g, subset)
     assert result.flow.value(split.net) == width
-    assert result.pushes <= start.value(split.net) - width
+    assert result.pushes <= start_value - width
     assert len(_extract_antichain(dag, split, subset, width, result.t_reach)) == width
