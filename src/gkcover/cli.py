@@ -14,7 +14,8 @@ import functools
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from itertools import chain, filterfalse
+from typing import NoReturn, Optional, Sequence
 
 from . import adversarial, greedy, networks, oracle
 from .dagcore import (
@@ -48,13 +49,56 @@ def parse_dag(text: str) -> tuple[Dag, list[str]]:
     vertices by id and the isolated vertices take the unused ids as
     names, in increasing order. Otherwise each isolated vertex is named
     by its dense id, and a token equal to such a name is an error.
+
+    Lines are those of str.splitlines(). A well-formed file is checked
+    and numbered in bulk; a malformed one is walked line by line, only
+    to report its first bad line.
     """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = list(filter(None, map(str.split, lines)))
+    edge_rows = rows[1:]
+    tokens = list(chain.from_iterable(edge_rows))
+    # names in order of first appearance
+    ids = dict.fromkeys(tokens)
+    try:
+        n = int(rows[0][0])
+    except (IndexError, ValueError):
+        n = -1
+    if n < 0 or len(rows[0]) != 1 or not {2}.issuperset(map(len, edge_rows)) or len(ids) > n:
+        _raise_parse_error(lines)
+    ids = dict(zip(ids, range(len(ids))))
+    # one iterator zipped with itself pairs up consecutive tokens
+    dense = map(ids.__getitem__, tokens)
+    edges = list(zip(dense, dense))
+    isolated: list[str] = []
+    if len(ids) < n:
+        isolated = list(filterfalse(ids.__contains__, map(str, range(n))))
+        if len(ids) + len(isolated) != n:
+            # some token is not an id, so isolated vertices are named by dense id
+            isolated = list(map(str, range(len(ids), n)))
+            for name in isolated:
+                if name in ids:
+                    # the count line cannot hold it: its token reads as n
+                    line = next(i for i, toks in enumerate(map(str.split, lines), 1)
+                                if name in toks)
+                    raise ParseError(
+                        f"token {name!r} is also the name of isolated vertex {name}; "
+                        "name vertices by id or by tokens that are not ids", line)
+    names = list(ids) + isolated
+    # the line and token lists go before the graph is built, for a lower peak
+    del lines, rows, edge_rows, tokens, ids
+    return build_dag(n, edges), names
+
+
+def _raise_parse_error(lines: list[str]) -> NoReturn:
+    """Raise the ParseError of the first malformed line of a file, its
+    comments cut, read as parse_dag's format reads."""
     n: Optional[int] = None
-    ids: dict[str, int] = {}
-    first_line: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+    names: set[str] = set()
+    for lineno, line in enumerate(lines, start=1):
+        toks = line.split()
         if not toks:
             continue
         if n is None:
@@ -69,29 +113,12 @@ def parse_dag(text: str) -> tuple[Dag, list[str]]:
             continue
         if len(toks) != 2:
             raise ParseError(f"expected 'u v', got {len(toks)} tokens", lineno)
-        a, b = toks
-        u, v = ids.get(a), ids.get(b)
-        if u is None or v is None:
-            for tok in toks:
-                if tok not in ids:
-                    if len(ids) >= n:
-                        raise ParseError(f"more than {n} distinct vertex names", lineno)
-                    ids[tok] = len(ids)
-                    first_line[tok] = lineno
-            u, v = ids[a], ids[b]
-        edges.append((u, v))
+        names.update(toks)
+        if len(names) > n:
+            raise ParseError(f"more than {n} distinct vertex names", lineno)
     if n is None:
         raise ParseError("empty input: missing the vertex count", 1)
-    isolated = [str(v) for v in range(n) if str(v) not in ids]
-    if len(ids) + len(isolated) != n:
-        # some token is not an id, so isolated vertices are named by dense id
-        isolated = [str(v) for v in range(len(ids), n)]
-        for name in isolated:
-            if name in ids:
-                raise ParseError(
-                    f"token {name!r} is also the name of isolated vertex {name}; "
-                    "name vertices by id or by tokens that are not ids", first_line[name])
-    return build_dag(n, edges), list(ids) + isolated
+    raise MismatchError("the bulk checks rejected a well-formed file")
 
 
 def format_dag(dag: Dag) -> str:

@@ -10,6 +10,8 @@ graph; graphlib itself only runs to name a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -20,8 +22,9 @@ from .errors import (
     OverlapError,
 )
 
-# Transitive-closure bitsets are only cached up to this size; certifying
-# larger graphs falls back to per-query DFS.
+# Transitive-closure bitsets are only cached up to this size. Below it a
+# certification reads the closure list once; above it, each vertex pair
+# it checks runs a DFS.
 CLOSURE_CACHE_LIMIT = 4096
 
 
@@ -183,21 +186,20 @@ def build_dag(n: int, edges: Iterable[tuple[int, int]]) -> Dag:
     """Validate an edge list and return a Dag.
 
     Out-of-range endpoints raise IndexError, self-loops and directed
-    cycles raise CycleError, duplicate edges are dropped.
+    cycles raise CycleError, duplicate edges are dropped. Duplicates go
+    first, in bulk, and the checks walk what is left: an edge's first
+    occurrence comes before its repeats, so the first bad edge found is
+    the first in list order.
     """
     if n < 0:
         raise IndexError(f"vertex count must be non-negative, got {n}")
-    seen: set[tuple[int, int]] = set()
-    dedup: list[tuple[int, int]] = []
-    for u, v in edges:
+    pairs = tuple(dict.fromkeys(map(tuple, edges)))
+    for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise CycleError(f"self-loop at vertex {u}")
-        if (u, v) not in seen:
-            seen.add((u, v))
-            dedup.append((u, v))
-    return Dag(n, tuple(dedup))
+    return Dag(n, pairs)
 
 
 def reachable(dag: Dag, u: int, v: int) -> bool:
@@ -221,22 +223,23 @@ def reachable(dag: Dag, u: int, v: int) -> bool:
     return False
 
 
-def _pair_reaches(dag: Dag, u: int, v: int) -> bool:
-    if dag.n <= CLOSURE_CACHE_LIMIT:
-        return bool(dag.closure()[u] >> v & 1)
-    return reachable(dag, u, v)
-
-
 def certify_antichain(dag: Dag, vertices: Iterable[int]) -> Antichain:
     """Check pairwise unreachability; raise NotAntichainError with a witness."""
     vs = sorted(set(vertices))
     for v in vs:
         if not 0 <= v < dag.n:
             raise IndexError(f"vertex {v} out of range for n={dag.n}")
+    desc = dag.closure() if len(vs) > 1 and dag.n <= CLOSURE_CACHE_LIMIT else None
+    if desc is not None:
+        # one pass: no member's descendants hold another member
+        mask = sum(map(lshift, repeat(1), vs))
+        if all(desc[v] & mask == 1 << v for v in vs):
+            return Antichain(frozenset(vs))
+    # the pairwise search names the witness pair
     order = sorted(vs, key=lambda v: dag.topo_pos[v])
     for i, u in enumerate(order):
         for v in order[i + 1:]:
-            if _pair_reaches(dag, u, v):
+            if desc[u] >> v & 1 if desc is not None else reachable(dag, u, v):
                 raise NotAntichainError(u, v)
     return Antichain(frozenset(vs))
 
@@ -247,13 +250,16 @@ def certify_chain(dag: Dag, vertices: Sequence[int]) -> Chain:
     for v in seq:
         if not 0 <= v < dag.n:
             raise IndexError(f"vertex {v} out of range for n={dag.n}")
+    desc = dag.closure() if len(seq) > 1 and dag.n <= CLOSURE_CACHE_LIMIT else None
     seen: set[int] = set()
-    for i in range(len(seq)):
-        if seq[i] in seen:
-            raise NotChainError(seq[i], seq[i])
-        seen.add(seq[i])
-        if i > 0 and not _pair_reaches(dag, seq[i - 1], seq[i]):
-            raise NotChainError(seq[i - 1], seq[i])
+    for i, v in enumerate(seq):
+        if v in seen:
+            raise NotChainError(v, v)
+        seen.add(v)
+        if i:
+            u = seq[i - 1]
+            if not (desc[u] >> v & 1 if desc is not None else reachable(dag, u, v)):
+                raise NotChainError(u, v)
     return Chain(seq)
 
 

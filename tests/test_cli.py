@@ -2,10 +2,21 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gkcover import Antichain, Family, ParseError, build_dag, cli, networks, run_verification_sweep
+from gkcover import (
+    Antichain,
+    CycleError,
+    Family,
+    ParseError,
+    build_dag,
+    cli,
+    networks,
+    run_verification_sweep,
+)
 from gkcover.cli import format_dag, main, parse_dag
 
+import dag_reference
 from conftest import FIG_EDGES
 
 FIG_TEXT = "9\n" + "\n".join(f"{u} {v}" for u, v in FIG_EDGES) + "\n"
@@ -79,12 +90,110 @@ class TestParseDag:
         with pytest.raises(ParseError):
             parse_dag("-1\n")
 
+
     def test_roundtrip(self, fig):
         # ids are assigned by first appearance, so the roundtrip preserves
         # the labeled graph, not the internal numbering
         dag, names = parse_dag(format_dag(fig))
         relabeled = {(int(names[u]), int(names[v])) for u, v in dag.edges}
         assert dag.n == fig.n and relabeled == set(fig.edges)
+
+
+# Every line boundary of str.splitlines(), including those that
+# str.split("\n") does not honour.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+# \x1f and \xa0 are whitespace to str.split() but no line boundary.
+GAPS = [" ", "\t", "  ", " \t ", "\x1f", "\xa0"]
+NAMES = ["0", "1", "2", "3", "4", "5", "7", "11", "03", "\u0663", "a", "b", "x", "x1", "a#b"]
+COUNTS = ["0", "1", "2", "3", "4", "5", "6", "8", "12", "-1", "x", "2.5", "+3", "\u0663", "1_0"]
+
+
+def outcome(parse, text):
+    """(n, edges, names) of a parse, or the type, message and line of its error."""
+    try:
+        dag, names = parse(text)
+    except (ParseError, CycleError, IndexError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return dag.n, dag.edges, names
+
+
+@st.composite
+def dag_texts(draw):
+    """Dag files with comments, blank and whitespace-only lines, every
+    line boundary, and lines of the wrong length, on few enough names
+    that ids, isolated-name collisions and too many names all occur."""
+    def line(toks):
+        out = draw(st.sampled_from(["", " ", "\t"]))
+        for i, tok in enumerate(toks):
+            out += (draw(st.sampled_from(GAPS)) if i else "") + tok
+        if draw(st.integers(0, 4)) == 0:
+            out += draw(st.sampled_from(["#", " # note", "#a b c", "\t#1 2"]))
+        return out + draw(st.sampled_from(["", " ", "\t"]))
+
+    names = st.sampled_from(NAMES)
+    lines = [draw(st.sampled_from(["", "  ", "\t", "# header", " # 3"]))
+             for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.integers(0, 9)):
+        count = [draw(st.sampled_from(COUNTS))]
+        if draw(st.integers(0, 9)) == 0:
+            count.append(draw(names))
+        lines.append(line(count))
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind < 7:
+            toks = [draw(names), draw(names)]
+        elif kind < 9:
+            toks = draw(st.lists(names, max_size=4))
+        else:
+            toks = []
+        lines.append(line(toks))
+    text = "".join(ln + draw(st.sampled_from(LINE_BREAKS)) for ln in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("".join(LINE_BREAKS))
+    return text
+
+
+class TestParseDagMatchesReference:
+    """The bulk parse gives the line-by-line parse's result or error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(dag_texts())
+    def test_structured_texts(self, text):
+        assert outcome(parse_dag, text) == outcome(dag_reference.parse_dag, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123ab #-\t\n\r\x0b\x1e\x85\u2028", max_size=40))
+    def test_arbitrary_texts(self, text):
+        assert outcome(parse_dag, text) == outcome(dag_reference.parse_dag, text)
+
+    @pytest.mark.parametrize("br", LINE_BREAKS)
+    def test_every_line_boundary_splits_lines(self, br):
+        text = f"# c{br}3{br}a b  # x{br}{br}b\tc{br}"
+        assert outcome(parse_dag, text) == outcome(dag_reference.parse_dag, text)
+        dag, names = parse_dag(text)
+        assert dag.edges == ((0, 1), (1, 2)) and names == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("text, line", [
+        ("3\n2 x\n", 2),               # isolated vertex 2 collides with token 2
+        ("7\na 5\n\nb 4\n", 4),         # isolated 4 is the first to collide, on line 4
+        ("2\na b\nb c\n", 3),          # too many names
+        ("2\na b c\n", 2),             # three tokens
+        ("2\n0 1\n1\n", 3),            # one token
+        ("x\n0 1\n", 1),               # non-integer count
+        ("-2\n", 1),                   # negative count
+        ("1 2\n", 1),                  # two tokens on the count line
+        ("# only a comment\n \t\n", 1),  # no count at all
+    ])
+    def test_errors_name_the_reference_line(self, text, line):
+        got = outcome(parse_dag, text)
+        assert got == outcome(dag_reference.parse_dag, text)
+        assert got[0] is ParseError and got[2] == line
+
+    def test_graph_errors_pass_through(self):
+        for text in ("2\n0 0\n", "2\n0 1\n1 0\n"):
+            got = outcome(parse_dag, text)
+            assert got[0] is CycleError and got == outcome(dag_reference.parse_dag, text)
 
 
 class TestSolveCommand:

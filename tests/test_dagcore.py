@@ -1,3 +1,8 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 from gkcover import (
@@ -14,10 +19,13 @@ from gkcover import (
     certify_antichain,
     certify_chain,
     certify_path,
+    dagcore,
     knorm_collection,
     knorm_partition,
 )
 from gkcover.dagcore import partition_completion, reachable
+
+import dag_reference
 
 
 class TestBuildDag:
@@ -49,6 +57,47 @@ class TestBuildDag:
     def test_empty_graph(self):
         dag = build_dag(0, [])
         assert dag.n == 0 and dag.topo == ()
+
+
+def built(build, n, edges):
+    """The edges of a build, or the type and message of its error."""
+    try:
+        return build(n, edges).edges
+    except (IndexError, CycleError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBuildDagMatchesReference:
+    """Bulk deduplication and the walk over what is left give the
+    edge-by-edge build's edges, or its error for the first bad edge."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_edge_lists(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(-1, 7)
+        hi = max(n, 1)
+        edges = [(rng.randint(-1, hi), rng.randint(-1, hi)) for _ in range(rng.randint(0, 10))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 4)))
+        rng.shuffle(edges)
+        assert built(build_dag, n, edges) == built(dag_reference.build_dag, n, edges)
+
+    def test_duplicates_keep_their_first_occurrence(self):
+        dag = build_dag(4, [(2, 3), (0, 1), (2, 3), (1, 2), (0, 1)])
+        assert dag.edges == ((2, 3), (0, 1), (1, 2))
+
+    @pytest.mark.parametrize("edges, error", [
+        ([(0, 1), (5, 0), (0, 1), (1, 1)], (IndexError, "edge (5, 0) out of range for n=3")),
+        ([(0, 1), (1, 1), (5, 0)], (CycleError, "self-loop at vertex 1")),
+        ([(0, 1), (0, 1), (3, 3)], (IndexError, "edge (3, 3) out of range for n=3")),
+    ])
+    def test_first_bad_edge_in_list_order(self, edges, error):
+        assert built(build_dag, 3, edges) == error == built(dag_reference.build_dag, 3, edges)
+
+    def test_one_shot_generator_and_list_pairs(self):
+        assert build_dag(3, ((u, u + 1) for u in range(2))).edges == ((0, 1), (1, 2))
+        assert build_dag(3, iter([[0, 1], [0, 1], [1, 2]])).edges == ((0, 1), (1, 2))
+        with pytest.raises(IndexError, match=r"edge \(2, 3\) out of range"):
+            build_dag(3, ((u, u + 1) for u in range(3)))
 
 
 class TestReachable:
@@ -95,6 +144,117 @@ class TestCertify:
         assert isinstance(p, GraphPath)
         with pytest.raises(NotChainError):
             certify_path(fig, [0, 7])  # reachable but not an edge
+
+
+def certified(certify, *args):
+    """A certification's vertices, or the type, message and witness of its error."""
+    try:
+        result = certify(*args)
+    except (NotAntichainError, NotChainError, IndexError) as exc:
+        return type(exc), str(exc), getattr(exc, "u", None), getattr(exc, "v", None)
+    return getattr(result, "vertices", result)
+
+
+def random_members(rng, dag):
+    """Antichains and chains, true and broken: greedy antichains, walks
+    along edges (every other vertex skipped or not), and both with a
+    random vertex inserted, a duplicate, two vertices swapped, or a
+    random subset in their place."""
+    desc = dag.closure()
+    n = dag.n
+    for _ in range(12):
+        order = rng.sample(range(n), n)
+        ac = []
+        for v in order:
+            if all(not (desc[u] >> v & 1 or desc[v] >> u & 1) for u in ac):
+                ac.append(v)
+        v = rng.randrange(n)
+        ch = [v]
+        while dag.succ[v]:
+            v = rng.choice(dag.succ[v])
+            ch.append(v)
+        if rng.random() < 0.3:
+            ch = ch[::2]
+        for member in (ac, ch):
+            m = list(member)
+            fault = rng.randrange(5)
+            if fault == 1:
+                m.insert(rng.randint(0, len(m)), rng.randrange(n))
+            elif fault == 2:
+                m.insert(rng.randint(0, len(m)), rng.choice(m))
+            elif fault == 3 and len(m) > 1:
+                i, j = rng.sample(range(len(m)), 2)
+                m[i], m[j] = m[j], m[i]
+            elif fault == 4:
+                m = rng.sample(range(n), rng.randint(0, n))
+            yield m
+
+
+class TestCertifyMatchesReference:
+    """The one-pass checks accept what the pairwise loop accepts and
+    name the witness it names, below the closure limit and above it."""
+
+    @pytest.mark.parametrize("limit", [None, 0, 5])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_result_and_witness(self, seed, limit, monkeypatch):
+        if limit is not None:
+            monkeypatch.setattr(dagcore, "CLOSURE_CACHE_LIMIT", limit)
+        limit = dagcore.CLOSURE_CACHE_LIMIT
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        p = rng.choice([0.1, 0.3, 0.6])
+        perm = rng.sample(range(n), n)
+        dag = build_dag(n, [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)
+                            if rng.random() < p])
+        failures = 0
+        for m in random_members(rng, dag):
+            want = certified(dag_reference.certify_antichain, dag, m, limit)
+            assert certified(certify_antichain, dag, m) == want
+            failures += isinstance(want, tuple)
+            want = certified(dag_reference.certify_chain, dag, m, limit)
+            assert certified(certify_chain, dag, m) == want
+            failures += isinstance(want, tuple)
+        assert failures
+
+    def test_no_closure_above_the_limit(self, monkeypatch):
+        monkeypatch.setattr(dagcore, "CLOSURE_CACHE_LIMIT", 3)
+        dag = build_dag(4, [(0, 1), (1, 2), (0, 3)])
+        certify_antichain(dag, [2, 3])
+        certify_chain(dag, [0, 1, 2])
+        with pytest.raises(NotAntichainError):
+            certify_antichain(dag, [0, 2])
+        assert dag._closure is None
+
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_out_of_range_members(self, fig, limit, monkeypatch):
+        if limit is not None:
+            monkeypatch.setattr(dagcore, "CLOSURE_CACHE_LIMIT", limit)
+        for m in ([3, 9, -1], [0, 4, 9]):
+            want = certified(dag_reference.certify_antichain, fig, m, dagcore.CLOSURE_CACHE_LIMIT)
+            assert certified(certify_antichain, fig, m) == want
+            want = certified(dag_reference.certify_chain, fig, m, dagcore.CLOSURE_CACHE_LIMIT)
+            assert certified(certify_chain, fig, m) == want
+
+    def test_failures_survive_optimized_python(self):
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import NotAntichainError, NotChainError, build_dag, dagcore\n"
+            "dag = build_dag(4, [(0, 1), (1, 2)])\n"
+            "for limit in (4096, 0):\n"
+            "    dagcore.CLOSURE_CACHE_LIMIT = limit\n"
+            "    for certify, vs in ((dagcore.certify_antichain, [3, 2, 0]),\n"
+            "                        (dagcore.certify_chain, [0, 2, 3])):\n"
+            "        try:\n"
+            "            certify(dag, vs)\n"
+            "        except (NotAntichainError, NotChainError) as exc:\n"
+            "            print(type(exc).__name__, exc.u, exc.v)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["NotAntichainError 0 2", "NotChainError 2 3"] * 2 + [""]
 
 
 class TestFamily:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gkcover import CycleError, build_dag
+from gkcover import CycleError, build_dag, flowcore
 from gkcover.flowcore import (
     INF,
     Arc,
@@ -115,6 +115,51 @@ class TestSplitNetworkLists:
         gadget_ids = {split.gadget(v) for v in released}
         for i, (old, new) in enumerate(zip(before[2], after[2])):
             assert new == (0 if i in gadget_ids else old)
+
+
+def generic_build(net):
+    """The paired adjacency and topological positions of the generic
+    arc-order build, on a copy of ``net`` without a supplied adjacency."""
+    copy = FlowNetwork.from_lists(net.m, list(net.tail), list(net.head), list(net.lower),
+                                  list(net.upper), list(net.cost), net.s, net.t, net.ts_arc)
+    return copy._paired, copy.node_topo_pos()
+
+
+class TestSplitAdjacency:
+    """A SplitNetwork's adjacency, read off its layout, is the generic
+    build's, id for id and in order."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("gadgets", range(4))
+    @pytest.mark.parametrize("ret", [None, (2, 0)])
+    def test_corner_cases(self, n, gadgets, ret):
+        edges = [(0, 1)] if n == 2 else []
+        split = SplitNetwork(n, edges, [(INF, 0)] * gadgets, demand=range(n), ret=ret)
+        paired, pos = generic_build(split.net)
+        assert split._adjacency() == paired[3]
+        assert (split.net._paired, split.net.node_topo_pos()) == (paired, pos)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_networks(self, seed):
+        rng = random.Random(seed)
+        dag = random_dag(rng, rng.choice([5, 40]))
+        edges = dag.edges if rng.random() < 0.8 else ()
+        gadgets = [(rng.choice([1, 2, INF]), rng.randint(-2, 2))
+                   for _ in range(rng.randint(0, 3))]
+        demand = {v for v in range(dag.n) if rng.random() < 0.5}
+        ret = rng.choice([None, (INF, 3), (2, 0)])
+        split = SplitNetwork(dag.n, edges, gadgets, demand=demand, ret=ret)
+        paired, pos = generic_build(split.net)
+        assert split._adjacency() == paired[3]
+        assert (split.net._paired, split.net.node_topo_pos()) == (paired, pos)
+        assert pos == network_static_pos(split.net)
+
+    def test_large_networks_are_built_with_their_adjacency(self):
+        n = flowcore._LAYOUT_ADJACENCY_MIN_N
+        small = SplitNetwork(n - 1, [(0, 1)], [(INF, 0)])
+        large = SplitNetwork(n, [(0, 1)], [(INF, 0)])
+        assert "_paired" not in vars(small.net)
+        assert vars(large.net)["_paired"] == generic_build(large.net)[0]
 
 
 def random_flows(seed):

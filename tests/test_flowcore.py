@@ -82,6 +82,24 @@ class TestFlowAccessors:
         net = two_node_circulation()
         assert Flow([4, 4]).value(net) == 4
 
+    def test_value_counts_arcs_into_the_source(self):
+        # s=0 -> 1 carries 3, 1 -> s carries 1 back, 1 -> t=2 carries 2
+        net = FlowNetwork(3, [Arc(0, 1, 0, 5, 0), Arc(1, 0, 0, 5, 0), Arc(1, 2, 0, 5, 0)], 0, 2)
+        assert Flow([3, 1, 2]).value(net) == 2
+
+    def test_value_after_release(self):
+        dag = build_dag(4, [(0, 1), (1, 2), (0, 3)])
+        split = SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=range(4))
+        f = route_paths(split, [(0, 1, 2), (3,)])
+        assert f.value(split.net) == 2
+        res = residual(split.net, f)
+        split.release([1, 2, 3])
+        for a in (split.gadget(1), split.gadget(2), split.gadget(3)):
+            res.cap[2 * a + 1] += 1
+        result = min_flow(split.net, res, f)
+        assert f.value(split.net) == 1 == sum(f.values[split.entry(v)] for v in range(4))
+        assert result.pushes == 1
+
     def test_cost(self):
         net = diamond()
         assert Flow([1, 1, 1, 1]).cost(net) == 1 + 2 + 1 + 1
