@@ -87,8 +87,9 @@ def parse_dag(text: str) -> tuple[Dag, list[str]]:
                         f"token {name!r} is also the name of isolated vertex {name}; "
                         "name vertices by id or by tokens that are not ids", line)
     names = list(ids) + isolated
-    # the line and token lists go before the graph is built, for a lower peak
-    del lines, rows, edge_rows, tokens, ids
+    # the line and token lists and the name index go before the graph is
+    # built, for a lower peak
+    del lines, rows, edge_rows, tokens, ids, dense
     return build_dag(n, edges), names
 
 

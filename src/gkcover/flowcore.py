@@ -4,12 +4,12 @@ A network is stored as parallel integer lists with one entry per arc
 (``tail``, ``head``, ``lower``, ``upper``, ``cost``) and a flow as one
 more list aligned with them. The adjacency depends only on the
 topology, so each network builds it once, on first use, in arc-id
-order; a SplitNetwork of more than a few vertices supplies it when it
-is built, read off its regular layout, with only the edge arcs placed
-one at a time. The residual graph of a flow pairs the arcs: 2i runs
-along network arc i, 2i+1 against it. residual() builds only their
-capacities; the solvers update them in place, and the two checks on a
-solved flow scan the arcs that have room.
+order; a SplitNetwork supplies it when it is built, read off its
+regular layout, with only the edge arcs placed one at a time. The
+residual graph of a flow pairs the arcs: 2i runs along network arc i,
+2i+1 against it. residual() builds only their capacities; the solvers
+update them in place, and the two checks on a solved flow scan the
+arcs that have room.
 
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971) from the zero flow: start potentials from one pass in
@@ -48,12 +48,6 @@ from .errors import ConservationError, InfeasibleFlowError, InvalidCycleError, M
 
 # Sentinel capacity, larger than any finite value our networks can carry.
 INF = 10**18
-
-# From this many vertices a SplitNetwork supplies its adjacency from its
-# layout. The formula builds faster at every size, but whole solves on
-# networks of at most 9 vertices ran about 1% slower with its lists and
-# faster from 40 vertices on, so smaller networks keep the generic build.
-_LAYOUT_ADJACENCY_MIN_N = 16
 
 
 @dataclass(frozen=True)
@@ -116,8 +110,8 @@ class FlowNetwork:
         network arc i, 2i+1 against it), and the paired arcs leaving each
         node in network-arc order without the return arc's pair. This is
         the network's one adjacency: the even ids leaving a node are its
-        outgoing arcs, the odd ones its incoming arcs. A large enough
-        SplitNetwork supplies it from its layout instead."""
+        outgoing arcs, the odd ones its incoming arcs. A SplitNetwork
+        supplies it from its layout instead."""
         out: list[list[int]] = [[] for _ in range(self.m)]
         skip = self.ts_arc
         for i, (u, w) in enumerate(zip(self.tail, self.head)):
@@ -214,8 +208,7 @@ class SplitNetwork:
             upper[ts_arc], cost[ts_arc] = ret
         net = self.net = FlowNetwork.from_lists(2 * n + 2, tail, head, lower, upper, cost,
                                                 s, t, ts_arc)
-        if n >= _LAYOUT_ADJACENCY_MIN_N:
-            net._paired = (*_paired_columns(net), self._adjacency())
+        net._paired = (*_paired_columns(net), self._adjacency())
 
     def _adjacency(self) -> list[list[int]]:
         """FlowNetwork._paired's adjacency, read off the layout.

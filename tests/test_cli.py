@@ -90,7 +90,6 @@ class TestParseDag:
         with pytest.raises(ParseError):
             parse_dag("-1\n")
 
-
     def test_roundtrip(self, fig):
         # ids are assigned by first appearance, so the roundtrip preserves
         # the labeled graph, not the internal numbering

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gkcover import CycleError, build_dag, flowcore
+from gkcover import CycleError, build_dag
 from gkcover.flowcore import (
     INF,
     Arc,
@@ -154,12 +154,10 @@ class TestSplitAdjacency:
         assert (split.net._paired, split.net.node_topo_pos()) == (paired, pos)
         assert pos == network_static_pos(split.net)
 
-    def test_large_networks_are_built_with_their_adjacency(self):
-        n = flowcore._LAYOUT_ADJACENCY_MIN_N
-        small = SplitNetwork(n - 1, [(0, 1)], [(INF, 0)])
-        large = SplitNetwork(n, [(0, 1)], [(INF, 0)])
-        assert "_paired" not in vars(small.net)
-        assert vars(large.net)["_paired"] == generic_build(large.net)[0]
+    @pytest.mark.parametrize("n", [0, 2, 16])
+    def test_networks_are_built_with_their_adjacency(self, n):
+        split = SplitNetwork(n, [(0, 1)] if n else [], [(INF, 0)])
+        assert vars(split.net)["_paired"] == generic_build(split.net)[0]
 
 
 def random_flows(seed):
