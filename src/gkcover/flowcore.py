@@ -15,13 +15,17 @@ min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971) from the zero flow: start potentials from one pass in
 topological order, which settles them because at the zero flow only the
 acyclic forward arcs have room, then Dijkstra on reduced costs over the
-paired arcs. One last, full Dijkstra gives the exact residual distances
-from the source as labels. A Bellman-Ford negative-cycle search started
-from these labels is the optimality certificate, and the one
-Bellman-Ford left: it confirms a valid potential in one pass, and any
-other labels fall through to the full search. check_distances proves in
-O(m) that given labels are the exact shortest distances, so callers can
-read the labels without trusting them.
+paired arcs, the sink taken first among equal labels. A search stops at
+the sink only for an improving path; the one that does not runs to the
+end, and its distances from the source are the labels, so a solve runs
+one search per augmentation and one more. The optimality certificate
+runs on the solver's own residual graph, once its capacities are
+checked to be the flow's: a Bellman-Ford negative-cycle search started
+from the labels, the one Bellman-Ford left, which confirms a valid
+potential in one pass of C-level maps and builds its arc list for the
+full search only for other labels. check_distances proves in O(m) that
+given labels are the exact shortest distances, so callers can read the
+labels without trusting them.
 
 min_flow pushes along breadth-first t-to-s residual paths over the same
 paired arcs, in place, on a residual graph its caller built once: the
@@ -39,8 +43,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from operator import add, gt, mul, neg, sub
+from itertools import compress, count, repeat
+from operator import add, gt, mul, neg, not_, sub
 from typing import Container, Iterable, Optional, Sequence
 
 from .dagcore import _topological_order
@@ -127,17 +131,20 @@ class FlowNetwork:
         return [r >> 1 for r in rs if not r & 1], [r >> 1 for r in rs if r & 1]
 
     @cached_property
-    def _topo_pos(self) -> list[int]:
+    def _topo(self) -> tuple[list[int], list[int]]:
+        """The nodes in Kahn order over all arcs except the return arc,
+        and each node's position in that order."""
         _, rhead, _, out = self._paired
         succ = [[rhead[r] for r in rs if not r & 1] for rs in out]
+        order = _topological_order(succ)
         pos = [0] * self.m
-        for idx, v in enumerate(_topological_order(succ)):
+        for idx, v in enumerate(order):
             pos[v] = idx
-        return pos
+        return order, pos
 
     def node_topo_pos(self) -> list[int]:
         """Topological positions over all arcs except the return arc."""
-        return self._topo_pos
+        return self._topo[1]
 
 
 @dataclass
@@ -269,30 +276,28 @@ class SplitNetwork:
                 dropped.append(a)
         return dropped
 
-    @cached_property
-    def edge_arc(self) -> dict[tuple[int, int], int]:
-        """Arc id of each graph edge (u, v)."""
-        base = self.stride * self.n
-        return {e: base + j for j, e in enumerate(self.edges)}
-
 
 def route_paths(split: SplitNetwork, paths: Iterable[Sequence[int]]) -> Flow:
     """One unit of flow per vertex sequence, through each vertex's first
     gadget arc with room, and around the return arc when there is one."""
     f = zero_flow(split.net)
-    values, upper = f.values, split.net.upper
+    values, upper, ret = f.values, split.net.upper, split.net.ts_arc
+    stride = split.stride
+    # arc ids by the layout: entry stride * v, first gadget one past it,
+    # exit stride - 1 past it; a repeated edge keeps its last id
+    edge_arc = dict(zip(split.edges, count(stride * split.n)))
     for p in paths:
-        values[split.entry(p[0])] += 1
-        for i, v in enumerate(p):
-            ai = split.gadget(v)
+        values[stride * p[0]] += 1
+        for v in p:
+            ai = stride * v + 1
             while values[ai] >= upper[ai]:
                 ai += 1
             values[ai] += 1
-            if i + 1 < len(p):
-                values[split.edge_arc[(v, p[i + 1])]] += 1
-        values[split.exit(p[-1])] += 1
-        if split.net.ts_arc is not None:
-            values[split.net.ts_arc] += 1
+        for e in zip(p, p[1:]):
+            values[edge_arc[e]] += 1
+        values[stride * p[-1] + stride - 1] += 1
+        if ret is not None:
+            values[ret] += 1
     return f
 
 
@@ -346,10 +351,30 @@ def residual(net: FlowNetwork, f: Flow) -> ResidualGraph:
     """
     check_feasible(net, f)
     tail, head, cost, out = net._paired
-    cap = [0] * len(head)
-    cap[0::2] = map(sub, net.upper, f.values)
-    cap[1::2] = map(sub, f.values, net.lower)
-    return ResidualGraph(net.m, tail, head, cap, cost, out)
+    return ResidualGraph(net.m, tail, head, _residual_cap(net, f.values), cost, out)
+
+
+def _residual_cap(net: FlowNetwork, values: list[int]) -> list[int]:
+    """The paired residual capacities of a flow: upper less flow on 2i,
+    flow less lower on 2i + 1."""
+    cap = [0] * (2 * len(values))
+    cap[0::2] = map(sub, net.upper, values)
+    cap[1::2] = map(sub, values, net.lower)
+    return cap
+
+
+def _slack(res: ResidualGraph, d: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Tail, head and reduced cost d[u] + c - d[w] of every residual arc
+    with room, in id order; MismatchError unless there is one label per
+    node."""
+    if len(d) != res.m:
+        raise MismatchError(f"{len(d)} labels for a residual graph of {res.m} nodes")
+    room = list(map(gt, res.cap, repeat(0)))
+    tails, heads = list(compress(res.tail, room)), list(compress(res.head, room))
+    get = d.__getitem__
+    slack = list(map(sub, map(add, map(get, tails), compress(res.cost, room)),
+                     map(get, heads)))
+    return tails, heads, slack
 
 
 def find_negative_cycle(res: ResidualGraph,
@@ -357,23 +382,21 @@ def find_negative_cycle(res: ResidualGraph,
     """Return the residual arc ids of one negative-cost cycle, or None.
 
     Bellman-Ford from a virtual source, scanning the arcs with room in id
-    order, with the labels starting at ``labels`` (zeros when not given).
-    Labels that no arc improves, a valid potential, are confirmed in the
-    first pass; any others only shorten or lengthen the search, so the
-    verdict does not depend on them. If labels still improve after m
-    rounds, walking the predecessor arcs lands on a negative cycle. Of a
-    returned id r, ``r >> 1`` is the network arc, and ``r & 1`` marks an
-    undo arc.
+    order, with the labels starting at ``labels`` (zeros when not given;
+    MismatchError unless there is one per node). Labels that no arc
+    improves, a valid potential, are confirmed by one pass over the
+    reduced costs, and only other labels build the arc list for the full
+    search, whose verdict does not depend on them. If labels still
+    improve after m rounds, walking the predecessor arcs lands on a
+    negative cycle. Of a returned id r, ``r >> 1`` is the network arc,
+    and ``r & 1`` marks an undo arc.
     """
     m = res.m
-    if m == 0:
-        return None
     dist = [0] * m if labels is None else list(labels)
+    if min(_slack(res, dist)[2], default=0) >= 0:
+        return None
     arcs = [(r, u, w, c) for r, (u, w, c, x)
             in enumerate(zip(res.tail, res.head, res.cost, res.cap)) if x > 0]
-    # the first pass, in one sweep: d[u] + c - d[w] on every arc
-    if min((dist[u] + c - dist[w] for _, u, w, c in arcs), default=0) >= 0:
-        return None
     pred = [-1] * m
     last_updated = -1
     for _ in range(m + 1):
@@ -414,25 +437,25 @@ def check_distances(res: ResidualGraph, s: int, d: Sequence[int]) -> None:
     """Raise MismatchError unless ``d`` holds the exact shortest distances
     from s over the residual arcs with room.
 
-    Three checks in O(m) prove it: d[s] is zero, no arc (u, w, c) has
-    d[w] > d[u] + c, and the arcs with d[w] == d[u] + c reach every node
-    from s. The first two bound every label by the cost of any path to
-    it, the third gives each label a path of exactly that cost.
+    Three checks in O(m) prove it, after one that there is a label per
+    node: d[s] is zero, no arc (u, w, c) has d[w] > d[u] + c, and the
+    arcs with d[w] == d[u] + c reach every node from s. The first two
+    bound every label by the cost of any path to it, the third gives
+    each label a path of exactly that cost. The arcs' reduced costs are
+    computed in one pass of C-level maps; only a failure walks them.
     """
     m = res.m
-    if len(d) != m or d[s] != 0:
+    tails, heads, slack = _slack(res, d)
+    if d[s] != 0:
         raise MismatchError(f"the labels do not start at 0 on node {s}")
+    if min(slack, default=0) < 0:
+        i = next(i for i, x in enumerate(slack) if x < 0)
+        u, w = tails[i], heads[i]
+        raise MismatchError(f"residual arc ({u}, {w}) of cost {slack[i] + d[w] - d[u]} "
+                            f"lowers the label of node {w}")
     tight: list[list[int]] = [[] for _ in range(m)]
-    for u, w, c, x in zip(res.tail, res.head, res.cost, res.cap):
-        if x <= 0:
-            continue
-        du = d[u] + c
-        dw = d[w]
-        if dw > du:
-            raise MismatchError(f"residual arc ({u}, {w}) of cost {c} "
-                                f"lowers the label of node {w}")
-        if dw == du:
-            tight[u].append(w)
+    for u, w in compress(zip(tails, heads), map(not_, slack)):
+        tight[u].append(w)
     seen = [False] * m
     seen[s] = True
     stack = [s]
@@ -456,15 +479,18 @@ def _augment(path: Iterable[int], push: int, cap: list[int], values: list[int]) 
 @dataclass
 class CirculationResult:
     """An optimal circulation with its augmentation count and costs (the
-    initial cost, of the zero flow, is 0), and ``labels``: the exact
+    initial cost, of the zero flow, is 0), ``labels``: the exact
     shortest distances from the head of the return arc over the residual
-    graph of the flow, the return arc's forward pair aside."""
+    graph of the flow, the return arc's forward pair aside, and
+    ``residual``: the solver's residual graph of the flow, which the
+    certificate has checked against it."""
 
     flow: Flow
     iterations: int
     initial_cost: int
     final_cost: int
     labels: list[int]
+    residual: ResidualGraph
 
 
 def _start_potentials(m: int, order: list[int], out: list[list[int]], head: list[int],
@@ -485,29 +511,39 @@ def _start_potentials(m: int, order: list[int], out: list[list[int]], head: list
     return pi
 
 
-def _dijkstra(out: list[list[int]], head: list[int], cost: list[int], cap: list[int],
-              pi: list[int], heap: list[tuple[int, int]], stop: int = -1
-              ) -> tuple[list[float], list[int]]:
-    """Dijkstra on reduced costs over the paired residual arcs in ``out``
-    with room, from the (label, node) pairs in ``heap``, until ``stop``
-    is taken.
+def _dijkstra(res: ResidualGraph, pi: list[int], src: int, stop: int, seed: float,
+              below: float) -> tuple[list[float], list[int]]:
+    """Dijkstra on reduced costs over the paired residual arcs in
+    ``res.out`` with room, from ``src`` at label 0 and ``stop`` at label
+    ``seed`` (math.inf for none).
 
+    ``stop`` is queued under key -1, below every node id, so it is taken
+    first among equal labels. Taking it with a label below ``below`` ends
+    the search; otherwise it runs until every reachable node is taken.
     Returns the reduced labels (math.inf where not reached) and the arc
     that last lowered each label.
     """
-    dist: list[float] = [math.inf] * len(out)
-    pred = [-1] * len(out)
-    for d, v in heap:
-        if d < dist[v]:
-            dist[v] = d
-    heapq.heapify(heap)
+    out, head, cost, cap = res.out, res.head, res.cost, res.cap
+    m = len(out)
+    dist: list[float] = [math.inf] * m
+    pred = [-1] * m
+    key = list(range(m))
+    key[stop] = -1
+    dist[src] = 0
+    heap: list[tuple[float, int]] = [(0, src)]
+    if seed < math.inf:
+        dist[stop] = seed
+        heap.append((seed, -1))
+        heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, u = pop(heap)
+        if u < 0:
+            if d < below:
+                break
+            u = stop
         if d > dist[u]:
             continue
-        if u == stop:
-            break
         base = d + pi[u]
         for r in out[u]:
             if cap[r] > 0:
@@ -516,7 +552,7 @@ def _dijkstra(out: list[list[int]], head: list[int], cost: list[int], cap: list[
                 if nd < dist[w]:
                     dist[w] = nd
                     pred[w] = r
-                    push(heap, (nd, w))
+                    push(heap, (nd, key[w]))
     return dist, pred
 
 
@@ -525,44 +561,50 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
     zero flow.
 
     Each round runs Dijkstra on reduced costs from the head of the return
-    arc to its tail, over the residual graph without the return arc, and
-    pushes the bottleneck around the path and the return arc while that
-    cycle has negative cost and the return arc has room. Path costs do
-    not decrease from round to round, so the first non-negative one ends
-    the solve. The capacities of residual() are updated in place. Costs
-    are integers, so every round lowers the cost by at least one and
-    ``iterations`` (the augmentations) is bounded by the total
-    improvement.
+    arc, src, over the residual graph without the return arc, seeded at
+    its tail, dst, with the return arc's undo arc (src to dst) while that
+    has room. It stops when it takes dst along a path below the undo
+    arc's reduced cost, that is when the path and the return arc close a
+    cycle of negative cost, and the return arc has room; then it pushes
+    the bottleneck around that cycle. Path costs do not decrease from
+    round to round, so the first round that does not stop ends the
+    solve, and its search, run to the end, gives the exact residual
+    distances from src (``labels``). Nodes it does not reach, which only
+    hand-built networks have, get their potential plus the largest
+    distance found, so the labels stay a valid potential. A solve runs
+    ``iterations + 1`` searches. Costs are integers, so every round
+    lowers the cost by at least one and ``iterations`` (the
+    augmentations) is bounded by the total improvement.
 
-    One more, full Dijkstra from the head of the return arc, now also
-    over the return arc's undo arc, gives the exact residual distances
-    (``labels``). Nodes it does not reach, which only hand-built
-    networks have, get their potential plus the largest distance found,
-    so the labels stay a valid potential. A Bellman-Ford search for a
-    negative residual cycle, started from these labels, certifies the
-    result: it confirms a valid potential in one pass and searches in
-    full otherwise.
+    The capacities of residual() are updated in place. The certificate
+    runs on that graph: check_feasible on the flow, a check that the
+    capacities are the flow's, and a Bellman-Ford search for a negative
+    residual cycle started from the labels, which confirms a valid
+    potential in one pass and searches in full otherwise.
     """
     if net.ts_arc is None:
         raise InvalidCycleError("min_cost_circulation expects a network with a return arc")
     f = zero_flow(net)
     res = residual(net, f)
     values = f.values
-    m = net.m
     ret_id = net.ts_arc
-    ret_cost = net.cost[ret_id]
+    fwd, undo = 2 * ret_id, 2 * ret_id + 1
     src, dst = net.head[ret_id], net.tail[ret_id]
-    head, cost, cap, out = res.head, res.cost, res.cap, res.out
-    order = sorted(range(m), key=net.node_topo_pos().__getitem__)
-    pi = _start_potentials(m, order, out, head, cost, cap)
+    head, cost, cap = res.head, res.cost, res.cap
+    pi = _start_potentials(net.m, net._topo[0], res.out, head, cost, cap)
     iterations = 0
-    while cap[2 * ret_id] > 0:
-        dist, pred = _dijkstra(out, head, cost, cap, pi, [(0, src)], dst)
+    while True:
+        # the reduced cost of the return arc's undo arc, src to dst: a
+        # path below it closes a negative cycle with the return arc
+        rc = cost[undo] + pi[src] - pi[dst]
+        room = cap[fwd] > 0
+        dist, pred = _dijkstra(res, pi, src, dst, rc if cap[undo] > 0 else math.inf,
+                               rc if room else -math.inf)
         dt = dist[dst]
-        if dt == math.inf or dt + pi[dst] - pi[src] + ret_cost >= 0:
+        if not (room and dt < rc):
             break
         # the return arc closes the cycle and bounds the push
-        path = [2 * ret_id]
+        path = [fwd]
         x = dst
         while x != src:
             r = pred[x]
@@ -573,21 +615,18 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
         # reduced cost non-negative without finishing the search.
         pi = list(map(add, pi, map(min, dist, repeat(dt))))
         iterations += 1
-    undo = 2 * ret_id + 1
-    starts = [(0, src)]
-    if cap[undo] > 0:
-        starts.append((cost[undo] + pi[src] - pi[dst], dst))
-    dist, _ = _dijkstra(out, head, cost, cap, pi, starts)
     far = max(filter(math.isfinite, dist))
     p0 = pi[src]
     labels = [(x if x != math.inf else far) + p - p0 for x, p in zip(dist, pi)]
-    # residual() re-checks feasibility of the final flow.
-    if find_negative_cycle(residual(net, f), labels) is not None:
+    check_feasible(net, f)
+    if cap != _residual_cap(net, values):
+        raise MismatchError("the solver's residual capacities differ from its flow's")
+    if find_negative_cycle(res, labels) is not None:
         raise MismatchError("a negative residual cycle remains after the last augmentation")
     cf = f.cost(net)
     if iterations > -cf:
         raise MismatchError(f"{iterations} augmentations for a cost improvement of {-cf}")
-    return CirculationResult(f, iterations, 0, cf, labels)
+    return CirculationResult(f, iterations, 0, cf, labels, res)
 
 
 @dataclass

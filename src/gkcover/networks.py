@@ -6,13 +6,16 @@ pays for covering v, and a free overflow arc. A return arc t->s closes
 the circulation; its cost (problem Alpha) or capacity (problem Beta)
 carries k. The minimum cost then equals alpha_k - n, respectively
 -beta_k. Every solve starts from the zero flow and runs
-flowcore.min_cost_circulation (successive shortest paths, certified by
-a negative-cycle search seeded with its final labels). Chain witnesses
-are read off the flow's decomposition. Antichain witnesses are read off
-the solver's labels, the residual shortest distances from s, once
-flowcore.check_distances has proved them exact on the residual graph
-of the reported flow. Every value a witness family scores is checked
-against the circulation cost, raising MismatchError on a difference.
+flowcore.min_cost_circulation (successive shortest paths, certified on
+the solver's own residual graph by a negative-cycle search seeded with
+its final labels). Chain witnesses are read off the flow's
+decomposition. Antichain witnesses are read off the solver's labels,
+the residual shortest distances from s, once flowcore.check_distances
+has proved them exact on the residual graph of the reported flow: for
+problem Alpha the solver's own graph, for problem Beta one residual()
+build of the padded flow. Every value a witness family scores is
+checked against the circulation cost, raising MismatchError on a
+difference.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .flowcore import (
     CirculationResult,
     Flow,
     NetworkPath,
+    ResidualGraph,
     SplitNetwork,
     check_distances,
     decompose,
@@ -116,8 +120,9 @@ def chains_from_paths(dag: Dag, paths: Sequence[GraphPath]) -> Family:
 
 
 def _solve_stats(circ: CirculationResult) -> SolveStats:
-    # min_cost_circulation raises MismatchError when its final search
-    # finds a negative residual cycle, and decompose raises
+    # min_cost_circulation raises MismatchError unless its own residual
+    # graph matches the flow and a negative-cycle search seeded with its
+    # labels finds none on it, and decompose raises
     # ConservationError unless it peels every non-return arc exactly, so a
     # solve that got this far holds both certificates.
     return SolveStats(circ.iterations, circ.initial_cost, circ.final_cost,
@@ -162,21 +167,22 @@ def height_levels(dag: Dag) -> list[set[int]]:
     return levels
 
 
-def extract_antichains(gk: GkNetwork, f: Flow, labels: Sequence[int]) -> Family:
+def extract_antichains(gk: GkNetwork, res: ResidualGraph, labels: Sequence[int]) -> Family:
     """Antichain levels from residual shortest-path labels.
 
-    ``labels`` are the circulation's residual distances from s; they are
-    checked to be exact on the residual graph of ``f`` (MismatchError
-    otherwise). Vertex v lands in level d(v_in) - d(t) whenever
-    d(v_in) > d(v_out); level indices run 1..d(s)-d(t). For problem
-    Alpha a circulation that routes nothing is degenerate and raised to
-    the caller.
+    ``res`` is the residual graph of the circulation (for problem Beta,
+    of its padded flow), and ``labels`` are its residual distances from
+    s; they are checked to be exact on ``res`` (MismatchError otherwise).
+    Vertex v lands in level d(v_in) - d(t) whenever d(v_in) > d(v_out);
+    level indices run 1..d(s)-d(t). For problem Alpha a circulation that
+    routes nothing, whose return arc has no undo capacity, is degenerate
+    and raised to the caller.
     """
     if gk.n == 0:
         return Family((), disjoint=True)
-    if gk.kind == ALPHA and f.values[gk.net.ts_arc] == 0:
+    if gk.kind == ALPHA and res.cap[2 * gk.net.ts_arc + 1] == 0:
         raise DegenerateError("no circulation through the return arc")
-    check_distances(residual(gk.net, f), gk.net.s, labels)
+    check_distances(res, gk.net.s, labels)
     d = labels
     dt = d[gk.net.t]
     h = -dt
@@ -264,7 +270,7 @@ def solve_alpha(dag: Dag, k: int, warm: bool = True) -> AlphaResult:
     mcp_value = knorm_partition(mcp_family, n, k)
     _expect(mcp_value == alpha_k, f"chain partition norm {mcp_value} != alpha {alpha_k}")
     try:
-        ma_family = extract_antichains(gk, f, circ.labels)
+        ma_family = extract_antichains(gk, circ.residual, circ.labels)
     except DegenerateError:
         levels = height_levels(dag)
         _expect(len(levels) <= k, f"zero circulation optimal at height {len(levels)} > k={k}")
@@ -312,7 +318,7 @@ def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
     mc_value = mc_family.coverage()
     _expect(mc_value == beta_k, f"chain coverage {mc_value} != beta {beta_k}")
     _expect(len(mc_family) <= k, f"{len(mc_family)} chains for k={k}")
-    mas_family = extract_antichains(gk, fN, circ.labels)
+    mas_family = extract_antichains(gk, residual(gk.net, fN), circ.labels)
     mas_value = knorm_collection(mas_family.members, n, k)
     _expect(mas_value == beta_k, f"antichain collection norm {mas_value} != beta {beta_k}")
     map_family = partition_completion(mas_family, n, Antichain)

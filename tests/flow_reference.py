@@ -1,14 +1,20 @@
-"""Object-based reference copies of the flow code the list layout replaced.
+"""Reference copies of flow code that flowcore replaced.
 
 Each network arc is a frozen Arc record and each residual arc a frozen
-ResidualArc record; the Bellman-Ford searches scan those records. Tests
-compare the list-based flowcore against these on random inputs.
+ResidualArc record; the Bellman-Ford searches scan those records.
+ssp_circulation keeps the successive-shortest-path solve that queued
+the stop node under its own id and ran a separate, final search for
+the labels. Tests compare flowcore against these on random inputs.
 """
 
+import heapq
+import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Optional
 
-from gkcover.flowcore import INF, Arc
+from gkcover.flowcore import INF, Arc, _augment, _start_potentials, residual, zero_flow
 
 
 class NegativeCycleError(Exception):
@@ -152,3 +158,67 @@ def min_flow(net, f0):
         for a in path:
             f.values[a.arc] += push if a.forward else -push
         pushes += 1
+
+
+def dijkstra(out, head, cost, cap, pi, heap, stop=-1):
+    """Dijkstra on reduced costs from the (label, node) pairs in heap,
+    until stop is taken; stop sorts among equal labels by its id."""
+    dist = [math.inf] * len(out)
+    pred = [-1] * len(out)
+    for d, v in heap:
+        if d < dist[v]:
+            dist[v] = d
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == stop:
+            break
+        for r in out[u]:
+            if cap[r] > 0:
+                w = head[r]
+                nd = d + pi[u] + cost[r] - pi[w]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    pred[w] = r
+                    heapq.heappush(heap, (nd, w))
+    return dist, pred
+
+
+def ssp_circulation(net):
+    """Successive shortest paths with one search per round, stopped at
+    the return arc's tail, and one more, full search for the labels:
+    (flow values, iterations, labels, final cost, residual capacities,
+    searches). No certificate."""
+    f = zero_flow(net)
+    res = residual(net, f)
+    head, cost, cap, out = res.head, res.cost, res.cap, res.out
+    ret = net.ts_arc
+    src, dst = net.head[ret], net.tail[ret]
+    order = sorted(range(net.m), key=net.node_topo_pos().__getitem__)
+    pi = _start_potentials(net.m, order, out, head, cost, cap)
+    iterations = searches = 0
+    while cap[2 * ret] > 0:
+        dist, pred = dijkstra(out, head, cost, cap, pi, [(0, src)], dst)
+        searches += 1
+        dt = dist[dst]
+        if dt == math.inf or dt + pi[dst] - pi[src] + net.cost[ret] >= 0:
+            break
+        path = [2 * ret]
+        x = dst
+        while x != src:
+            path.append(pred[x])
+            x = head[pred[x] ^ 1]
+        _augment(path, min(cap[r] for r in path), cap, f.values)
+        pi = list(map(add, pi, map(min, dist, repeat(dt))))
+        iterations += 1
+    undo = 2 * ret + 1
+    starts = [(0, src)]
+    if cap[undo] > 0:
+        starts.append((cost[undo] + pi[src] - pi[dst], dst))
+    dist, _ = dijkstra(out, head, cost, cap, pi, starts)
+    searches += 1
+    far = max(x for x in dist if x != math.inf)
+    labels = [(x if x != math.inf else far) + p - pi[src] for x, p in zip(dist, pi)]
+    return f.values, iterations, labels, f.cost(net), cap, searches

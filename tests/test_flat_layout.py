@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gkcover import CycleError, build_dag
+from gkcover import CycleError, build_dag, flowcore
 from gkcover.flowcore import (
     INF,
     Arc,
@@ -329,6 +329,59 @@ class TestCirculationLabels:
         assert padded.values[net.ts_arc] == 5 > circ.flow.values[net.ts_arc]
         assert circ.labels == ref.shortest_distances(
             net.m, ref.residual_arcs(net.arcs, padded.values), net.s)
+
+
+def tied_network(rng):
+    """An acyclic network on nodes 0..m-1 in topological order whose
+    arcs, many of them parallel, cost -1 or 0, so that many labels tie,
+    closed by a return arc m-1 -> 0."""
+    m = rng.randint(2, 9)
+    arcs = []
+    for _ in range(rng.randint(1, 24)):
+        u, v = sorted(rng.sample(range(m), 2))
+        arcs += [Arc(u, v, 0, rng.randint(1, 3), rng.choice([-1, 0, 0]))] * rng.randint(1, 3)
+    arcs.append(Arc(m - 1, 0, 0, rng.randint(1, 8), rng.randint(-1, 2)))
+    return FlowNetwork(m, arcs, 0, m - 1, ts_arc=len(arcs) - 1)
+
+
+class TestSearchMatchesReference:
+    """Queuing the return arc's tail first among equal labels, and letting
+    the last round's search give the labels, changes no result of the
+    solve, which runs one search per augmentation and one more."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        real = flowcore._dijkstra
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(flowcore, "_dijkstra", counted)
+        return calls
+
+    def check(self, net, searches):
+        values, iterations, labels, cost, cap, ref_searches = ref.ssp_circulation(net)
+        searches.clear()
+        circ = min_cost_circulation(net)
+        assert circ.flow.values == values
+        assert (circ.iterations, circ.labels, circ.final_cost) == (iterations, labels, cost)
+        assert circ.residual.cap == cap == residual(net, circ.flow).cap
+        assert len(searches) == circ.iterations + 1 <= ref_searches
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_dag_networks(self, seed, searches):
+        dag = random_dag(random.Random(seed), 30)
+        for kind in (ALPHA, BETA):
+            for k in range(1, 6):
+                self.check(build_network(dag, k, kind).net, searches)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tied_labels_and_parallel_arcs(self, seed, searches):
+        rng = random.Random(seed)
+        for _ in range(5):
+            self.check(tied_network(rng), searches)
 
 
 class TestKahnOrder:

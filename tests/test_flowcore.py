@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -406,3 +409,57 @@ class TestShortestDistances:
         circ = min_cost_circulation(net)
         assert circ.flow.values == [1, 1, 1]
         assert circ.labels == [0, 4, 5] == reference_distances(net, circ.flow)
+
+
+def _run_optimized(script, flags):
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# python and python -O alike: a check that raises MismatchError, not an assert
+PYTHON_FLAGS = [pytest.param((), id="python"), pytest.param(("-O",), id="python-O")]
+
+
+@pytest.mark.parametrize("flags", PYTHON_FLAGS)
+def test_labels_of_the_wrong_length_are_a_mismatch(flags):
+    script = (
+        "from gkcover.errors import MismatchError\n"
+        "from gkcover.flowcore import (Arc, FlowNetwork, check_distances,\n"
+        "                              find_negative_cycle, residual, zero_flow)\n"
+        "def report(check, *args):\n"
+        "    try:\n"
+        "        check(*args)\n"
+        "    except MismatchError as exc:\n"
+        "        print('mismatch:', exc)\n"
+        "net = FlowNetwork(3, [Arc(0, 1, 0, 1, 1), Arc(1, 2, 0, 1, 1)], 0, 2)\n"
+        "res = residual(net, zero_flow(net))\n"
+        "for labels in ([0, 1], [0, 1, 2, 3]):\n"
+        "    report(check_distances, res, 0, labels)\n"
+        "    report(find_negative_cycle, res, labels)\n")
+    assert _run_optimized(script, flags).splitlines() == [
+        "mismatch: 2 labels for a residual graph of 3 nodes"] * 2 + [
+        "mismatch: 4 labels for a residual graph of 3 nodes"] * 2
+
+
+@pytest.mark.parametrize("flags", PYTHON_FLAGS)
+def test_stale_capacity_fails_the_certificate(flags):
+    # every push skips the capacity update of its path's first arc, an
+    # entry arc, so the search runs as before but res.cap goes stale
+    script = (
+        "from gkcover import build_dag, flowcore, networks\n"
+        "from gkcover.errors import MismatchError\n"
+        "real = flowcore._augment\n"
+        "def stale(path, push, cap, values):\n"
+        "    real(path, push, cap, values)\n"
+        "    cap[path[-1]] += push\n"
+        "flowcore._augment = stale\n"
+        "try:\n"
+        "    networks.solve_alpha(build_dag(3, [(0, 1), (1, 2)]), 1)\n"
+        "except MismatchError as exc:\n"
+        "    print('mismatch:', exc)\n")
+    assert _run_optimized(script, flags) == (
+        "mismatch: the solver's residual capacities differ from its flow's\n")

@@ -16,7 +16,7 @@ from gkcover import (
     solve_beta,
 )
 from gkcover.errors import MismatchError, NotChainError
-from gkcover.flowcore import INF, min_cost_circulation
+from gkcover.flowcore import INF, min_cost_circulation, residual
 from gkcover.networks import (
     ALPHA,
     BETA,
@@ -227,14 +227,14 @@ class TestValueChecks:
     def test_perturbed_labels_are_a_mismatch(self, fig, kind, k):
         gk = build_network(fig, k, kind)
         circ = min_cost_circulation(gk.net)
-        f = circ.flow if kind == ALPHA else normalize_beta(gk, circ.flow)
-        networks.extract_antichains(gk, f, circ.labels)
+        res = circ.residual if kind == ALPHA else residual(gk.net, normalize_beta(gk, circ.flow))
+        networks.extract_antichains(gk, res, circ.labels)
         for v in range(gk.net.m):
             for delta in (-1, 1):
                 labels = list(circ.labels)
                 labels[v] += delta
                 with pytest.raises(MismatchError):
-                    networks.extract_antichains(gk, f, labels)
+                    networks.extract_antichains(gk, res, labels)
 
     def test_perturbed_labels_survive_optimized_python(self):
         script = (
@@ -248,7 +248,7 @@ class TestValueChecks:
             "labels = list(circ.labels)\n"
             "labels[gk.v_in(2)] -= 1\n"
             "try:\n"
-            "    networks.extract_antichains(gk, circ.flow, labels)\n"
+            "    networks.extract_antichains(gk, circ.residual, labels)\n"
             "except MismatchError as exc:\n"
             "    print('mismatch:', exc)\n")
         src = os.path.join(os.path.dirname(__file__), "..", "src")
