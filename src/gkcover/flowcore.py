@@ -478,8 +478,8 @@ def _augment(path: Iterable[int], push: int, cap: list[int], values: list[int]) 
 
 @dataclass
 class CirculationResult:
-    """An optimal circulation with its augmentation count and costs (the
-    initial cost, of the zero flow, is 0), ``labels``: the exact
+    """An optimal circulation with its augmentation count and cost (the
+    solve starts from the zero flow, of cost 0), ``labels``: the exact
     shortest distances from the head of the return arc over the residual
     graph of the flow, the return arc's forward pair aside, and
     ``residual``: the solver's residual graph of the flow, which the
@@ -487,7 +487,6 @@ class CirculationResult:
 
     flow: Flow
     iterations: int
-    initial_cost: int
     final_cost: int
     labels: list[int]
     residual: ResidualGraph
@@ -626,7 +625,7 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
     cf = f.cost(net)
     if iterations > -cf:
         raise MismatchError(f"{iterations} augmentations for a cost improvement of {-cf}")
-    return CirculationResult(f, iterations, 0, cf, labels, res)
+    return CirculationResult(f, iterations, cf, labels, res)
 
 
 @dataclass

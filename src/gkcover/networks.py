@@ -38,7 +38,6 @@ from .dagcore import (
 from .errors import DegenerateError, MismatchError
 from .flowcore import (
     INF,
-    CirculationResult,
     Flow,
     NetworkPath,
     ResidualGraph,
@@ -94,12 +93,12 @@ class GkSolution:
 
 @dataclass
 class SolveStats:
+    """The augmentation count and the optimal cost of one circulation;
+    min_cost_circulation raises MismatchError unless
+    ``iterations <= -final_cost``."""
+
     iterations: int
-    initial_cost: int
     final_cost: int
-    no_negative_cycle: bool
-    decompose_exact: bool
-    cancel_bound_ok: bool
 
 
 def chains_from_paths(dag: Dag, paths: Sequence[GraphPath]) -> Family:
@@ -117,17 +116,6 @@ def chains_from_paths(dag: Dag, paths: Sequence[GraphPath]) -> Family:
         if remnant:
             members.append(certify_chain(dag, remnant))
     return Family(tuple(members), disjoint=True)
-
-
-def _solve_stats(circ: CirculationResult) -> SolveStats:
-    # min_cost_circulation raises MismatchError unless its own residual
-    # graph matches the flow and a negative-cycle search seeded with its
-    # labels finds none on it, and decompose raises
-    # ConservationError unless it peels every non-return arc exactly, so a
-    # solve that got this far holds both certificates.
-    return SolveStats(circ.iterations, circ.initial_cost, circ.final_cost,
-                      no_negative_cycle=True, decompose_exact=True,
-                      cancel_bound_ok=circ.iterations <= circ.initial_cost - circ.final_cost)
 
 
 def _expect(ok: bool, message: str) -> None:
@@ -243,13 +231,12 @@ def normalize_beta(gk: GkNetwork, f: Flow) -> Flow:
     return out
 
 
-def solve_alpha(dag: Dag, k: int, warm: bool = True) -> AlphaResult:
+def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     """Maximum coverage by k disjoint antichains, with its dual witnesses.
 
     Returns the antichain family (MA-k), the path collection whose
     k-norm matches (MPS-k), and the chain partition completing it
-    (MCP-k); all three values equal alpha_k. ``warm`` is accepted and
-    ignored: the circulation always starts from the zero flow.
+    (MCP-k); all three values equal alpha_k.
     """
     gk = build_network(dag, k, ALPHA)
     n = dag.n
@@ -284,18 +271,16 @@ def solve_alpha(dag: Dag, k: int, warm: bool = True) -> AlphaResult:
         GkSolution("MA-k", k, ma_family, ma_value),
         GkSolution("MPS-k", k, mps_family, mps_value),
         GkSolution("MCP-k", k, mcp_family, mcp_value),
-        _solve_stats(circ))
+        SolveStats(circ.iterations, circ.final_cost))
 
 
-def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
+def solve_beta(dag: Dag, k: int) -> BetaResult:
     """Maximum coverage by k disjoint chains, with its dual witnesses.
 
     Returns k paths (MP-k, padded with synthetic single-vertex paths if
     the circulation used fewer), the chains they induce (MC-k), the
     antichain collection whose k-norm matches (MAS-k), and its
     completion to a partition (MAP-k); all four values equal beta_k.
-    ``warm`` is accepted and ignored: the circulation always starts from
-    the zero flow.
     """
     gk = build_network(dag, k, BETA)
     n = dag.n
@@ -330,7 +315,7 @@ def solve_beta(dag: Dag, k: int, warm: bool = False) -> BetaResult:
         GkSolution("MC-k", k, mc_family, mc_value),
         GkSolution("MAS-k", k, mas_family, mas_value),
         GkSolution("MAP-k", k, map_family, map_value),
-        _solve_stats(circ))
+        SolveStats(circ.iterations, circ.final_cost))
 
 
 def recompute_value(dag: Dag, sol: GkSolution) -> int:

@@ -34,6 +34,8 @@ class OracleBudget:
         return budget
 
     def check(self, dag: Dag, k: int) -> None:
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
         if dag.n > self.max_n:
             raise BudgetExceeded(f"n={dag.n} exceeds oracle budget {self.max_n}")
         if k > self.max_k:
@@ -368,15 +370,12 @@ class SweepResult:
 
 
 def run_verification_sweep(n_max: int, trials: int, seed: int, k_max: int,
-                           workers: int = 4,
                            budget: Optional[OracleBudget] = None) -> SweepResult:
     """verify_gk over a seeded random corpus, one trial after another.
 
     Each trial derives its own seed, so results depend only on the
-    arguments. ``workers`` is accepted for compatibility and ignored: the
-    solvers are pure Python, so a thread pool ran no faster than one
-    thread. Raises ValueError when ``n_max``, ``trials`` or ``k_max`` is
-    below 1, since such a sweep would check nothing.
+    arguments. Raises ValueError when ``n_max``, ``trials`` or ``k_max``
+    is below 1, since such a sweep would check nothing.
     """
     for name, value in (("n_max", n_max), ("trials", trials), ("k_max", k_max)):
         if value < 1:

@@ -62,7 +62,7 @@ def test_criterion_1_golden_nine_vertex_instance():
 
 def test_criterion_2_equality_sweep_200_instances():
     t0 = time.perf_counter()
-    result = run_verification_sweep(8, 200, seed=7, k_max=3, workers=4)
+    result = run_verification_sweep(8, 200, seed=7, k_max=3)
     elapsed = time.perf_counter() - t0
     ok = result.mismatches == [] and len(result.reports) == 600 and elapsed < 60
     report(2, ok, f"600 checks, {len(result.mismatches)} mismatches, {elapsed:.1f} s")
@@ -206,9 +206,10 @@ def test_criterion_8_flow_machinery_contracts():
         rdag = random_dag(8, trial, seed=7)
         solves.append(solve_alpha(rdag, 2).stats)
         solves.append(solve_beta(rdag, 2).stats)
-    flag_failures = [
-        (idx, st) for idx, st in enumerate(solves)
-        if not (st.no_negative_cycle and st.decompose_exact and st.cancel_bound_ok)
+    # a solve that returns has passed the negative-cycle and decomposition
+    # certificates, which raise MismatchError or ConservationError otherwise
+    bound_failures = [
+        (idx, st) for idx, st in enumerate(solves) if not st.iterations <= -st.final_cost
     ]
     round_failures = []
     for target in (dag, gen_antichain_ratio(2).dag, gen_ga(4).dag):
@@ -216,11 +217,11 @@ def test_criterion_8_flow_machinery_contracts():
         for j, r in enumerate(trace.rounds):
             if r.member and r.flow_value != r.gain:
                 round_failures.append((target.n, j))
-    ok = not flag_failures and not round_failures
+    ok = not bound_failures and not round_failures
     report(8, ok, f"{len(solves)} solves: no residual negative cycles, "
            "exact decompositions, iteration bounds hold; greedy round "
            "sizes equal flow values")
-    assert ok, (flag_failures, round_failures)
+    assert ok, (bound_failures, round_failures)
 
 
 def test_criterion_9_scaling_table_published():

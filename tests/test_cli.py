@@ -232,8 +232,27 @@ class TestSolveCommand:
         assert main(["solve", "ma-k", "--k", "2", "/nonexistent/x.txt"]) == 1
 
     def test_bad_problem_rejected_by_argparse(self, fig_file):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["solve", "nope", "--k", "2", fig_file])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "ma-k", "--k", "x"], "argument --k: invalid int value: 'x'"),
+        (["solve", "ma-k"], "the following arguments are required: --k"),
+        (["--bogus"], "the following arguments are required: command"),
+        (["solve", "ma-k", "--k", "1", "--warm"], "unrecognized arguments: --warm"),
+        (["verify", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    ])
+    def test_usage_error_is_input_error(self, fig_file, capsys, argv, message):
+        if argv[0] == "solve":
+            argv = argv + [fig_file]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: gkcover")
+        assert captured.err.endswith(f": error: {message}\n")
 
     def test_cyclic_input_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "cyc.txt"
@@ -288,8 +307,8 @@ class TestParserReuse:
 
         try:
             want = [outcome(real().parse_args, argv) for argv in cases]
-            assert [code for code, *_ in want] == [("exit", 2), ("exit", 0), ("exit", 0),
-                                                   ("exit", 2), ("exit", 2)]
+            assert [code for code, *_ in want] == [("exit", 1), ("exit", 0), ("exit", 0),
+                                                   ("exit", 1), ("exit", 1)]
             for _ in range(2):
                 assert [outcome(main, argv) for argv in cases] == want
                 assert main(["solve", "ma-k", "--k", "2", fig_file]) == 0
@@ -390,11 +409,20 @@ class TestOracleCommand:
         monkeypatch.setenv("GKCOVER_BUDGET_N", "11")
         assert main(["oracle", "beta", "--k", "1", str(path)]) == 0
 
+    @pytest.mark.parametrize("problem", ["alpha", "beta", "chain-partition",
+                                         "antichain-partition"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_non_positive_k_is_input_error(self, fig_file, capsys, problem, k):
+        assert main(["oracle", problem, "--k", k, fig_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: k must be positive, got {k}\n"
+
 
 class TestVerifyCommand:
     def test_small_sweep(self, capsys):
         assert main(["verify", "--n", "6", "--trials", "10", "--seed", "2",
-                     "--kmax", "2", "--workers", "2", "--json"]) == 0
+                     "--kmax", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["checks"] == 20 and doc["mismatches"] == []
 

@@ -303,13 +303,13 @@ class TestKnorms:
 class TestPartitionCompletion:
     def test_adds_singletons_of_member_type(self):
         fam = Family((Chain((0, 1)),), disjoint=True)
-        full = partition_completion(fam, 4)
+        full = partition_completion(fam, 4, Chain)
         assert len(full) == 3
         assert all(isinstance(m, Chain) for m in full.members)
         assert full.covered() == {0, 1, 2, 3}
 
-    def test_empty_family_defaults_to_antichains(self):
-        full = partition_completion(Family((), disjoint=True), 2)
+    def test_empty_family_gets_antichain_singletons(self):
+        full = partition_completion(Family((), disjoint=True), 2, Antichain)
         assert len(full) == 2
         assert all(isinstance(m, Antichain) for m in full.members)
 

@@ -1,9 +1,12 @@
-"""The package exports exactly the API that README lists."""
+"""The package exports exactly the API that README lists, and the CLI
+takes only the options that README names."""
 
+import argparse
 import re
 from pathlib import Path
 
 import gkcover
+from gkcover import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +26,17 @@ def test_readme_all_and_star_import_agree():
     exec("from gkcover import *", namespace)
     bound = set(namespace) - {"__builtins__"}
     assert set(listed) == set(gkcover.__all__) == bound
+
+
+def test_every_cli_option_is_in_readme():
+    """Each option string of each subcommand, --help included, appears in
+    README as a whole word, so no option goes undocumented."""
+    text = README.read_text()
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for sub in subparsers.choices.values()
+               for action in sub._actions for opt in action.option_strings}
+    assert {"--k", "-o", "--output", "--help"} <= options
+    missing = sorted(opt for opt in options
+                     if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text))
+    assert missing == []
