@@ -2,6 +2,8 @@
 
 Vertices are dense 0-based ids. Reachability is reflexive: every vertex
 reaches itself, so a single vertex is both a chain and an antichain.
+Every reachability test reads the DAG's transitive closure, one bitset
+of descendants per vertex, built on first use.
 Topological orders come from a FIFO Kahn's algorithm that yields the
 order of graphlib's ``TopologicalSorter.static_order()`` on the same
 graph; graphlib itself only runs to name a cycle.
@@ -21,11 +23,6 @@ from .errors import (
     NotPartitionError,
     OverlapError,
 )
-
-# Transitive-closure bitsets are only cached up to this size. Below it a
-# certification reads the closure list once; above it, each vertex pair
-# it checks runs a DFS.
-CLOSURE_CACHE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -204,53 +201,38 @@ def build_dag(n: int, edges: Iterable[tuple[int, int]]) -> Dag:
 
 def reachable(dag: Dag, u: int, v: int) -> bool:
     """True when v can be reached from u (reflexively)."""
-    if u == v:
-        return True
-    if dag._closure is not None:
-        return bool(dag._closure[u] >> v & 1)
-    if dag.topo_pos[u] > dag.topo_pos[v]:
-        return False
-    stack = [u]
-    seen = {u}
-    while stack:
-        x = stack.pop()
-        for w in dag.succ[x]:
-            if w == v:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
+    return bool(dag.closure()[u] >> v & 1)
+
+
+def _check_range(dag: Dag, vertices: Iterable[int]) -> None:
+    for v in vertices:
+        if not 0 <= v < dag.n:
+            raise IndexError(f"vertex {v} out of range for n={dag.n}")
 
 
 def certify_antichain(dag: Dag, vertices: Iterable[int]) -> Antichain:
     """Check pairwise unreachability; raise NotAntichainError with a witness."""
     vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < dag.n:
-            raise IndexError(f"vertex {v} out of range for n={dag.n}")
-    desc = dag.closure() if len(vs) > 1 and dag.n <= CLOSURE_CACHE_LIMIT else None
-    if desc is not None:
+    _check_range(dag, vs)
+    if len(vs) > 1:
+        desc = dag.closure()
         # one pass: no member's descendants hold another member
         mask = sum(map(lshift, repeat(1), vs))
-        if all(desc[v] & mask == 1 << v for v in vs):
-            return Antichain(frozenset(vs))
-    # the pairwise search names the witness pair
-    order = sorted(vs, key=lambda v: dag.topo_pos[v])
-    for i, u in enumerate(order):
-        for v in order[i + 1:]:
-            if reachable(dag, u, v):
-                raise NotAntichainError(u, v)
+        if any(desc[v] & mask != 1 << v for v in vs):
+            # the first comparable pair in topological order is the witness
+            order = sorted(vs, key=lambda v: dag.topo_pos[v])
+            for i, u in enumerate(order):
+                for v in order[i + 1:]:
+                    if desc[u] >> v & 1:
+                        raise NotAntichainError(u, v)
     return Antichain(frozenset(vs))
 
 
 def certify_chain(dag: Dag, vertices: Sequence[int]) -> Chain:
     """Check consecutive reachability; raise NotChainError at the first gap."""
     seq = tuple(vertices)
-    for v in seq:
-        if not 0 <= v < dag.n:
-            raise IndexError(f"vertex {v} out of range for n={dag.n}")
-    desc = dag.closure() if len(seq) > 1 and dag.n <= CLOSURE_CACHE_LIMIT else None
+    _check_range(dag, seq)
+    desc = dag.closure() if len(seq) > 1 else None
     seen: set[int] = set()
     for i, v in enumerate(seq):
         if v in seen:
@@ -258,7 +240,7 @@ def certify_chain(dag: Dag, vertices: Sequence[int]) -> Chain:
         seen.add(v)
         if i:
             u = seq[i - 1]
-            if not (desc[u] >> v & 1 if desc is not None else reachable(dag, u, v)):
+            if not desc[u] >> v & 1:
                 raise NotChainError(u, v)
     return Chain(seq)
 
@@ -266,9 +248,7 @@ def certify_chain(dag: Dag, vertices: Sequence[int]) -> Chain:
 def certify_path(dag: Dag, vertices: Sequence[int]) -> GraphPath:
     """Check that consecutive vertices are joined by edges of the graph."""
     seq = tuple(vertices)
-    for v in seq:
-        if not 0 <= v < dag.n:
-            raise IndexError(f"vertex {v} out of range for n={dag.n}")
+    _check_range(dag, seq)
     for i in range(1, len(seq)):
         if (seq[i - 1], seq[i]) not in dag.edge_set:
             raise NotChainError(seq[i - 1], seq[i])
@@ -300,12 +280,7 @@ def partition_completion(family: Family, n: int,
                          member_type: type[Chain] | type[Antichain]) -> Family:
     """Extend disjoint members to a partition by adding singletons of
     ``member_type``, Chain or Antichain."""
-    covered: set[int] = set()
-    for m in family.members:
-        for v in m.vertex_set():
-            if v in covered:
-                raise OverlapError(v)
-            covered.add(v)
+    covered = family.covered()
     singles = tuple(Antichain(frozenset((v,))) if member_type is Antichain else Chain((v,))
                     for v in range(n) if v not in covered)
     return Family(family.members + singles, disjoint=True)

@@ -55,10 +55,6 @@ class ConservationError(GkError):
         super().__init__(f"flow is not conserved at node {node}")
 
 
-class DegenerateError(GkError):
-    """The circulation routes nothing through the return arc."""
-
-
 class BudgetExceeded(GkError):
     """The instance is too large for the brute-force oracle."""
 

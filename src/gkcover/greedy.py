@@ -140,10 +140,12 @@ def _best_path_rounds(dag: Dag) -> Iterator[tuple[GraphPath, tuple[int, ...], in
 
 def greedy_k_chains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
     """k rounds of best-path selection, each chain the path's uncovered part."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     members: list[Chain] = []
     trace = GreedyTrace()
     left = dag.n
-    for path, picked, left in islice(_best_path_rounds(dag), max(k, 0)):
+    for path, picked, left in islice(_best_path_rounds(dag), k):
         trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), left))
         if picked:
             members.append(certify_chain(dag, picked))
@@ -266,9 +268,11 @@ def greedy_k_antichains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
     Rounds after U runs empty are recorded as empty. The searches obey
     the warm-start bound: searches - round-1 pushes <= k + f_1 - f_last.
     """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     members: list[Antichain] = []
     trace = GreedyTrace()
-    for ac, rnd in islice(_antichain_rounds(dag), max(k, 0)):
+    for ac, rnd in islice(_antichain_rounds(dag), k):
         members.append(ac)
         trace.rounds.append(rnd)
     if trace.rounds:

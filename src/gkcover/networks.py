@@ -35,7 +35,7 @@ from .dagcore import (
     knorm_partition,
     partition_completion,
 )
-from .errors import DegenerateError, MismatchError
+from .errors import MismatchError
 from .flowcore import (
     INF,
     Flow,
@@ -162,14 +162,10 @@ def extract_antichains(gk: GkNetwork, res: ResidualGraph, labels: Sequence[int])
     of its padded flow), and ``labels`` are its residual distances from
     s; they are checked to be exact on ``res`` (MismatchError otherwise).
     Vertex v lands in level d(v_in) - d(t) whenever d(v_in) > d(v_out);
-    level indices run 1..d(s)-d(t). For problem Alpha a circulation that
-    routes nothing, whose return arc has no undo capacity, is degenerate
-    and raised to the caller.
+    level indices run 1..d(s)-d(t).
     """
     if gk.n == 0:
         return Family((), disjoint=True)
-    if gk.kind == ALPHA and res.cap[2 * gk.net.ts_arc + 1] == 0:
-        raise DegenerateError("no circulation through the return arc")
     check_distances(res, gk.net.s, labels)
     d = labels
     dt = d[gk.net.t]
@@ -250,15 +246,16 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     mps_value = knorm_collection(mps_family.members, n, k)
     _expect(mps_value == alpha_k, f"path collection norm {mps_value} != alpha {alpha_k}")
     chain_family = chains_from_paths(dag, dag_paths)
-    if f.values[gk.net.ts_arc] > 0:
+    routed = f.values[gk.net.ts_arc] > 0
+    if routed:
         _expect(all(len(c) >= k for c in chain_family.members),
                 "an extracted chain is shorter than k")
     mcp_family = partition_completion(chain_family, n, Chain)
     mcp_value = knorm_partition(mcp_family, n, k)
     _expect(mcp_value == alpha_k, f"chain partition norm {mcp_value} != alpha {alpha_k}")
-    try:
+    if routed:
         ma_family = extract_antichains(gk, circ.residual, circ.labels)
-    except DegenerateError:
+    else:
         levels = height_levels(dag)
         _expect(len(levels) <= k, f"zero circulation optimal at height {len(levels)} > k={k}")
         ma_family = Family(tuple(

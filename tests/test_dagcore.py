@@ -19,7 +19,7 @@ from gkcover import (
     certify_antichain,
     certify_chain,
     certify_path,
-    dagcore,
+    gen_gc,
     knorm_collection,
     knorm_partition,
 )
@@ -191,15 +191,11 @@ def random_members(rng, dag):
 
 
 class TestCertifyMatchesReference:
-    """The one-pass checks accept what the pairwise loop accepts and
-    name the witness it names, below the closure limit and above it."""
+    """The closure-based checks accept what the pairwise DFS accepts and
+    name the witness it names."""
 
-    @pytest.mark.parametrize("limit", [None, 0, 5])
     @pytest.mark.parametrize("seed", range(40))
-    def test_same_result_and_witness(self, seed, limit, monkeypatch):
-        if limit is not None:
-            monkeypatch.setattr(dagcore, "CLOSURE_CACHE_LIMIT", limit)
-        limit = dagcore.CLOSURE_CACHE_LIMIT
+    def test_same_result_and_witness(self, seed):
         rng = random.Random(seed)
         n = rng.randint(1, 14)
         p = rng.choice([0.1, 0.3, 0.6])
@@ -208,32 +204,45 @@ class TestCertifyMatchesReference:
                             if rng.random() < p])
         failures = 0
         for m in random_members(rng, dag):
-            want = certified(dag_reference.certify_antichain, dag, m, limit)
+            want = certified(dag_reference.certify_antichain, dag, m)
             assert certified(certify_antichain, dag, m) == want
             failures += isinstance(want, tuple)
-            want = certified(dag_reference.certify_chain, dag, m, limit)
+            want = certified(dag_reference.certify_chain, dag, m)
             assert certified(certify_chain, dag, m) == want
             failures += isinstance(want, tuple)
         assert failures
 
-    def test_no_closure_above_the_limit(self, monkeypatch):
-        monkeypatch.setattr(dagcore, "CLOSURE_CACHE_LIMIT", 3)
-        dag = build_dag(4, [(0, 1), (1, 2), (0, 3)])
-        certify_antichain(dag, [2, 3])
-        certify_chain(dag, [0, 1, 2])
-        with pytest.raises(NotAntichainError):
-            certify_antichain(dag, [0, 2])
-        assert dag._closure is None
-
-    @pytest.mark.parametrize("limit", [None, 0])
-    def test_out_of_range_members(self, fig, limit, monkeypatch):
-        if limit is not None:
-            monkeypatch.setattr(dagcore, "CLOSURE_CACHE_LIMIT", limit)
+    def test_out_of_range_members(self, fig):
         for m in ([3, 9, -1], [0, 4, 9]):
-            want = certified(dag_reference.certify_antichain, fig, m, dagcore.CLOSURE_CACHE_LIMIT)
+            want = certified(dag_reference.certify_antichain, fig, m)
             assert certified(certify_antichain, fig, m) == want
-            want = certified(dag_reference.certify_chain, fig, m, dagcore.CLOSURE_CACHE_LIMIT)
+            want = certified(dag_reference.certify_chain, fig, m)
             assert certified(certify_chain, fig, m) == want
+
+    def test_staircase_past_four_thousand_vertices(self):
+        # gc 12 has 8178 vertices; its recorded paths are chains and its
+        # sinks an antichain
+        inst = gen_gc(12)
+        dag = inst.dag
+        assert dag.n == 8178
+        paths = inst.layout["paths"]
+        for seq in paths.values():
+            assert certify_chain(dag, seq).vertices == tuple(seq)
+        sinks = [v for v in range(dag.n) if not dag.succ[v]]
+        assert len(sinks) > 1
+        assert certify_antichain(dag, sinks).vertices == frozenset(sinks)
+        long, short = paths[12], paths[1]
+        broken = [
+            (certify_chain, dag_reference.certify_chain, long[:3][::-1]),
+            (certify_chain, dag_reference.certify_chain, [long[0], short[0], long[1]]),
+            (certify_chain, dag_reference.certify_chain, long[:4] + [long[2]]),
+            (certify_antichain, dag_reference.certify_antichain, sinks[:3] + long[5:7]),
+            (certify_antichain, dag_reference.certify_antichain, [short[0], long[-1], long[0]]),
+        ]
+        for certify, reference, m in broken:
+            want = certified(reference, dag, m)
+            assert isinstance(want, tuple)
+            assert certified(certify, dag, m) == want
 
     def test_failures_survive_optimized_python(self):
         script = (
@@ -241,20 +250,18 @@ class TestCertifyMatchesReference:
             "    raise SystemExit('not running under -O')\n"
             "from gkcover import NotAntichainError, NotChainError, build_dag, dagcore\n"
             "dag = build_dag(4, [(0, 1), (1, 2)])\n"
-            "for limit in (4096, 0):\n"
-            "    dagcore.CLOSURE_CACHE_LIMIT = limit\n"
-            "    for certify, vs in ((dagcore.certify_antichain, [3, 2, 0]),\n"
-            "                        (dagcore.certify_chain, [0, 2, 3])):\n"
-            "        try:\n"
-            "            certify(dag, vs)\n"
-            "        except (NotAntichainError, NotChainError) as exc:\n"
-            "            print(type(exc).__name__, exc.u, exc.v)\n")
+            "for certify, vs in ((dagcore.certify_antichain, [3, 2, 0]),\n"
+            "                    (dagcore.certify_chain, [0, 2, 3])):\n"
+            "    try:\n"
+            "        certify(dag, vs)\n"
+            "    except (NotAntichainError, NotChainError) as exc:\n"
+            "        print(type(exc).__name__, exc.u, exc.v)\n")
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n") == ["NotAntichainError 0 2", "NotChainError 2 3"] * 2 + [""]
+        assert proc.stdout.split("\n") == ["NotAntichainError 0 2", "NotChainError 2 3", ""]
 
 
 class TestFamily:
@@ -316,3 +323,9 @@ class TestPartitionCompletion:
     def test_explicit_type_override(self):
         full = partition_completion(Family((), disjoint=True), 2, Chain)
         assert all(isinstance(m, Chain) for m in full.members)
+
+    def test_overlapping_members_rejected(self):
+        fam = Family((Chain((0, 1)), Chain((2, 1))))
+        with pytest.raises(OverlapError) as exc:
+            partition_completion(fam, 4, Chain)
+        assert exc.value.vertex == 1

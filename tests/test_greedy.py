@@ -336,3 +336,11 @@ def test_greedy_matches_optimal_on_small_random_dags(budget):
             assert fam.coverage() <= solve_alpha(dag, k).alpha
             cfam, _ = greedy_k_chains(dag, k)
             assert cfam.coverage() <= solve_beta(dag, k).beta
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("greedy_k", [greedy_k_chains, greedy_k_antichains])
+def test_non_positive_k_rejected(fig, greedy_k, k):
+    # the message solve_alpha and solve_beta give for the same k
+    with pytest.raises(ValueError, match=rf"^k must be positive, got {k}$"):
+        greedy_k(fig, k)
