@@ -194,30 +194,48 @@ class TestCertifyMatchesReference:
     """The closure-based checks accept what the pairwise DFS accepts and
     name the witness it names."""
 
+    # warm_after: how many members are certified before the test builds
+    # the checked DAG's closure itself; None leaves that to certification,
+    # which must build it only for an in-range member of two or more vertices
+    @pytest.mark.parametrize("warm_after", [None, 0, 5])
     @pytest.mark.parametrize("seed", range(40))
-    def test_same_result_and_witness(self, seed):
+    def test_same_result_and_witness(self, seed, warm_after):
         rng = random.Random(seed)
         n = rng.randint(1, 14)
         p = rng.choice([0.1, 0.3, 0.6])
         perm = rng.sample(range(n), n)
-        dag = build_dag(n, [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)
-                            if rng.random() < p])
+        edges = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < p]
+        dag = build_dag(n, edges)  # random_members reads its closure
+        checked = build_dag(n, edges)
         failures = 0
-        for m in random_members(rng, dag):
-            want = certified(dag_reference.certify_antichain, dag, m)
-            assert certified(certify_antichain, dag, m) == want
+        needs_closure = False
+        for i, m in enumerate(random_members(rng, dag)):
+            if i == warm_after:
+                checked.closure()
+            want = certified(dag_reference.certify_antichain, checked, m)
+            assert certified(certify_antichain, checked, m) == want
             failures += isinstance(want, tuple)
-            want = certified(dag_reference.certify_chain, dag, m)
-            assert certified(certify_chain, dag, m) == want
+            want = certified(dag_reference.certify_chain, checked, m)
+            assert certified(certify_chain, checked, m) == want
             failures += isinstance(want, tuple)
+            if warm_after is None:
+                needs_closure |= len(m) > 1 and all(0 <= v < n for v in m)
+                assert (checked._closure is not None) == needs_closure
         assert failures
+        assert checked.closure() == dag.closure()
 
-    def test_out_of_range_members(self, fig):
+    @pytest.mark.parametrize("warm_after", [None, 0])
+    def test_out_of_range_members(self, fig, warm_after):
+        if warm_after == 0:
+            fig.closure()
         for m in ([3, 9, -1], [0, 4, 9]):
             want = certified(dag_reference.certify_antichain, fig, m)
             assert certified(certify_antichain, fig, m) == want
             want = certified(dag_reference.certify_chain, fig, m)
             assert certified(certify_chain, fig, m) == want
+        # the range check comes before the closure is built
+        assert (fig._closure is None) == (warm_after is None)
 
     def test_staircase_past_four_thousand_vertices(self):
         # gc 12 has 8178 vertices; its recorded paths are chains and its
