@@ -320,10 +320,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise DomainError(f"gen {args.family} needs --i")
         param = args.i
         inst = adversarial.gen_gc(param) if args.family == "gc" else adversarial.gen_ga(param)
-    text = format_dag(inst.dag)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.write(format_dag(inst.dag))
     report = {
         "problem": f"gen-{args.family}",
         "k": param,
@@ -346,7 +345,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif args.json:
         _emit(report, True)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_dag(inst.dag))
     return 0
 
 

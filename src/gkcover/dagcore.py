@@ -199,11 +199,6 @@ def build_dag(n: int, edges: Iterable[tuple[int, int]]) -> Dag:
     return Dag(n, pairs)
 
 
-def reachable(dag: Dag, u: int, v: int) -> bool:
-    """True when v can be reached from u (reflexively)."""
-    return bool(dag.closure()[u] >> v & 1)
-
-
 def _check_range(dag: Dag, vertices: Iterable[int]) -> None:
     for v in vertices:
         if not 0 <= v < dag.n:

@@ -6,26 +6,31 @@ more list aligned with them. The adjacency depends only on the
 topology, so each network builds it once, on first use, in arc-id
 order; a SplitNetwork supplies it when it is built, read off its
 regular layout, with only the edge arcs placed one at a time. The
-residual graph of a flow pairs the arcs: 2i runs along network arc i,
-2i+1 against it. residual() builds only their capacities; the solvers
-update them in place, and the two checks on a solved flow scan the
-arcs that have room.
+topological order is a Kahn pass over the adjacency, or, through
+SplitNetwork.take_levels, the DAG's depth levels. The residual graph
+of a flow pairs the arcs: 2i runs along network arc i, 2i+1 against it.
+residual() builds only their capacities; the solvers update them in
+place, and the two checks on a solved flow scan the arcs that have
+room.
 
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971) from the zero flow: start potentials from one pass in
 topological order, which settles them because at the zero flow only the
 acyclic forward arcs have room, then Dijkstra on reduced costs over the
-paired arcs, the sink taken first among equal labels. A search stops at
-the sink only for an improving path; the one that does not runs to the
-end, and its distances from the source are the labels, so a solve runs
-one search per augmentation and one more. The optimality certificate
-runs on the solver's own residual graph, once its capacities are
-checked to be the flow's: a Bellman-Ford negative-cycle search started
-from the labels, the one Bellman-Ford left, which confirms a valid
-potential in one pass of C-level maps and builds its arc list for the
-full search only for other labels. check_distances proves in O(m) that
-given labels are the exact shortest distances, so callers can read the
-labels without trusting them.
+paired arcs, its heap entries single ints that order by label with the
+sink first among equal labels. A search stops at the sink only for an
+improving path; the one that does not runs to the end, and its
+distances from the source are the labels, so a solve runs one search
+per augmentation and one more. After an augmentation only the nodes the
+search settled change potential: the rest would all move by the same
+amount, and every use of the potentials is a difference. The
+optimality certificate runs on the solver's own residual graph, once
+its capacities are checked to be the flow's: a Bellman-Ford
+negative-cycle search started from the labels, the one Bellman-Ford
+left, which confirms a valid potential in one pass of C-level maps and
+builds its arc list for the full search only for other labels.
+check_distances proves in O(m) that given labels are the exact shortest
+distances, so callers can read the labels without trusting them.
 
 min_flow pushes along breadth-first t-to-s residual paths over the same
 paired arcs, in place, on a residual graph its caller built once: the
@@ -72,6 +77,14 @@ def _paired_columns(net: "FlowNetwork") -> tuple[list[int], list[int], list[int]
     rcost[0::2] = net.cost
     rcost[1::2] = map(neg, net.cost)
     return rtail, rhead, rcost
+
+
+def _with_positions(order: list[int]) -> tuple[list[int], list[int]]:
+    """A node order, and each node's position in it."""
+    pos = [0] * len(order)
+    for idx, v in enumerate(order):
+        pos[v] = idx
+    return order, pos
 
 
 class FlowNetwork:
@@ -136,11 +149,7 @@ class FlowNetwork:
         and each node's position in that order."""
         _, rhead, _, out = self._paired
         succ = [[rhead[r] for r in rs if not r & 1] for rs in out]
-        order = _topological_order(succ)
-        pos = [0] * self.m
-        for idx, v in enumerate(order):
-            pos[v] = idx
-        return order, pos
+        return _with_positions(_topological_order(succ))
 
     def node_topo_pos(self) -> list[int]:
         """Topological positions over all arcs except the return arc."""
@@ -239,6 +248,21 @@ class SplitNetwork:
             out[2 * u + 1].append(2 * r)
             out[2 * v].append(2 * r + 1)
         return out
+
+    def take_levels(self, levels: Iterable[Sequence[int]]) -> None:
+        """Fix the network's topological order: s, then per level its
+        v_in nodes followed by its v_out nodes, then t.
+
+        On the DAG's longest-path depth levels, each in the DAG's FIFO
+        Kahn order, this is the FIFO Kahn order of the network itself.
+        """
+        order = [2 * self.n]
+        for level in levels:
+            ins = [2 * v for v in level]
+            order += ins
+            order += [v + 1 for v in ins]
+        order.append(2 * self.n + 1)
+        self.net._topo = _with_positions(order)
 
     def v_in(self, v: int) -> int:
         return 2 * v
@@ -511,38 +535,48 @@ def _start_potentials(m: int, order: list[int], out: list[list[int]], head: list
 
 
 def _dijkstra(res: ResidualGraph, pi: list[int], src: int, stop: int, seed: float,
-              below: float) -> tuple[list[float], list[int]]:
+              below: float) -> tuple[list[float], list[int], list[int]]:
     """Dijkstra on reduced costs over the paired residual arcs in
     ``res.out`` with room, from ``src`` at label 0 and ``stop`` at label
     ``seed`` (math.inf for none).
 
-    ``stop`` is queued under key -1, below every node id, so it is taken
-    first among equal labels. Taking it with a label below ``below`` ends
-    the search; otherwise it runs until every reachable node is taken.
-    Returns the reduced labels (math.inf where not reached) and the arc
-    that last lowered each label.
+    A heap entry is one int, ``label * (m + 1) + key``, with key 0 for
+    ``stop`` and w + 1 for any other node w, so entries order by label,
+    ``stop`` first among equal labels, and // and % recover both, also
+    for negative labels, since they round down. Taking ``stop`` with a
+    label below ``below`` ends the search; otherwise it runs until every
+    reachable node is taken. Returns the reduced labels (math.inf where
+    not reached), the arc that last lowered each label, and the nodes
+    taken at their final label, in the order taken, without a ``stop``
+    taken to end the search.
     """
     out, head, cost, cap = res.out, res.head, res.cost, res.cap
     m = len(out)
+    base_key = m + 1
     dist: list[float] = [math.inf] * m
     pred = [-1] * m
-    key = list(range(m))
-    key[stop] = -1
+    key = list(range(1, base_key))
+    key[stop] = 0
+    settled: list[int] = []
     dist[src] = 0
-    heap: list[tuple[float, int]] = [(0, src)]
+    heap = [src + 1]
     if seed < math.inf:
         dist[stop] = seed
-        heap.append((seed, -1))
+        heap.append(seed * base_key)
         heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
+    pop, push, take = heapq.heappop, heapq.heappush, settled.append
     while heap:
-        d, u = pop(heap)
-        if u < 0:
-            if d < below:
-                break
+        e = pop(heap)
+        d, u = e // base_key, e % base_key
+        if u:
+            u -= 1
+        elif d < below:
+            break
+        else:
             u = stop
         if d > dist[u]:
             continue
+        take(u)
         base = d + pi[u]
         for r in out[u]:
             if cap[r] > 0:
@@ -551,8 +585,8 @@ def _dijkstra(res: ResidualGraph, pi: list[int], src: int, stop: int, seed: floa
                 if nd < dist[w]:
                     dist[w] = nd
                     pred[w] = r
-                    push(heap, (nd, key[w]))
-    return dist, pred
+                    push(heap, nd * base_key + key[w])
+    return dist, pred, settled
 
 
 def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
@@ -597,8 +631,8 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
         # path below it closes a negative cycle with the return arc
         rc = cost[undo] + pi[src] - pi[dst]
         room = cap[fwd] > 0
-        dist, pred = _dijkstra(res, pi, src, dst, rc if cap[undo] > 0 else math.inf,
-                               rc if room else -math.inf)
+        dist, pred, settled = _dijkstra(res, pi, src, dst, rc if cap[undo] > 0 else math.inf,
+                                        rc if room else -math.inf)
         dt = dist[dst]
         if not (room and dt < rc):
             break
@@ -610,11 +644,16 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
             path.append(r)
             x = head[r ^ 1]
         _augment(path, min(map(cap.__getitem__, path)), cap, values)
-        # Labels still in the heap are at least dt, so this keeps every
-        # reduced cost non-negative without finishing the search.
-        pi = list(map(add, pi, map(min, dist, repeat(dt))))
+        # Adding min(dist, dt) to every potential keeps every reduced cost
+        # non-negative without finishing the search, since the labels left
+        # in the heap are at least dt. Less dt on every node, which no
+        # reduced cost or label sees, that is dist - dt on the settled
+        # nodes, labelled at most dt, and nothing on the rest.
+        for v in settled:
+            pi[v] += dist[v] - dt
         iterations += 1
-    far = max(filter(math.isfinite, dist))
+    # the last search ran to the end, so it settled every node it reached
+    far = max(map(dist.__getitem__, settled))
     p0 = pi[src]
     labels = [(x if x != math.inf else far) + p - p0 for x, p in zip(dist, pi)]
     check_feasible(net, f)

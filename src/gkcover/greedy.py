@@ -208,16 +208,16 @@ def _path_cover_flow(dag: Dag, split: SplitNetwork) -> Flow:
     return route_paths(split, [p.vertices for p in cover_paths(dag)])
 
 
-def _extract_antichain(dag: Dag, split: SplitNetwork, subset: Iterable[int],
-                       value: int, t_reach: list[bool]) -> Antichain:
+def _extract_antichain(dag: Dag, subset: Iterable[int], value: int,
+                       t_reach: list[bool]) -> Antichain:
     """Sink-side tight-cut read-off of a minimum flow of the given value.
 
     With V_t the nodes reachable from t in the residual graph, the
     vertices of the subset whose out-copy is inside V_t but whose in-copy
     is not form a maximum antichain within it, of size equal to the flow
-    value.
+    value. By SplitNetwork's layout v_in is node 2v and v_out 2v + 1.
     """
-    picked = [v for v in subset if t_reach[split.v_out(v)] and not t_reach[split.v_in(v)]]
+    picked = [v for v in subset if t_reach[2 * v + 1] and not t_reach[2 * v]]
     ac = certify_antichain(dag, picked)
     if len(ac) != value:
         raise MismatchError(f"extracted {len(ac)} vertices from a flow of value {value}")
@@ -253,7 +253,7 @@ def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
     while uncovered:
         result = min_flow(split.net, res, flow)
         value = flow.value(split.net)
-        ac = _extract_antichain(dag, split, uncovered, value, result.t_reach)
+        ac = _extract_antichain(dag, uncovered, value, result.t_reach)
         yield ac, GreedyRound(
             tuple(sorted(ac.vertices)), len(ac), len(uncovered) - len(ac),
             flow_value=value, searches=result.searches, pushes=result.pushes)

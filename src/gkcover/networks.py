@@ -70,6 +70,8 @@ class GkNetwork(SplitNetwork):
         self.kind = kind
         self.k = k
         self.dag = dag
+        # FIFO Kahn takes the vertices level by level, in dag.topo order
+        self.take_levels(height_levels(dag))
 
 
 def build_network(dag: Dag, k: int, kind: str) -> GkNetwork:
@@ -140,18 +142,17 @@ def _dag_paths(gk: GkNetwork, net_paths: Sequence[NetworkPath]) -> list[GraphPat
     return out
 
 
-def height_levels(dag: Dag) -> list[set[int]]:
-    """Antichain layers by longest chain ending at each vertex."""
+def height_levels(dag: Dag) -> list[list[int]]:
+    """Antichain layers by longest chain ending at each vertex, each in
+    dag.topo order."""
     depth = [0] * dag.n
+    get, pred = depth.__getitem__, dag.pred
     for v in dag.topo:
-        d = 0
-        for u in dag.pred[v]:
-            d = max(d, depth[u] + 1)
-        depth[v] = d
-    height = max(depth, default=-1) + 1
-    levels: list[set[int]] = [set() for _ in range(height)]
-    for v in range(dag.n):
-        levels[depth[v]].add(v)
+        if pred[v]:
+            depth[v] = max(map(get, pred[v])) + 1
+    levels: list[list[int]] = [[] for _ in range(max(depth, default=-1) + 1)]
+    for v in dag.topo:
+        levels[depth[v]].append(v)
     return levels
 
 

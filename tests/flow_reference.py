@@ -4,7 +4,8 @@ Each network arc is a frozen Arc record and each residual arc a frozen
 ResidualArc record; the Bellman-Ford searches scan those records.
 ssp_circulation keeps the successive-shortest-path solve that queued
 the stop node under its own id and ran a separate, final search for
-the labels. Tests compare flowcore against these on random inputs.
+the labels, and tuple_dijkstra the search that queued (label, key)
+tuples. Tests compare flowcore against these on random inputs.
 """
 
 import heapq
@@ -222,3 +223,41 @@ def ssp_circulation(net):
     far = max(x for x in dist if x != math.inf)
     labels = [(x if x != math.inf else far) + p - pi[src] for x, p in zip(dist, pi)]
     return f.values, iterations, labels, f.cost(net), cap, searches
+
+
+def tuple_dijkstra(res, pi, src, stop, seed, below):
+    """Dijkstra on reduced costs from src at label 0 and stop at label
+    seed (math.inf for none), queuing (label, key) tuples with key -1
+    for stop, so that stop is taken first among equal labels; taking it
+    below ``below`` ends the search. Returns the labels and the arc that
+    last lowered each."""
+    out, head, cost, cap = res.out, res.head, res.cost, res.cap
+    m = len(out)
+    dist = [math.inf] * m
+    pred = [-1] * m
+    key = list(range(m))
+    key[stop] = -1
+    dist[src] = 0
+    heap = [(0, src)]
+    if seed < math.inf:
+        dist[stop] = seed
+        heap.append((seed, -1))
+        heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u < 0:
+            if d < below:
+                break
+            u = stop
+        if d > dist[u]:
+            continue
+        base = d + pi[u]
+        for r in out[u]:
+            if cap[r] > 0:
+                w = head[r]
+                nd = base + cost[r] - pi[w]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    pred[w] = r
+                    heapq.heappush(heap, (nd, key[w]))
+    return dist, pred

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gkcover import CycleError, build_dag, flowcore
+from gkcover import CycleError, build_dag, flowcore, gen_gc
 from gkcover.flowcore import (
     INF,
     Arc,
@@ -153,6 +153,21 @@ class TestSplitAdjacency:
         assert split._adjacency() == paired[3]
         assert (split.net._paired, split.net.node_topo_pos()) == (paired, pos)
         assert pos == network_static_pos(split.net)
+
+    @pytest.mark.parametrize("case", ["empty", "edgeless", "gc-6"] + list(range(30)))
+    def test_gk_networks_take_their_order_from_the_dag(self, case):
+        if case == "empty":
+            dag = build_dag(0, [])
+        elif case == "edgeless":
+            dag = build_dag(7, [])
+        elif case == "gc-6":
+            dag = gen_gc(6).dag
+        else:
+            dag = random_dag(random.Random(case), 60)
+        for kind in (ALPHA, BETA):
+            net = build_network(dag, 2, kind).net
+            assert "_topo" in vars(net)
+            assert net.node_topo_pos() == generic_build(net)[1]
 
     @pytest.mark.parametrize("n", [0, 2, 16])
     def test_networks_are_built_with_their_adjacency(self, n):
@@ -382,6 +397,19 @@ class TestSearchMatchesReference:
         rng = random.Random(seed)
         for _ in range(5):
             self.check(tied_network(rng), searches)
+
+    @pytest.mark.parametrize("case", ["random-120", "gc-6"])
+    def test_larger_networks(self, case, searches):
+        if case == "gc-6":
+            dag = gen_gc(6).dag
+        else:
+            rng = random.Random(120)
+            edges = [(u, v) for u in range(120) for v in range(u + 1, 120)
+                     if rng.random() < 0.05]
+            dag = build_dag(120, edges)
+        for kind in (ALPHA, BETA):
+            for k in range(1, 7):
+                self.check(build_network(dag, k, kind).net, searches)
 
 
 class TestKahnOrder:

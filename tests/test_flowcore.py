@@ -1,7 +1,9 @@
+import math
 import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from gkcover.flowcore import (
     Arc,
     Flow,
     FlowNetwork,
+    ResidualGraph,
     SplitNetwork,
     check_feasible,
     decompose,
@@ -24,6 +27,7 @@ from gkcover.flowcore import (
     zero_flow,
 )
 from gkcover.greedy import cover_paths
+from gkcover.networks import ALPHA, BETA, build_network
 
 import flow_reference
 
@@ -237,6 +241,84 @@ def test_circulation_cost_matches_network_simplex(net):
     check_feasible(net, result.flow)
     assert result.final_cost == want
     assert result.iterations <= -result.final_cost
+
+
+def solve_searches(net):
+    """The residual graph, potentials, source and stop node of every
+    search that min_cost_circulation runs on net, as the search saw
+    them: after 0, 1, 2, ... augmentations."""
+    states = []
+    real = flowcore._dijkstra
+
+    def record(res, pi, src, stop, seed, below):
+        cap = list(res.cap)
+        states.append((ResidualGraph(res.m, res.tail, res.head, cap, res.cost, res.out),
+                       list(pi), src, stop))
+        return real(res, pi, src, stop, seed, below)
+
+    with mock.patch.object(flowcore, "_dijkstra", record):
+        min_cost_circulation(net)
+    return states
+
+
+def check_search(net, res, pi, src, stop):
+    """The search gives the tuple-keyed reference's labels and
+    predecessors, with and without a seed at stop and with ``below``
+    finite and -inf, and settles each node at most once, in label order:
+    when stop ends it, every node labelled below stop and no node
+    labelled above; otherwise every node it reaches. Adding dist - dt on
+    the settled nodes moves every potential by min(dist, dt) - dt."""
+    undo = 2 * net.ts_arc + 1
+    rc = res.cost[undo] + pi[src] - pi[stop]
+    for seed in (rc, math.inf):
+        for below in (rc, -math.inf):
+            dist, pred, settled = flowcore._dijkstra(res, pi, src, stop, seed, below)
+            assert (dist, pred) == flow_reference.tuple_dijkstra(res, pi, src, stop,
+                                                                 seed, below)
+            labels = [dist[v] for v in settled]
+            assert len(set(settled)) == len(settled) and labels == sorted(labels)
+            dt = dist[stop]
+            if dt < below:
+                assert stop not in settled
+                assert {v for v, d in enumerate(dist) if d < dt} <= set(settled)
+                assert max(labels, default=dt) <= dt
+                shifted = list(pi)
+                for v in settled:
+                    shifted[v] += dist[v] - dt
+                assert shifted == [p + min(d, dt) - dt for p, d in zip(pi, dist)]
+            else:
+                assert set(settled) == {v for v, d in enumerate(dist) if d < math.inf}
+
+
+class TestSettledSearch:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_dag_networks(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 30)
+        dag = build_dag(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < rng.choice([0.1, 0.3])])
+        for kind in (ALPHA, BETA):
+            net = build_network(dag, rng.randint(1, 5), kind).net
+            for state in solve_searches(net):
+                check_search(net, *state)
+
+    @pytest.mark.parametrize("kind, k", [(ALPHA, 1), (BETA, 5)])
+    def test_searches_after_several_augmentations(self, kind, k):
+        # five 3-vertex chains, four joined by cross edges: one
+        # augmentation per chain
+        dag = build_dag(15, [(3 * i + j, 3 * i + j + 1) for i in range(5) for j in range(2)]
+                        + [(0, 4), (3, 7), (6, 10), (9, 13)])
+        net = build_network(dag, k, kind).net
+        states = solve_searches(net)
+        assert len(states) == 6
+        for state in states:
+            check_search(net, *state)
+
+    @given(acyclic_circulations())
+    @settings(max_examples=150, deadline=None)
+    def test_acyclic_circulations(self, net):
+        for state in solve_searches(net):
+            check_search(net, *state)
 
 
 def reduce(net, f):

@@ -122,7 +122,7 @@ class TestSubsetNetwork:
         f0 = route_paths(sub, [p.vertices for p in cover_paths(fig)])
         result = min_flow(sub.net, residual(sub.net, f0), f0)
         assert result.flow.value(sub.net) == 5  # the width
-        ac = _extract_antichain(fig, sub, subset, 5, result.t_reach)
+        ac = _extract_antichain(fig, subset, 5, result.t_reach)
         assert sorted(ac.vertices) == [2, 3, 4, 5, 6]
 
     def test_restricted_subset(self, fig):
@@ -130,7 +130,7 @@ class TestSubsetNetwork:
         sub = build_subset_network(fig, subset)
         f0 = route_paths(sub, [p.vertices for p in cover_paths(fig)])
         result = min_flow(sub.net, residual(sub.net, f0), f0)
-        ac = _extract_antichain(fig, sub, subset, result.flow.value(sub.net), result.t_reach)
+        ac = _extract_antichain(fig, subset, result.flow.value(sub.net), result.t_reach)
         assert sorted(ac.vertices) == [7, 8]  # sink-side maximum antichain
 
     def test_gadget_lower_bounds_follow_subset(self, fig):

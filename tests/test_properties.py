@@ -178,4 +178,4 @@ def test_large_subset_min_flow_anchor(n, seed):
     width = _width(nx, g, subset)
     assert result.flow.value(split.net) == width
     assert result.pushes <= start_value - width
-    assert len(_extract_antichain(dag, split, subset, width, result.t_reach)) == width
+    assert len(_extract_antichain(dag, subset, width, result.t_reach)) == width
