@@ -48,7 +48,8 @@ class InvalidCycleError(GkError):
 
 
 class ConservationError(GkError):
-    """Flow conservation fails at some node during decomposition."""
+    """A flow does not peel into unit paths: a unit gets stuck at some node,
+    or flow is left over on an arc that starts there."""
 
     def __init__(self, node: int) -> None:
         self.node = node

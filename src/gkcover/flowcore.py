@@ -1,4 +1,4 @@
-"""Integer min-cost circulation, minimum flow and flow decomposition.
+"""Integer min-cost circulation, minimum flow and the unit paths of a flow.
 
 A network is stored as parallel integer lists with one entry per arc
 (``tail``, ``head``, ``lower``, ``upper``, ``cost``) and a flow as one
@@ -39,7 +39,8 @@ checks the start flow, and min_flow checks every flow it returns. Its
 last, failed search marks the nodes reachable from t
 (MinFlowResult.t_reach), the cut that a maximum antichain is read off.
 SplitNetwork is the vertex-split network of a DAG that the exact solver
-and the greedy rounds share.
+and the greedy rounds share; route_paths and peel_paths turn vertex
+sequences into its unit paths and back.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class FlowNetwork:
     and topological positions read the other lists. ``ts_arc`` names the
     return arc of a circulation network; without it the network is in
     plain s-t flow form. Aside from the return arc the underlying graph
-    is acyclic, which decomposition relies on.
+    is acyclic, which the topological order relies on.
     """
 
     def __init__(self, m: int, arcs: Sequence[Arc], s: int, t: int, ts_arc: Optional[int] = None):
@@ -279,11 +280,6 @@ class SplitNetwork:
     def exit(self, v: int) -> int:
         return self.stride * v + self.stride - 1
 
-    def gadget_vertex(self, arc_id: int) -> Optional[int]:
-        """Vertex owning this gadget arc, else None."""
-        v, j = divmod(arc_id, self.stride)
-        return v if v < self.n and 0 < j < self.stride - 1 else None
-
     def release(self, vertices: Iterable[int]) -> list[int]:
         """Drop the lower bound of each vertex's first gadget arc, in place.
 
@@ -323,6 +319,62 @@ def route_paths(split: SplitNetwork, paths: Iterable[Sequence[int]]) -> Flow:
         if ret is not None:
             values[ret] += 1
     return f
+
+
+def peel_paths(split: SplitNetwork, f: Flow) -> list[tuple[tuple[int, ...], int]]:
+    """route_paths' inverse: the flow's f.value units, each as its vertex
+    sequence and the gadget index it took at its first vertex.
+
+    From s, and from each vertex after its first gadget arc with flow
+    left, a unit takes the arc with flow left whose head comes first in
+    topological order, parallel arcs by id, and the exit only when no
+    edge arc is left. Flow only drops, so each node's arcs are sorted
+    once and popped when spent. Bounds are not checked.
+    ConservationError names the node where a unit gets stuck, or else
+    the tail of the first arc, the return arc aside, with flow left over.
+    """
+    net = split.net
+    n, stride = split.n, split.stride
+    pos, head = net.node_topo_pos(), net.head
+    left = list(f.values)
+    base = stride * n
+    # the entries and edge arcs with flow, by tail (s as n, v_out as v),
+    # each a stack that pops them by head position, then by id
+    nxt: list[list[int]] = [[] for _ in range(n + 1)]
+    ids = [*range(0, base, stride), *range(base, base + len(split.edges))]
+    for e in sorted(compress(ids, map(left.__getitem__, ids)), key=lambda e: (-pos[head[e]], -e)):
+        nxt[net.tail[e] >> 1].append(e)
+    paths: list[tuple[tuple[int, ...], int]] = []
+    for _ in range(f.value(net)):
+        v, vs = n, []
+        while True:
+            arcs = nxt[v]
+            while arcs and left[arcs[-1]] <= 0:
+                arcs.pop()
+            if not arcs:
+                break
+            left[arcs[-1]] -= 1
+            v = head[arcs[-1]] >> 1
+            a = first = stride * v + 1
+            end = first + stride - 2
+            while a < end and left[a] <= 0:
+                a += 1
+            if a == end:
+                raise ConservationError(2 * v)
+            left[a] -= 1
+            if not vs:
+                gadget = a - first
+            vs.append(v)
+        # stuck at s (node 2n) before any vertex, or at v_out
+        if not vs or left[end] <= 0:
+            raise ConservationError(2 * v + bool(vs))
+        left[end] -= 1
+        paths.append((tuple(vs), gadget))
+    if net.ts_arc is not None:
+        left[net.ts_arc] = 0
+    if any(left):
+        raise ConservationError(net.tail[next(i for i, x in enumerate(left) if x)])
+    return paths
 
 
 def check_feasible(net: FlowNetwork, f: Flow) -> None:
@@ -743,50 +795,3 @@ def min_flow(net: FlowNetwork, res: ResidualGraph, f: Flow) -> MinFlowResult:
         raise MismatchError(
             f"{pushes} pushes for a value decrease of {v0 - f.value(net)}")
     return MinFlowResult(f, searches, pushes, reach)
-
-
-@dataclass(frozen=True)
-class NetworkPath:
-    """One unit of flow peeled off as an s-t path of network arcs."""
-
-    nodes: tuple[int, ...]
-    arcs: tuple[int, ...]
-
-
-def decompose(net: FlowNetwork, f: Flow) -> list[NetworkPath]:
-    """Peel a flow into exactly |f| unit s-t paths (return arc excluded).
-
-    At every node the unit follows the positive-flow arc whose head is
-    earliest in topological order, parallel arcs resolved by arc id.
-    The peeled paths reconstruct the flow arc-exactly.
-    """
-    check_feasible(net, f)
-    value = f.value(net)
-    remaining = list(f.values)
-    topo = net.node_topo_pos()
-    _, rhead, _, out = net._paired
-    paths: list[NetworkPath] = []
-    for _ in range(value):
-        nodes = [net.s]
-        arcs: list[int] = []
-        cur = net.s
-        while cur != net.t:
-            best = best_pos = -1
-            for r in out[cur]:
-                ai = r >> 1
-                if r & 1 or remaining[ai] <= 0:
-                    continue
-                pos = topo[rhead[r]]
-                if best < 0 or pos < best_pos or (pos == best_pos and ai < best):
-                    best, best_pos = ai, pos
-            if best < 0:
-                raise ConservationError(cur)
-            remaining[best] -= 1
-            cur = rhead[2 * best]
-            nodes.append(cur)
-            arcs.append(best)
-        paths.append(NetworkPath(tuple(nodes), tuple(arcs)))
-    for i, left in enumerate(remaining):
-        if i != net.ts_arc and left != 0:
-            raise ConservationError(net.tail[i])
-    return paths

@@ -8,13 +8,14 @@ carries k. The minimum cost then equals alpha_k - n, respectively
 -beta_k. Every solve starts from the zero flow and runs
 flowcore.min_cost_circulation (successive shortest paths, certified on
 the solver's own residual graph by a negative-cycle search seeded with
-its final labels). Chain witnesses are read off the flow's
-decomposition. Antichain witnesses are read off the solver's labels,
-the residual shortest distances from s, once flowcore.check_distances
-has proved them exact on the residual graph of the reported flow: for
-problem Alpha the solver's own graph, for problem Beta one residual()
-build of the padded flow. Every value a witness family scores is
-checked against the circulation cost, raising MismatchError on a
+its final labels). Chain witnesses are the flow's unit paths, read off
+one vertex at a time by flowcore.peel_paths. Antichain witnesses are
+read off the solver's labels, the residual shortest distances from s,
+once flowcore.check_distances has proved them exact on the residual
+graph of the reported flow: for problem Alpha the solver's own graph,
+for problem Beta one residual() build of the padded flow, which is also
+that flow's one feasibility check. Every value a witness family scores
+is checked against the circulation cost, raising MismatchError on a
 difference.
 """
 
@@ -39,12 +40,11 @@ from .errors import MismatchError
 from .flowcore import (
     INF,
     Flow,
-    NetworkPath,
     ResidualGraph,
     SplitNetwork,
     check_distances,
-    decompose,
     min_cost_circulation,
+    peel_paths,
     residual,
 )
 
@@ -132,14 +132,6 @@ def _check_gadget_invariant(gk: GkNetwork, f: Flow) -> None:
         if f.values[gk.gadget(v, OVERFLOW)] > 0:
             _expect(f.values[gk.gadget(v, COVER)] == 1,
                     f"overflow used at vertex {v} while its cover arc is empty")
-
-
-def _dag_paths(gk: GkNetwork, net_paths: Sequence[NetworkPath]) -> list[GraphPath]:
-    out: list[GraphPath] = []
-    for np_ in net_paths:
-        vs = [gk.gadget_vertex(ai) for ai in np_.arcs]
-        out.append(GraphPath(tuple(v for v in vs if v is not None)))
-    return out
 
 
 def height_levels(dag: Dag) -> list[list[int]]:
@@ -241,8 +233,7 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     f = circ.flow
     _check_gadget_invariant(gk, f)
     alpha_k = circ.final_cost + n
-    net_paths = decompose(gk.net, f)
-    dag_paths = _dag_paths(gk, net_paths)
+    dag_paths = [GraphPath(p) for p, _ in peel_paths(gk, f)]
     mps_family = Family(tuple(dag_paths))
     mps_value = knorm_collection(mps_family.members, n, k)
     _expect(mps_value == alpha_k, f"path collection norm {mps_value} != alpha {alpha_k}")
@@ -287,13 +278,14 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
     _check_gadget_invariant(gk, f)
     beta_k = -circ.final_cost
     fN = normalize_beta(gk, f)
-    net_paths = decompose(gk.net, fN)
+    # residual() checks the padded flow, which peel_paths does not
+    res = residual(gk.net, fN)
+    peeled = peel_paths(gk, fN)
     if n > 0:
-        _expect(len(net_paths) == k, f"expected k={k} paths, got {len(net_paths)}")
-    dag_paths = _dag_paths(gk, net_paths)
-    synthetic = tuple(
-        i for i, np_ in enumerate(net_paths)
-        if len(np_.arcs) == 3 and np_.arcs[1] == gk.gadget(0, OVERFLOW))
+        _expect(len(peeled) == k, f"expected k={k} paths, got {len(peeled)}")
+    dag_paths = [GraphPath(p) for p, _ in peeled]
+    # a padding unit: vertex 0 alone, through its overflow arc
+    synthetic = tuple(i for i, unit in enumerate(peeled) if unit == ((0,), OVERFLOW))
     mp_family = Family(tuple(dag_paths))
     mp_value = mp_family.coverage()
     _expect(mp_value == beta_k, f"path coverage {mp_value} != beta {beta_k}")
@@ -301,7 +293,7 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
     mc_value = mc_family.coverage()
     _expect(mc_value == beta_k, f"chain coverage {mc_value} != beta {beta_k}")
     _expect(len(mc_family) <= k, f"{len(mc_family)} chains for k={k}")
-    mas_family = extract_antichains(gk, residual(gk.net, fN), circ.labels)
+    mas_family = extract_antichains(gk, res, circ.labels)
     mas_value = knorm_collection(mas_family.members, n, k)
     _expect(mas_value == beta_k, f"antichain collection norm {mas_value} != beta {beta_k}")
     map_family = partition_completion(mas_family, n, Antichain)

@@ -5,7 +5,10 @@ ResidualArc record; the Bellman-Ford searches scan those records.
 ssp_circulation keeps the successive-shortest-path solve that queued
 the stop node under its own id and ran a separate, final search for
 the labels, and tuple_dijkstra the search that queued (label, key)
-tuples. Tests compare flowcore against these on random inputs.
+tuples. decompose and vertex_paths peel a flow at network level and map
+each path's arcs back to vertices, the route to chain witnesses that
+flowcore.peel_paths replaced. Tests compare flowcore against these on
+random inputs.
 """
 
 import heapq
@@ -15,6 +18,7 @@ from itertools import repeat
 from operator import add
 from typing import Optional
 
+from gkcover.errors import ConservationError
 from gkcover.flowcore import INF, Arc, _augment, _start_potentials, residual, zero_flow
 
 
@@ -261,3 +265,44 @@ def tuple_dijkstra(res, pi, src, stop, seed, below):
                     pred[w] = r
                     heapq.heappush(heap, (nd, key[w]))
     return dist, pred
+
+
+def decompose(net, f):
+    """The unit s-t paths of a flow as (nodes, arcs) tuples, the return
+    arc aside. At every node the unit takes the arc with flow left whose
+    head comes first in net.node_topo_pos(), parallel arcs by arc id.
+    ConservationError names the node where a unit gets stuck, or else
+    the tail of the first arc with flow left over."""
+    pos = net.node_topo_pos()
+    out = [[] for _ in range(net.m)]
+    for i, u in enumerate(net.tail):
+        if i != net.ts_arc:
+            out[u].append(i)
+    left = list(f.values)
+    paths = []
+    for _ in range(f.value(net)):
+        nodes, arcs = [net.s], []
+        while nodes[-1] != net.t:
+            live = [i for i in out[nodes[-1]] if left[i] > 0]
+            if not live:
+                raise ConservationError(nodes[-1])
+            i = min(live, key=lambda i: (pos[net.head[i]], i))
+            left[i] -= 1
+            nodes.append(net.head[i])
+            arcs.append(i)
+        paths.append((tuple(nodes), tuple(arcs)))
+    for i, x in enumerate(left):
+        if i != net.ts_arc and x:
+            raise ConservationError(net.tail[i])
+    return paths
+
+
+def vertex_paths(split, net_paths):
+    """Each network path of a SplitNetwork as its vertices, read off its
+    gadget arcs by the layout, and the gadget index of its first one."""
+    out = []
+    for _, arcs in net_paths:
+        owned = [divmod(i, split.stride) for i in arcs]
+        gadgets = [(v, j - 1) for v, j in owned if v < split.n and 0 < j < split.stride - 1]
+        out.append((tuple(v for v, _ in gadgets), gadgets[0][1]))
+    return out

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkcover import CycleError, build_dag, flowcore
-from gkcover.errors import InfeasibleFlowError, InvalidCycleError, MismatchError
+from gkcover.errors import ConservationError, InfeasibleFlowError, InvalidCycleError, MismatchError
 from gkcover.flowcore import (
     INF,
     Arc,
@@ -18,16 +18,16 @@ from gkcover.flowcore import (
     ResidualGraph,
     SplitNetwork,
     check_feasible,
-    decompose,
     find_negative_cycle,
     min_cost_circulation,
     min_flow,
+    peel_paths,
     residual,
     route_paths,
     zero_flow,
 )
 from gkcover.greedy import cover_paths
-from gkcover.networks import ALPHA, BETA, build_network
+from gkcover.networks import ALPHA, BETA, COVER, OVERFLOW, build_network, normalize_beta
 
 import flow_reference
 
@@ -431,21 +431,101 @@ class TestMinFlowMatchesReference:
 
 
 class TestDecompose:
+    """peel_paths reads a flow's units back as vertex sequences."""
+
+    def split(self):
+        return SplitNetwork(4, [(0, 1), (1, 2), (0, 3)], [(INF, 0)], demand=range(4))
+
     def test_unit_paths_reconstruct_flow(self):
-        net = diamond()
-        f = Flow([1, 1, 1, 1])
-        paths = decompose(net, f)
-        assert len(paths) == 2
-        counts = [0] * 4
-        for p in paths:
-            assert p.nodes[0] == net.s and p.nodes[-1] == net.t
-            for ai in p.arcs:
-                counts[ai] += 1
-        assert counts == f.values
+        split = self.split()
+        f = route_paths(split, [(0, 1, 2), (3,)])
+        peeled = peel_paths(split, f)
+        assert peeled == [((0, 1, 2), 0), ((3,), 0)]
+        assert route_paths(split, [p for p, _ in peeled]).values == f.values
 
     def test_zero_flow_decomposes_to_nothing(self):
-        net = diamond()
-        assert decompose(net, zero_flow(net)) == []
+        split = self.split()
+        assert peel_paths(split, zero_flow(split.net)) == []
+
+    def gk_flow(self, path):
+        """A beta network on the path 0 -> 1 -> 2 and the flow of one
+        unit along ``path``."""
+        gk = build_network(build_dag(3, [(0, 1), (1, 2)]), 2, BETA)
+        return gk, route_paths(gk, [path])
+
+    def test_flow_no_unit_reaches_is_left_over(self):
+        gk, f = self.gk_flow((1, 2))
+        # edge arc (0, 1) carries a unit that no entry feeds
+        f.values[gk.stride * gk.n] += 1
+        for peel in (peel_paths, self.reference):
+            with pytest.raises(ConservationError) as err:
+                peel(gk, f)
+            assert err.value.node == gk.v_out(0)
+
+    @pytest.mark.parametrize("stuck", ["s", "v_in", "v_out"])
+    def test_unit_that_dead_ends(self, stuck):
+        gk, f = self.gk_flow((0, 1))
+        if stuck == "s":
+            # the return arc carries a second unit that no entry takes on
+            f.values[gk.net.ts_arc] += 1
+            node = gk.net.s
+        elif stuck == "v_in":
+            # vertex 1 passes no flow from v_in to v_out
+            f.values[gk.gadget(1, COVER)] -= 1
+            node = gk.v_in(1)
+        else:
+            # nothing leaves vertex 1's v_out
+            f.values[gk.exit(1)] -= 1
+            node = gk.v_out(1)
+        for peel in (peel_paths, self.reference):
+            with pytest.raises(ConservationError) as err:
+                peel(gk, f)
+            assert err.value.node == node
+
+    @staticmethod
+    def reference(split, f):
+        return flow_reference.decompose(split.net, f)
+
+
+def _reference_units(split, f):
+    """The units as the network-level peel and its map back give them,
+    and the old synthetic test: vertex 0 alone through its overflow arc."""
+    paths = flow_reference.decompose(split.net, f)
+    synthetic = [len(arcs) == 3 and arcs[1] == split.gadget(0, OVERFLOW) for _, arcs in paths]
+    return flow_reference.vertex_paths(split, paths), synthetic
+
+
+class TestPeelMatchesReference:
+    """peel_paths takes the network-level peel's tie-break: entries in
+    topological order, the cover arc before the overflow arc, and the
+    earliest edge arc with flow left before the exit."""
+
+    def flows(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(40, 160)
+        density = rng.choice([0.02, 0.2, 0.5, 0.9])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        dag = build_dag(n, [(perm[u], perm[v]) for u in range(n)
+                            for v in range(u + 1, n) if rng.random() < density])
+        for k in (1, 2, 4):
+            alpha = build_network(dag, k, ALPHA)
+            yield alpha, min_cost_circulation(alpha.net).flow
+            beta = build_network(dag, k, BETA)
+            yield beta, normalize_beta(beta, min_cost_circulation(beta.net).flow)
+
+    def test_same_units_and_synthetic_flags(self):
+        flows = synthetic_flows = 0
+        for seed in range(12):
+            for gk, f in self.flows(seed):
+                peeled = peel_paths(gk, f)
+                units, synthetic = _reference_units(gk, f)
+                assert peeled == units
+                assert [u == ((0,), OVERFLOW) for u in peeled] == synthetic
+                assert route_paths(gk, [p for p, _ in peeled]).values == f.values
+                flows += 1
+                synthetic_flows += any(synthetic)
+        assert flows == 72 and synthetic_flows > 0
 
 
 def with_return_arc(net, cost, upper=INF):

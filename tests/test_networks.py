@@ -58,13 +58,6 @@ class TestNetworkLayout:
         b = build_network(fig, 3, BETA).net.arcs[-1]
         assert (b.lower, b.upper, b.cost) == (0, 3, 0)
 
-    def test_gadget_vertex_mapping(self, fig):
-        gk = build_network(fig, 1, ALPHA)
-        assert gk.gadget_vertex(gk.gadget(4, COVER)) == 4
-        assert gk.gadget_vertex(gk.gadget(4, OVERFLOW)) == 4
-        assert gk.gadget_vertex(gk.entry(4)) is None
-        assert gk.gadget_vertex(4 * fig.n) is None  # an edge arc
-
     def test_k_must_be_positive(self, fig):
         with pytest.raises(ValueError):
             build_network(fig, 0, ALPHA)
