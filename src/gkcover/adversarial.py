@@ -15,7 +15,7 @@ from math import comb
 
 from .dagcore import Dag, build_dag
 from .errors import DomainError, MismatchError
-from .greedy import max_coverage_path
+from .greedy import _best_path_rounds
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,8 @@ def gen_gc(i: int) -> AdversarialInstance:
     if n != 2 ** (i + 1) - i - 2:
         raise MismatchError(f"staircase {i} has {n} vertices, not {2 ** (i + 1) - i - 2}")
     dag = build_dag(n, edges)
-    path1 = max_coverage_path(dag, set(range(n)))
+    # round 1 of the memoised best-path rounds, which gen gc --check reuses
+    path1, _, _ = next(_best_path_rounds(dag))
     if list(path1.vertices) != seqs[i]:
         raise MismatchError("round-1 path deviates from the intended staircase path")
     expected = ExpectedStats(

@@ -3,6 +3,15 @@
 Everything here works over bitmask encodings of the transitive closure
 and is deliberately independent of the flow machinery, so agreement
 between the two is meaningful. Budgets keep the search spaces small.
+
+The four searches hold vertex sets as int masks. brute_alpha, brute_beta
+and the chain-partition search use vertex-id masks (bit v is vertex v);
+the antichain-partition search uses masks over topological positions
+(bit p is dag.topo[p]), so a set's first vertex is its lowest bit, and
+maps positions back to vertex ids only when it reads off its members.
+Each search visits its nodes in a fixed order and counts one expansion
+per node, so its value, its witness family and the point where
+BudgetExceeded fires are deterministic.
 """
 
 from __future__ import annotations
@@ -27,10 +36,21 @@ class OracleBudget:
 
     @classmethod
     def from_env(cls) -> "OracleBudget":
+        """The default budget, with max_n from GKCOVER_BUDGET_N when set.
+
+        Raises ValueError naming the variable when its value is not a
+        non-negative integer.
+        """
         budget = cls()
         raw = os.environ.get("GKCOVER_BUDGET_N")
         if raw:
-            budget.max_n = int(raw)
+            invalid = ValueError(f"GKCOVER_BUDGET_N must be a non-negative integer, got {raw!r}")
+            try:
+                budget.max_n = int(raw)
+            except ValueError:
+                raise invalid from None
+            if budget.max_n < 0:
+                raise invalid
         return budget
 
     def check(self, dag: Dag, k: int) -> None:
@@ -52,15 +72,8 @@ def _comparability_masks(dag: Dag) -> list[int]:
     return [(desc[v] | anc[v]) & ~(1 << v) for v in range(dag.n)]
 
 
-class _Expansions:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.count = 0
-
-    def tick(self) -> None:
-        self.count += 1
-        if self.count > self.limit:
-            raise BudgetExceeded(f"oracle expansion limit {self.limit} hit")
+def _expansion_limit(limit: int) -> BudgetExceeded:
+    return BudgetExceeded(f"oracle expansion limit {limit} hit")
 
 
 def brute_alpha(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tuple[int, Family]:
@@ -73,227 +86,230 @@ def brute_alpha(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tupl
     budget.check(dag, k)
     n = dag.n
     comp = _comparability_masks(dag)
-    order = list(dag.topo)
-    exp = _Expansions(budget.max_expansions)
-    best = [-1, [ [] for _ in range(k)]]
+    order = dag.topo
+    bits = [1 << v for v in order]
+    comps = [comp[v] for v in order]
+    limit = budget.max_expansions
+    count = 0
+    best = -1
+    best_classes: list[list[int]] = []
+    forbidden = [0] * k
+    classes: list[list[int]] = [[] for _ in range(k)]
 
-    def rec(i: int, covered: int, used: int, forbidden: list[int], classes: list[list[int]]) -> None:
-        exp.tick()
-        if covered + (n - i) <= best[0]:
+    def rec(i: int, covered: int, used: int) -> None:
+        nonlocal count, best, best_classes
+        count += 1
+        if count > limit:
+            raise _expansion_limit(limit)
+        if covered + n - i <= best:
             return
         if i == n:
-            if covered > best[0]:
-                best[0] = covered
-                best[1] = [list(c) for c in classes]
+            best = covered
+            best_classes = [list(c) for c in classes]
             return
-        v = order[i]
-        bit = 1 << v
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if not (forbidden[c] & bit):
-                old = forbidden[c]
-                forbidden[c] |= comp[v]
-                classes[c].append(v)
-                rec(i + 1, covered + 1, max(used, c + 1), forbidden, classes)
+        bit = bits[i]
+        for c in range(used + 1 if used < k else k):
+            old = forbidden[c]
+            if not old & bit:
+                forbidden[c] = old | comps[i]
+                classes[c].append(order[i])
+                rec(i + 1, covered + 1, used + 1 if c == used else used)
                 classes[c].pop()
                 forbidden[c] = old
-        rec(i + 1, covered, used, forbidden, classes)
+        rec(i + 1, covered, used)
 
-    rec(0, 0, 0, [0] * k, [[] for _ in range(k)])
-    members = tuple(Antichain(frozenset(c)) for c in best[1] if c)
-    return best[0], Family(members, disjoint=True)
+    rec(0, 0, 0)
+    members = tuple(Antichain(frozenset(c)) for c in best_classes if c)
+    return best, Family(members, disjoint=True)
 
 
-def _all_chains(dag: Dag, within: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Every non-empty chain inside the vertex mask, as (mask, vertices)."""
+def _all_chains(dag: Dag) -> list[tuple[int, tuple[int, ...]]]:
+    """Every non-empty chain, as (mask, vertices), depth first: by first
+    vertex in id order, each extended by its descendants in id order."""
     desc = dag.closure()
     out: list[tuple[int, tuple[int, ...]]] = []
-
-    def extend(last: int, mask: int, seq: list[int]) -> None:
-        out.append((mask, tuple(seq)))
-        rest = desc[last] & within & ~(1 << last)
-        w = rest
-        while w:
-            b = w & -w
-            v = b.bit_length() - 1
-            seq.append(v)
-            extend(v, mask | b, seq)
-            seq.pop()
-            w &= w - 1
-
-    m = within
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        extend(v, b, [v])
-        m &= m - 1
+    # push the chains to extend highest first, so the lowest comes next
+    stack = [(v, 1 << v, (v,)) for v in reversed(range(dag.n))]
+    while stack:
+        last, mask, seq = stack.pop()
+        out.append((mask, seq))
+        rest = desc[last] & ~mask
+        while rest:
+            u = rest.bit_length() - 1
+            b = 1 << u
+            stack.append((u, mask | b, seq + (u,)))
+            rest ^= b
     return out
 
 
 def brute_beta(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tuple[int, Family]:
-    """Maximum coverage by k disjoint chains, by search over chain picks."""
+    """Maximum coverage by k disjoint chains, by search over chain picks.
+
+    The chains are taken longest first; each node either picks chain
+    idx or skips it, one recursion frame per skipped chain.
+    """
     budget = budget or OracleBudget()
     budget.check(dag, k)
-    full = (1 << dag.n) - 1
-    chains = _all_chains(dag, full)
+    chains = _all_chains(dag)
     chains.sort(key=lambda c: -len(c[1]))
-    exp = _Expansions(budget.max_expansions)
-    best = [0, []]
+    masks = [mask for mask, _ in chains]
+    # A length of 0 past the last chain: best >= covered at every node,
+    # so the bound below also ends the search once no chain or pick is left.
+    lens = [len(seq) for _, seq in chains] + [0]
+    limit = budget.max_expansions
+    count = 0
+    best = 0
+    best_picks: list[int] = []
+    picks: list[int] = []
 
-    def rec(idx: int, taken_mask: int, covered: int, left: int, picks: list[int]) -> None:
-        exp.tick()
-        if covered > best[0]:
-            best[0] = covered
-            best[1] = list(picks)
-        if left == 0 or idx >= len(chains):
+    def rec(idx: int, taken: int, covered: int, left: int) -> None:
+        nonlocal count, best, best_picks
+        count += 1
+        if count > limit:
+            raise _expansion_limit(limit)
+        if covered + left * lens[idx] <= best:
             return
-        if covered + left * len(chains[idx][1]) <= best[0]:
-            return
-        mask, seq = chains[idx]
-        if not (mask & taken_mask):
+        mask = masks[idx]
+        if not mask & taken:
             picks.append(idx)
-            rec(idx + 1, taken_mask | mask, covered + len(seq), left - 1, picks)
+            got = covered + lens[idx]
+            if got > best:
+                best = got
+                best_picks = picks[:]
+            rec(idx + 1, taken | mask, got, left - 1)
             picks.pop()
-        rec(idx + 1, taken_mask, covered, left, picks)
+        rec(idx + 1, taken, covered, left)
 
-    rec(0, 0, 0, k, [])
-    members = tuple(Chain(chains[i][1]) for i in best[1])
-    return best[0], Family(members, disjoint=True)
+    rec(0, 0, 0, k)
+    members = tuple(Chain(chains[i][1]) for i in best_picks)
+    return best, Family(members, disjoint=True)
 
 
 def brute_min_knorm_chain_partition(dag: Dag, k: int,
                                     budget: Optional[OracleBudget] = None) -> tuple[int, Family]:
-    """Minimum sum of min(|C|, k) over chain partitions, by memoized search."""
+    """Minimum sum of min(|C|, k) over chain partitions, by memoized search.
+
+    A vertex mask's best partition takes a chain through its first
+    vertex in topological order; the chains are tried in depth-first
+    order, extending by descendants in vertex-id order, and the first
+    one of least norm is kept.
+    """
     budget = budget or OracleBudget()
     budget.check(dag, k)
     n = dag.n
     desc = dag.closure()
-    topo_pos = dag.topo_pos
-    exp = _Expansions(budget.max_expansions)
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
+    topo = dag.topo
+    limit = budget.max_expansions
+    count = 0
+    memo: dict[int, int] = {0: 0}
+    pick: dict[int, int] = {}
 
-    def first_vertex(mask: int) -> int:
-        best_v = -1
-        m = mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            if best_v < 0 or topo_pos[v] < topo_pos[best_v]:
-                best_v = v
-            m &= m - 1
-        return best_v
-
-    def rec(mask: int) -> tuple[int, tuple[int, ...]]:
-        if mask == 0:
-            return 0, ()
-        if mask in memo:
-            return memo[mask]
-        exp.tick()
-        v = first_vertex(mask)
-        best_val = None
-        best_chain: tuple[int, ...] = ()
-
-        def try_chain(last: int, cmask: int, seq: list[int]) -> None:
-            nonlocal best_val, best_chain
-            sub_val, _ = rec(mask & ~cmask)
-            val = min(len(seq), k) + sub_val
-            if best_val is None or val < best_val:
-                best_val = val
-                best_chain = tuple(seq)
-            rest = desc[last] & mask & ~cmask & ~(1 << last)
-            w = rest
-            while w:
-                b = w & -w
-                u = b.bit_length() - 1
-                seq.append(u)
-                try_chain(u, cmask | b, seq)
-                seq.pop()
-                w &= w - 1
-
-        try_chain(v, 1 << v, [v])
-        if best_val is None:
-            raise MismatchError("no chain through the first vertex was scored")
-        memo[mask] = (best_val, best_chain)
-        return memo[mask]
+    def rec(mask: int) -> int:
+        nonlocal count
+        count += 1
+        if count > limit:
+            raise _expansion_limit(limit)
+        for v in topo:
+            if mask >> v & 1:
+                break
+        best = n + 1
+        best_chain = 0
+        stack = [(v, 1 << v, 1)]
+        while stack:
+            last, cmask, size = stack.pop()
+            sub = mask ^ cmask
+            val = memo.get(sub)
+            if val is None:
+                val = rec(sub)
+            val += size if size < k else k
+            if val < best:
+                best = val
+                best_chain = cmask
+            # push the extensions highest first, so the lowest is tried next
+            rest = desc[last] & sub
+            while rest:
+                u = rest.bit_length() - 1
+                b = 1 << u
+                stack.append((u, cmask | b, size + 1))
+                rest ^= b
+        memo[mask] = best
+        pick[mask] = best_chain
+        return best
 
     full = (1 << n) - 1
-    value, _ = rec(full)
+    value = rec(full) if n else 0
     members: list[Chain] = []
     mask = full
     while mask:
-        _, chain = rec(mask)
-        members.append(Chain(chain))
-        for u in chain:
-            mask &= ~(1 << u)
+        chain = pick[mask]
+        members.append(Chain(tuple(v for v in topo if chain >> v & 1)))
+        mask ^= chain
     return value, Family(tuple(members), disjoint=True)
 
 
 def brute_min_knorm_antichain_partition(dag: Dag, k: int,
                                         budget: Optional[OracleBudget] = None) -> tuple[int, Family]:
-    """Minimum sum of min(|A|, k) over antichain partitions."""
+    """Minimum sum of min(|A|, k) over antichain partitions.
+
+    Sets are masks over topological positions (bit p is dag.topo[p]). A
+    mask's best partition takes an antichain through its lowest bit; the
+    antichains are tried in depth-first order, each extended by the free
+    bits above its highest, lowest first, and the first one of least
+    norm is kept.
+    """
     budget = budget or OracleBudget()
     budget.check(dag, k)
     n = dag.n
     comp = _comparability_masks(dag)
-    topo_pos = dag.topo_pos
-    order = sorted(range(n), key=lambda v: topo_pos[v])
-    exp = _Expansions(budget.max_expansions)
-    memo: dict[int, tuple[int, int]] = {}
+    order = dag.topo
+    pos_bit = [1 << p for p in dag.topo_pos]
+    pcomp = [sum(pos_bit[u] for u in range(n) if comp[v] >> u & 1) for v in order]
+    limit = budget.max_expansions
+    count = 0
+    memo: dict[int, int] = {0: 0}
+    pick: dict[int, int] = {}
 
-    def rec(mask: int) -> tuple[int, int]:
-        if mask == 0:
-            return 0, 0
-        if mask in memo:
-            return memo[mask]
-        exp.tick()
-        v = next(u for u in order if mask >> u & 1)
-        best_val = None
+    def rec(mask: int) -> int:
+        nonlocal count
+        count += 1
+        if count > limit:
+            raise _expansion_limit(limit)
+        first = mask & -mask
+        best = n + 1
         best_ac = 0
-
-        def try_antichain(amask: int, size: int, start: int) -> None:
-            nonlocal best_val, best_ac
-            sub_val, _ = rec(mask & ~amask)
-            val = min(size, k) + sub_val
-            if best_val is None or val < best_val:
-                best_val = val
+        # (antichain, its size, the positions comparable to a member,
+        # one past its highest position)
+        top = first.bit_length()
+        stack = [(first, 1, pcomp[top - 1], top)]
+        while stack:
+            amask, size, blocked, top = stack.pop()
+            sub = mask ^ amask
+            val = memo.get(sub)
+            if val is None:
+                val = rec(sub)
+            val += size if size < k else k
+            if val < best:
+                best = val
                 best_ac = amask
-            for j in range(start, n):
-                u = order[j]
-                b = 1 << u
-                if (mask & b) and not (amask & b):
-                    ok = True
-                    m = amask
-                    while m:
-                        bb = m & -m
-                        w = bb.bit_length() - 1
-                        if comp[w] >> u & 1:
-                            ok = False
-                            break
-                        m &= m - 1
-                    if ok:
-                        try_antichain(amask | b, size + 1, j + 1)
-
-        vi = order.index(v)
-        try_antichain(1 << v, 1, vi + 1)
-        if best_val is None:
-            raise MismatchError("no antichain through the first vertex was scored")
-        memo[mask] = (best_val, best_ac)
-        return memo[mask]
+            # push the extensions highest first, so the lowest is tried next
+            free = (sub & ~blocked) >> top << top
+            while free:
+                p = free.bit_length() - 1
+                b = 1 << p
+                stack.append((amask | b, size + 1, blocked | pcomp[p], p + 1))
+                free ^= b
+        memo[mask] = best
+        pick[mask] = best_ac
+        return best
 
     full = (1 << n) - 1
-    value, _ = rec(full)
+    value = rec(full) if n else 0
     members: list[Antichain] = []
     mask = full
     while mask:
-        _, amask = rec(mask)
-        vs = []
-        m = amask
-        while m:
-            b = m & -m
-            vs.append(b.bit_length() - 1)
-            m &= m - 1
-        members.append(Antichain(frozenset(vs)))
-        mask &= ~amask
+        amask = pick[mask]
+        members.append(Antichain(frozenset(order[p] for p in range(n) if amask >> p & 1)))
+        mask ^= amask
     return value, Family(tuple(members), disjoint=True)
 
 

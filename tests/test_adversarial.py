@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gkcover import adversarial
+from gkcover import adversarial, greedy
 from gkcover.errors import MismatchError
 from gkcover import (
     DomainError,
@@ -131,14 +131,31 @@ class TestLogPathFamily:
             gen_gc(0)
 
     def test_wrong_round1_path_is_a_mismatch(self, monkeypatch):
-        real = adversarial.max_coverage_path
+        real = greedy.max_coverage_path
 
         def reversed_tie_break(dag, uncovered):
             return real(dag, set(uncovered) - {0})
 
-        monkeypatch.setattr(adversarial, "max_coverage_path", reversed_tie_break)
+        monkeypatch.setattr(greedy, "max_coverage_path", reversed_tie_break)
         with pytest.raises(MismatchError, match="round-1 path deviates"):
             gen_gc(4)
+
+    def test_greedy_cover_reuses_the_round1_path(self, monkeypatch):
+        # gen_gc's round-1 path is the first of the memoised rounds that
+        # gen gc --check's greedy cover reads, so the check searches
+        # only rounds 2..i
+        inst = gen_gc(5)
+        calls = []
+        real = greedy.max_coverage_path
+
+        def counted(dag, uncovered):
+            calls.append(len(uncovered))
+            return real(dag, uncovered)
+
+        monkeypatch.setattr(greedy, "max_coverage_path", counted)
+        _, _, trace = greedy_weighted_chain_cover(inst.dag, 0)
+        assert trace.gains() == [31, 15, 7, 3, 1]
+        assert calls == [26, 11, 4, 1]
 
     def test_wrong_vertex_count_is_a_mismatch(self, monkeypatch):
         monkeypatch.setattr(adversarial, "comb", lambda m, j: 1)
@@ -149,10 +166,10 @@ class TestLogPathFamily:
         script = (
             "if __debug__:\n"
             "    raise SystemExit('not running under -O')\n"
-            "from gkcover import adversarial\n"
+            "from gkcover import adversarial, greedy\n"
             "from gkcover.dagcore import GraphPath\n"
             "from gkcover.errors import MismatchError\n"
-            "adversarial.max_coverage_path = lambda dag, uncovered: GraphPath((0,))\n"
+            "greedy.max_coverage_path = lambda dag, uncovered: GraphPath((0,))\n"
             "try:\n"
             "    adversarial.gen_gc(3)\n"
             "except MismatchError as exc:\n"

@@ -409,6 +409,19 @@ class TestOracleCommand:
         monkeypatch.setenv("GKCOVER_BUDGET_N", "11")
         assert main(["oracle", "beta", "--k", "1", str(path)]) == 0
 
+    @pytest.mark.parametrize("raw", ["abc", "-1"])
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_invalid_budget_env_is_input_error(self, fig_file, capsys, monkeypatch,
+                                               raw, command):
+        monkeypatch.setenv("GKCOVER_BUDGET_N", raw)
+        argv = (["oracle", "beta", "--k", "1", fig_file] if command == "oracle"
+                else ["verify", "--n", "4", "--trials", "2"])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: GKCOVER_BUDGET_N must be a non-negative integer, "
+                                f"got {raw!r}\n")
+
     @pytest.mark.parametrize("problem", ["alpha", "beta", "chain-partition",
                                          "antichain-partition"])
     @pytest.mark.parametrize("k", ["0", "-1"])

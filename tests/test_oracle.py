@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gkcover import oracle
@@ -16,6 +18,7 @@ from gkcover import (
 from gkcover.errors import MismatchError
 from gkcover.oracle import OracleBudget
 
+import oracle_reference
 from conftest import FIG_ALPHA, FIG_BETA
 
 
@@ -63,6 +66,13 @@ class TestBudget:
         assert OracleBudget.from_env().max_n == 12
         monkeypatch.delenv("GKCOVER_BUDGET_N")
         assert OracleBudget.from_env().max_n == 10
+        for raw in ("abc", "-1", "1.5"):
+            monkeypatch.setenv("GKCOVER_BUDGET_N", raw)
+            with pytest.raises(ValueError, match=f"^GKCOVER_BUDGET_N must be a non-negative "
+                                                 f"integer, got '{raw}'$"):
+                OracleBudget.from_env()
+        monkeypatch.setenv("GKCOVER_BUDGET_N", "0")
+        assert OracleBudget.from_env().max_n == 0
 
 
 class TestVerify:
@@ -106,3 +116,52 @@ class TestRandomDag:
         for t in range(30):
             dag = random_dag(8, t, seed=1)
             assert 1 <= dag.n <= 8  # build_dag already rejected cycles
+
+
+SEARCHES = {
+    "alpha": (brute_alpha, oracle_reference.brute_alpha),
+    "beta": (brute_beta, oracle_reference.brute_beta),
+    "chain-partition": (brute_min_knorm_chain_partition,
+                        oracle_reference.brute_min_knorm_chain_partition),
+    "antichain-partition": (brute_min_knorm_antichain_partition,
+                            oracle_reference.brute_min_knorm_antichain_partition),
+}
+
+
+def small_corpus():
+    """verify-small-style cases: n in 2..9 over a shuffled order, densities
+    0.1/0.3/0.5 in turn, k 1..3 in turn, 300 of them."""
+    rng = random.Random("oracle-reference")
+    cases = []
+    for j in range(300):
+        n = rng.randint(2, 9)
+        p = oracle.DENSITIES[(j // 3) % 3]
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < p]
+        cases.append((build_dag(n, edges), 1 + j % 3))
+    return cases
+
+
+def ten_vertex_corpus():
+    """random_dag(10, t, s) for 30 trials of 3 seeds at k 1..4."""
+    return [(random_dag(10, t, s), k) for s in (1, 2, 3) for t in range(30) for k in range(1, 5)]
+
+
+class TestMatchesReference:
+    """Each search visits the nodes of its reference copy in the same
+    order: the same value, the same family (member order included) and
+    the same expansion count, pinned through the public budget."""
+
+    @pytest.mark.parametrize("corpus", [small_corpus, ten_vertex_corpus],
+                             ids=["small", "ten-vertex"])
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_same_values_families_and_expansions(self, search, corpus):
+        fn, ref = SEARCHES[search]
+        for dag, k in corpus():
+            value, fam, count = ref(dag, k)
+            assert count >= 1
+            assert fn(dag, k, OracleBudget(max_expansions=count)) == (value, fam), (dag.edges, k)
+            with pytest.raises(BudgetExceeded, match=f"^oracle expansion limit {count - 1} hit$"):
+                fn(dag, k, OracleBudget(max_expansions=count - 1))
