@@ -2,11 +2,11 @@
 
 A network is stored as parallel integer lists with one entry per arc
 (``tail``, ``head``, ``lower``, ``upper``, ``cost``) and a flow as one
-more list aligned with them. The adjacency depends only on the
+more plain list aligned with them. The adjacency depends only on the
 topology, so each network builds it once, on first use, in arc-id
-order; a SplitNetwork supplies it when it is built, read off its
-regular layout, with only the edge arcs placed one at a time. The
-topological order is a Kahn pass over the adjacency, or, through
+order; a SplitNetwork, a FlowNetwork itself, builds it when built, read
+off its regular layout, with only the edge arcs placed one at a time.
+The topological order is a Kahn pass over the adjacency, or, through
 SplitNetwork.take_levels, the DAG's depth levels. The residual graph
 of a flow pairs the arcs: 2i runs along network arc i, 2i+1 against it.
 residual() builds only their capacities; the solvers update them in
@@ -92,12 +92,14 @@ class FlowNetwork:
     """Directed network with lower/upper bounds and integer costs.
 
     Arc i runs from ``tail[i]`` to ``head[i]`` with bounds ``lower[i]``
-    and ``upper[i]`` and cost ``cost[i]``. Only ``lower`` may change once
-    the network is built (SplitNetwork.release); the cached adjacency
-    and topological positions read the other lists. ``ts_arc`` names the
-    return arc of a circulation network; without it the network is in
-    plain s-t flow form. Aside from the return arc the underlying graph
-    is acyclic, which the topological order relies on.
+    and ``upper[i]`` and cost ``cost[i]``; a flow is a list aligned with
+    them. Only ``lower`` may change once the network is built
+    (SplitNetwork.release); the cached adjacency and topological
+    positions read the other lists. ``ts_arc`` names the return arc of a
+    circulation network; without it the network is in plain s-t flow
+    form. Aside from the return arc the underlying graph is acyclic,
+    which the topological order relies on. SplitNetwork, the
+    vertex-split network of a DAG, is one.
     """
 
     def __init__(self, m: int, arcs: Sequence[Arc], s: int, t: int, ts_arc: Optional[int] = None):
@@ -107,15 +109,6 @@ class FlowNetwork:
         self.lower = [a.lower for a in arcs]
         self.upper = [a.upper for a in arcs]
         self.cost = [a.cost for a in arcs]
-
-    @classmethod
-    def from_lists(cls, m: int, tail: list[int], head: list[int], lower: list[int],
-                   upper: list[int], cost: list[int], s: int, t: int,
-                   ts_arc: Optional[int] = None) -> "FlowNetwork":
-        """A network that takes ownership of its per-arc lists."""
-        net = cls(m, (), s, t, ts_arc)
-        net.tail, net.head, net.lower, net.upper, net.cost = tail, head, lower, upper, cost
-        return net
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -129,7 +122,7 @@ class FlowNetwork:
         node in network-arc order without the return arc's pair. This is
         the network's one adjacency: the even ids leaving a node are its
         outgoing arcs, the odd ones its incoming arcs. A SplitNetwork
-        supplies it from its layout instead."""
+        builds it from its layout instead."""
         out: list[list[int]] = [[] for _ in range(self.m)]
         skip = self.ts_arc
         for i, (u, w) in enumerate(zip(self.tail, self.head)):
@@ -156,40 +149,32 @@ class FlowNetwork:
         """Topological positions over all arcs except the return arc."""
         return self._topo[1]
 
-
-@dataclass
-class Flow:
-    """Per-arc flow values, aligned with the network's arc lists."""
-
-    values: list[int]
-
-    def copy(self) -> "Flow":
-        return Flow(list(self.values))
-
-    def value(self, net: FlowNetwork) -> int:
-        if net.ts_arc is not None:
-            return self.values[net.ts_arc]
-        outs, ins = net._s_arcs
-        get = self.values.__getitem__
+    def flow_value(self, flow: Sequence[int]) -> int:
+        """The flow on the return arc, or else the net flow out of s."""
+        if self.ts_arc is not None:
+            return flow[self.ts_arc]
+        outs, ins = self._s_arcs
+        get = flow.__getitem__
         return sum(map(get, outs)) - sum(map(get, ins))
 
-    def cost(self, net: FlowNetwork) -> int:
-        return sum(map(mul, self.values, net.cost))
+    def flow_cost(self, flow: Sequence[int]) -> int:
+        return sum(map(mul, flow, self.cost))
 
 
-def zero_flow(net: FlowNetwork) -> Flow:
-    return Flow([0] * len(net.tail))
+def zero_flow(net: FlowNetwork) -> list[int]:
+    return [0] * len(net.tail)
 
 
-class SplitNetwork:
-    """Vertex-split network of a DAG on vertices 0..n-1.
+class SplitNetwork(FlowNetwork):
+    """Vertex-split flow network of a DAG on vertices 0..n-1.
 
     Nodes: v_in = 2v, v_out = 2v+1, s = 2n, t = 2n+1. Vertex v owns
     consecutive arc ids: entry (s, v_in), one (v_in, v_out) arc per
     ``gadgets`` entry (upper, cost), exit (v_out, t). Edge arcs follow
     in edge-list order; the return arc (t, s), given as (upper, cost),
     is last when present. The first gadget arc of every vertex in
-    ``demand`` carries lower bound 1.
+    ``demand`` carries lower bound 1. The arc lists and the adjacency
+    are built from this layout.
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
@@ -223,9 +208,9 @@ class SplitNetwork:
             ts_arc = size - 1
             tail[ts_arc], head[ts_arc] = t, s
             upper[ts_arc], cost[ts_arc] = ret
-        net = self.net = FlowNetwork.from_lists(2 * n + 2, tail, head, lower, upper, cost,
-                                                s, t, ts_arc)
-        net._paired = (*_paired_columns(net), self._adjacency())
+        self.m, self.s, self.t, self.ts_arc = 2 * n + 2, s, t, ts_arc
+        self.tail, self.head, self.lower, self.upper, self.cost = tail, head, lower, upper, cost
+        self._paired = (*_paired_columns(self), self._adjacency())
 
     def _adjacency(self) -> list[list[int]]:
         """FlowNetwork._paired's adjacency, read off the layout.
@@ -263,7 +248,7 @@ class SplitNetwork:
             order += ins
             order += [v + 1 for v in ins]
         order.append(2 * self.n + 1)
-        self.net._topo = _with_positions(order)
+        self._topo = _with_positions(order)
 
     def v_in(self, v: int) -> int:
         return 2 * v
@@ -287,7 +272,7 @@ class SplitNetwork:
         the arcs whose bound dropped from 1 to 0; in a residual graph of
         such a flow, the undo capacity of each (2i + 1) rises by one.
         """
-        lower = self.net.lower
+        lower = self.lower
         dropped = []
         for v in vertices:
             a = self.gadget(v)
@@ -297,11 +282,10 @@ class SplitNetwork:
         return dropped
 
 
-def route_paths(split: SplitNetwork, paths: Iterable[Sequence[int]]) -> Flow:
+def route_paths(split: SplitNetwork, paths: Iterable[Sequence[int]]) -> list[int]:
     """One unit of flow per vertex sequence, through each vertex's first
     gadget arc with room, and around the return arc when there is one."""
-    f = zero_flow(split.net)
-    values, upper, ret = f.values, split.net.upper, split.net.ts_arc
+    values, upper, ret = zero_flow(split), split.upper, split.ts_arc
     stride = split.stride
     # arc ids by the layout: entry stride * v, first gadget one past it,
     # exit stride - 1 past it; a repeated edge keeps its last id
@@ -318,11 +302,11 @@ def route_paths(split: SplitNetwork, paths: Iterable[Sequence[int]]) -> Flow:
         values[stride * p[-1] + stride - 1] += 1
         if ret is not None:
             values[ret] += 1
-    return f
+    return values
 
 
-def peel_paths(split: SplitNetwork, f: Flow) -> list[tuple[tuple[int, ...], int]]:
-    """route_paths' inverse: the flow's f.value units, each as its vertex
+def peel_paths(split: SplitNetwork, f: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """route_paths' inverse: each unit of the flow's value as its vertex
     sequence and the gadget index it took at its first vertex.
 
     From s, and from each vertex after its first gadget arc with flow
@@ -333,19 +317,18 @@ def peel_paths(split: SplitNetwork, f: Flow) -> list[tuple[tuple[int, ...], int]
     ConservationError names the node where a unit gets stuck, or else
     the tail of the first arc, the return arc aside, with flow left over.
     """
-    net = split.net
     n, stride = split.n, split.stride
-    pos, head = net.node_topo_pos(), net.head
-    left = list(f.values)
+    pos, head = split.node_topo_pos(), split.head
+    left = list(f)
     base = stride * n
     # the entries and edge arcs with flow, by tail (s as n, v_out as v),
     # each a stack that pops them by head position, then by id
     nxt: list[list[int]] = [[] for _ in range(n + 1)]
     ids = [*range(0, base, stride), *range(base, base + len(split.edges))]
     for e in sorted(compress(ids, map(left.__getitem__, ids)), key=lambda e: (-pos[head[e]], -e)):
-        nxt[net.tail[e] >> 1].append(e)
+        nxt[split.tail[e] >> 1].append(e)
     paths: list[tuple[tuple[int, ...], int]] = []
-    for _ in range(f.value(net)):
+    for _ in range(split.flow_value(f)):
         v, vs = n, []
         while True:
             arcs = nxt[v]
@@ -370,16 +353,16 @@ def peel_paths(split: SplitNetwork, f: Flow) -> list[tuple[tuple[int, ...], int]
             raise ConservationError(2 * v + bool(vs))
         left[end] -= 1
         paths.append((tuple(vs), gadget))
-    if net.ts_arc is not None:
-        left[net.ts_arc] = 0
+    if split.ts_arc is not None:
+        left[split.ts_arc] = 0
     if any(left):
-        raise ConservationError(net.tail[next(i for i, x in enumerate(left) if x)])
+        raise ConservationError(split.tail[next(i for i, x in enumerate(left) if x)])
     return paths
 
 
-def check_feasible(net: FlowNetwork, f: Flow) -> None:
+def check_feasible(net: FlowNetwork, values: Sequence[int]) -> None:
     """Raise InfeasibleFlowError on a bound or conservation violation."""
-    values, lower, upper = f.values, net.lower, net.upper
+    lower, upper = net.lower, net.upper
     if len(values) != len(lower):
         raise InfeasibleFlowError("flow vector length does not match arc count")
     if any(map(gt, lower, values)) or any(map(gt, values, upper)):
@@ -420,17 +403,17 @@ class ResidualGraph:
     out: list[list[int]]
 
 
-def residual(net: FlowNetwork, f: Flow) -> ResidualGraph:
+def residual(net: FlowNetwork, f: Sequence[int]) -> ResidualGraph:
     """Residual graph of a feasible flow: forward slack and undo arcs.
 
     An uncapped arc's forward capacity is INF less its flow.
     """
     check_feasible(net, f)
     tail, head, cost, out = net._paired
-    return ResidualGraph(net.m, tail, head, _residual_cap(net, f.values), cost, out)
+    return ResidualGraph(net.m, tail, head, _residual_cap(net, f), cost, out)
 
 
-def _residual_cap(net: FlowNetwork, values: list[int]) -> list[int]:
+def _residual_cap(net: FlowNetwork, values: Sequence[int]) -> list[int]:
     """The paired residual capacities of a flow: upper less flow on 2i,
     flow less lower on 2i + 1."""
     cap = [0] * (2 * len(values))
@@ -561,7 +544,7 @@ class CirculationResult:
     ``residual``: the solver's residual graph of the flow, which the
     certificate has checked against it."""
 
-    flow: Flow
+    flow: list[int]
     iterations: int
     final_cost: int
     labels: list[int]
@@ -671,7 +654,6 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
         raise InvalidCycleError("min_cost_circulation expects a network with a return arc")
     f = zero_flow(net)
     res = residual(net, f)
-    values = f.values
     ret_id = net.ts_arc
     fwd, undo = 2 * ret_id, 2 * ret_id + 1
     src, dst = net.head[ret_id], net.tail[ret_id]
@@ -695,7 +677,7 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
             r = pred[x]
             path.append(r)
             x = head[r ^ 1]
-        _augment(path, min(map(cap.__getitem__, path)), cap, values)
+        _augment(path, min(map(cap.__getitem__, path)), cap, f)
         # Adding min(dist, dt) to every potential keeps every reduced cost
         # non-negative without finishing the search, since the labels left
         # in the heap are at least dt. Less dt on every node, which no
@@ -709,11 +691,11 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
     p0 = pi[src]
     labels = [(x if x != math.inf else far) + p - p0 for x, p in zip(dist, pi)]
     check_feasible(net, f)
-    if cap != _residual_cap(net, values):
+    if cap != _residual_cap(net, f):
         raise MismatchError("the solver's residual capacities differ from its flow's")
     if find_negative_cycle(res, labels) is not None:
         raise MismatchError("a negative residual cycle remains after the last augmentation")
-    cf = f.cost(net)
+    cf = net.flow_cost(f)
     if iterations > -cf:
         raise MismatchError(f"{iterations} augmentations for a cost improvement of {-cf}")
     return CirculationResult(f, iterations, cf, labels, res)
@@ -725,7 +707,7 @@ class MinFlowResult:
     reachable from t in its residual graph (seen by the last, failed
     search)."""
 
-    flow: Flow
+    flow: list[int]
     searches: int
     pushes: int
     t_reach: list[bool]
@@ -765,7 +747,7 @@ def _residual_bfs(out: list[list[int]], head: list[int], cap: list[int],
     return None, seen
 
 
-def min_flow(net: FlowNetwork, res: ResidualGraph, f: Flow) -> MinFlowResult:
+def min_flow(net: FlowNetwork, res: ResidualGraph, f: list[int]) -> MinFlowResult:
     """Reduce a feasible s-t flow to minimum value, in place.
 
     ``res`` is the residual graph of ``f``, built by residual(), which
@@ -778,8 +760,7 @@ def min_flow(net: FlowNetwork, res: ResidualGraph, f: Flow) -> MinFlowResult:
     """
     if net.ts_arc is not None:
         raise InvalidCycleError("min_flow expects a network without a return arc")
-    values = f.values
-    v0 = f.value(net)
+    v0 = net.flow_value(f)
     head, cap, out = res.head, res.cap, res.out
     searches = 0
     pushes = 0
@@ -788,10 +769,10 @@ def min_flow(net: FlowNetwork, res: ResidualGraph, f: Flow) -> MinFlowResult:
         path, reach = _residual_bfs(out, head, cap, net.t, net.s)
         if path is None:
             break
-        _augment(path, min(map(cap.__getitem__, path)), cap, values)
+        _augment(path, min(map(cap.__getitem__, path)), cap, f)
         pushes += 1
     check_feasible(net, f)
-    if pushes > v0 - f.value(net):
+    if pushes > v0 - net.flow_value(f):
         raise MismatchError(
-            f"{pushes} pushes for a value decrease of {v0 - f.value(net)}")
+            f"{pushes} pushes for a value decrease of {v0 - net.flow_value(f)}")
     return MinFlowResult(f, searches, pushes, reach)

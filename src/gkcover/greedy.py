@@ -4,8 +4,8 @@ Chains come from a longest-path dynamic program over the uncovered set.
 Its rounds from U = every vertex depend only on the DAG, so they are
 memoised on it and shared by the chain commands and the path cover that
 seeds the antichain flow. Antichains come from minimum flows on one
-vertex-split network, one flow and one residual graph per run: lower
-bounds drop as vertices are covered, and each round reduces the
+flowcore.SplitNetwork, one flow list and one residual graph per run:
+lower bounds drop as vertices are covered, and each round reduces the
 previous round's flow in place. Each round reads its antichain off the
 cut that min_flow's last, failed search leaves (MinFlowResult.t_reach),
 so no search is run twice. Tie-breaking is deterministic throughout:
@@ -16,7 +16,7 @@ still-uncovered vertex, then the smallest id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice, repeat
 from typing import Container, Iterable, Iterator, Optional
 
 from .dagcore import (
@@ -32,7 +32,6 @@ from .dagcore import (
 from .errors import MismatchError
 from .flowcore import (
     INF,
-    Flow,
     MinFlowResult,
     SplitNetwork,
     min_flow,
@@ -121,21 +120,22 @@ def _best_path_rounds(dag: Dag) -> Iterator[tuple[GraphPath, tuple[int, ...], in
     vertices of U it picks (in path order) and |U| after the round.
 
     The rounds depend only on the DAG, so they are memoised on it, like
-    Dag.closure(), and extended as far as a caller reads; once U is
-    empty every round picks nothing.
+    Dag.closure(), and extended as far as a caller reads. Once U is
+    empty every round is the same one, which picks nothing, so the memo
+    ends at the first of them.
     """
     if dag._path_rounds is None:
         dag._path_rounds = ([], set(range(dag.n)))
     rounds, left = dag._path_rounds
-    i = 0
-    while True:
+    for i in count():
         if i == len(rounds):
+            if rounds and not rounds[-1][1]:
+                yield from repeat(rounds[-1])
             path = max_coverage_path(dag, left)
             picked = tuple(v for v in path.vertices if v in left)
             left.difference_update(picked)
             rounds.append((path, picked, len(left)))
         yield rounds[i]
-        i += 1
 
 
 def greedy_k_chains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
@@ -202,7 +202,7 @@ def cover_paths(dag: Dag) -> list[GraphPath]:
     return out
 
 
-def _path_cover_flow(dag: Dag, split: SplitNetwork) -> Flow:
+def _path_cover_flow(dag: Dag, split: SplitNetwork) -> list[int]:
     """Feasible start flow for a subset network: a cover of every vertex
     by best-path rounds."""
     return route_paths(split, [p.vertices for p in cover_paths(dag)])
@@ -227,11 +227,11 @@ def _extract_antichain(dag: Dag, subset: Iterable[int], value: int,
 def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:
     """Exact minimum number of paths covering every vertex."""
     if dag.n == 0:
-        return 0, MinFlowResult(Flow([]), 0, 0, [])
+        return 0, MinFlowResult([], 0, 0, [])
     split = build_subset_network(dag, range(dag.n))
     flow = _path_cover_flow(dag, split)
-    result = min_flow(split.net, residual(split.net, flow), flow)
-    return flow.value(split.net), result
+    result = min_flow(split, residual(split, flow), flow)
+    return split.flow_value(flow), result
 
 
 def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
@@ -248,11 +248,11 @@ def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
     uncovered = set(range(dag.n))
     split = build_subset_network(dag, uncovered)
     flow = _path_cover_flow(dag, split)
-    res = residual(split.net, flow)
+    res = residual(split, flow)
     cap = res.cap
     while uncovered:
-        result = min_flow(split.net, res, flow)
-        value = flow.value(split.net)
+        result = min_flow(split, res, flow)
+        value = split.flow_value(flow)
         ac = _extract_antichain(dag, uncovered, value, result.t_reach)
         yield ac, GreedyRound(
             tuple(sorted(ac.vertices)), len(ac), len(uncovered) - len(ac),

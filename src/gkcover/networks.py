@@ -1,11 +1,12 @@
 """Circulation networks whose minimum cost solves the coverage problems.
 
-Each vertex v splits into v_in and v_out (flowcore.SplitNetwork owns the
-layout) joined by two parallel arcs: a unit-capacity arc of cost -1 that
-pays for covering v, and a free overflow arc. A return arc t->s closes
-the circulation; its cost (problem Alpha) or capacity (problem Beta)
-carries k. The minimum cost then equals alpha_k - n, respectively
--beta_k. Every solve starts from the zero flow and runs
+Each vertex v splits into v_in and v_out joined by two parallel arcs: a
+unit-capacity arc of cost -1 that pays for covering v, and a free
+overflow arc. A return arc t->s closes the circulation; its cost
+(problem Alpha) or capacity (problem Beta) carries k. The minimum cost
+then equals alpha_k - n, respectively -beta_k. The network is a
+flowcore.SplitNetwork, which owns the layout, and goes to the solvers as
+it is. Every solve starts from the zero flow and runs
 flowcore.min_cost_circulation (successive shortest paths, certified on
 the solver's own residual graph by a negative-cycle search seeded with
 its final labels). Chain witnesses are the flow's unit paths, read off
@@ -39,7 +40,6 @@ from .dagcore import (
 from .errors import MismatchError
 from .flowcore import (
     INF,
-    Flow,
     ResidualGraph,
     SplitNetwork,
     check_distances,
@@ -61,7 +61,8 @@ class GkNetwork(SplitNetwork):
     """Problem network on the shared vertex-split layout.
 
     The return arc carries k as its cost (problem Alpha) or as its
-    capacity (problem Beta).
+    capacity (problem Beta); ``levels``, the DAG's height levels, fix
+    its topological order.
     """
 
     def __init__(self, dag: Dag, k: int, kind: str):
@@ -70,8 +71,9 @@ class GkNetwork(SplitNetwork):
         self.kind = kind
         self.k = k
         self.dag = dag
+        self.levels = height_levels(dag)
         # FIFO Kahn takes the vertices level by level, in dag.topo order
-        self.take_levels(height_levels(dag))
+        self.take_levels(self.levels)
 
 
 def build_network(dag: Dag, k: int, kind: str) -> GkNetwork:
@@ -127,10 +129,10 @@ def _expect(ok: bool, message: str) -> None:
         raise MismatchError(message)
 
 
-def _check_gadget_invariant(gk: GkNetwork, f: Flow) -> None:
+def _check_gadget_invariant(gk: GkNetwork, f: list[int]) -> None:
     for v in range(gk.n):
-        if f.values[gk.gadget(v, OVERFLOW)] > 0:
-            _expect(f.values[gk.gadget(v, COVER)] == 1,
+        if f[gk.gadget(v, OVERFLOW)] > 0:
+            _expect(f[gk.gadget(v, COVER)] == 1,
                     f"overflow used at vertex {v} while its cover arc is empty")
 
 
@@ -159,9 +161,9 @@ def extract_antichains(gk: GkNetwork, res: ResidualGraph, labels: Sequence[int])
     """
     if gk.n == 0:
         return Family((), disjoint=True)
-    check_distances(res, gk.net.s, labels)
+    check_distances(res, gk.s, labels)
     d = labels
-    dt = d[gk.net.t]
+    dt = d[gk.t]
     h = -dt
     if gk.kind == ALPHA:
         _expect(h == gk.k, f"label spread {h} differs from k={gk.k}")
@@ -200,23 +202,23 @@ class BetaResult:
     stats: SolveStats
 
 
-def normalize_beta(gk: GkNetwork, f: Flow) -> Flow:
-    """Pad the circulation to route exactly k units, at zero extra cost.
+def normalize_beta(gk: GkNetwork, f: list[int]) -> list[int]:
+    """Pad a copy of the flow to route exactly k units, at zero extra cost.
 
     Spare units go through vertex 0's overflow arc, so the cost and the
-    cover arcs are untouched. No-op on the empty graph.
+    cover arcs are untouched. Nothing is padded on the empty graph.
     """
     if gk.kind != BETA:
         raise ValueError(f"normalize_beta needs a {BETA} network, got {gk.kind}")
-    out = f.copy()
+    out = list(f)
     if gk.n == 0:
         return out
-    pad = gk.k - out.values[gk.net.ts_arc]
+    pad = gk.k - out[gk.ts_arc]
     _expect(pad >= 0, f"return arc carries {gk.k - pad} units, more than k={gk.k}")
     if pad:
-        for ai in (gk.entry(0), gk.gadget(0, OVERFLOW), gk.exit(0), gk.net.ts_arc):
-            out.values[ai] += pad
-    _expect(out.cost(gk.net) == f.cost(gk.net), "padding changed the circulation cost")
+        for ai in (gk.entry(0), gk.gadget(0, OVERFLOW), gk.exit(0), gk.ts_arc):
+            out[ai] += pad
+    _expect(gk.flow_cost(out) == gk.flow_cost(f), "padding changed the circulation cost")
     return out
 
 
@@ -229,7 +231,7 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     """
     gk = build_network(dag, k, ALPHA)
     n = dag.n
-    circ = min_cost_circulation(gk.net)
+    circ = min_cost_circulation(gk)
     f = circ.flow
     _check_gadget_invariant(gk, f)
     alpha_k = circ.final_cost + n
@@ -238,7 +240,7 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     mps_value = knorm_collection(mps_family.members, n, k)
     _expect(mps_value == alpha_k, f"path collection norm {mps_value} != alpha {alpha_k}")
     chain_family = chains_from_paths(dag, dag_paths)
-    routed = f.values[gk.net.ts_arc] > 0
+    routed = f[gk.ts_arc] > 0
     if routed:
         _expect(all(len(c) >= k for c in chain_family.members),
                 "an extracted chain is shorter than k")
@@ -248,10 +250,10 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     if routed:
         ma_family = extract_antichains(gk, circ.residual, circ.labels)
     else:
-        levels = height_levels(dag)
-        _expect(len(levels) <= k, f"zero circulation optimal at height {len(levels)} > k={k}")
+        height = len(gk.levels)
+        _expect(height <= k, f"zero circulation optimal at height {height} > k={k}")
         ma_family = Family(tuple(
-            certify_antichain(dag, lv) for lv in levels), disjoint=True)
+            certify_antichain(dag, lv) for lv in gk.levels), disjoint=True)
     ma_value = ma_family.coverage()
     _expect(ma_value == alpha_k, f"antichain coverage {ma_value} != alpha {alpha_k}")
     _expect(len(ma_family) <= k, f"{len(ma_family)} antichains for k={k}")
@@ -273,13 +275,13 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
     """
     gk = build_network(dag, k, BETA)
     n = dag.n
-    circ = min_cost_circulation(gk.net)
+    circ = min_cost_circulation(gk)
     f = circ.flow
     _check_gadget_invariant(gk, f)
     beta_k = -circ.final_cost
     fN = normalize_beta(gk, f)
     # residual() checks the padded flow, which peel_paths does not
-    res = residual(gk.net, fN)
+    res = residual(gk, fN)
     peeled = peel_paths(gk, fN)
     if n > 0:
         _expect(len(peeled) == k, f"expected k={k} paths, got {len(peeled)}")

@@ -152,16 +152,16 @@ def min_flow(net, f0):
     every search: (flow values, searches, pushes, nodes seen by the last
     search)."""
     arcs = net.arcs
-    f = f0.copy()
+    f = list(f0)
     searches = pushes = 0
     while True:
         searches += 1
-        path, seen = residual_bfs(net.m, residual_arcs(arcs, f.values), net.t, net.s)
+        path, seen = residual_bfs(net.m, residual_arcs(arcs, f), net.t, net.s)
         if path is None:
-            return f.values, searches, pushes, seen
+            return f, searches, pushes, seen
         push = min(a.cap for a in path)
         for a in path:
-            f.values[a.arc] += push if a.forward else -push
+            f[a.arc] += push if a.forward else -push
         pushes += 1
 
 
@@ -215,7 +215,7 @@ def ssp_circulation(net):
         while x != src:
             path.append(pred[x])
             x = head[pred[x] ^ 1]
-        _augment(path, min(cap[r] for r in path), cap, f.values)
+        _augment(path, min(cap[r] for r in path), cap, f)
         pi = list(map(add, pi, map(min, dist, repeat(dt))))
         iterations += 1
     undo = 2 * ret + 1
@@ -226,7 +226,7 @@ def ssp_circulation(net):
     searches += 1
     far = max(x for x in dist if x != math.inf)
     labels = [(x if x != math.inf else far) + p - pi[src] for x, p in zip(dist, pi)]
-    return f.values, iterations, labels, f.cost(net), cap, searches
+    return f, iterations, labels, net.flow_cost(f), cap, searches
 
 
 def tuple_dijkstra(res, pi, src, stop, seed, below):
@@ -278,9 +278,9 @@ def decompose(net, f):
     for i, u in enumerate(net.tail):
         if i != net.ts_arc:
             out[u].append(i)
-    left = list(f.values)
+    left = list(f)
     paths = []
-    for _ in range(f.value(net)):
+    for _ in range(net.flow_value(f)):
         nodes, arcs = [net.s], []
         while nodes[-1] != net.t:
             live = [i for i in out[nodes[-1]] if left[i] > 0]

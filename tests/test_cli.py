@@ -1,5 +1,9 @@
 import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,7 @@ from gkcover import (
     ParseError,
     build_dag,
     cli,
+    gen_gc,
     networks,
     run_verification_sweep,
 )
@@ -341,6 +346,16 @@ class TestGreedyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == 3  # emitted partition members
 
+    def test_chains_past_u_empty_keep_their_bytes(self, tmp_path, capsys):
+        # six rounds cover gc 6; the other 44 each record the empty round
+        path = tmp_path / "gc6.txt"
+        path.write_text(format_dag(gen_gc(6).dag))
+        assert main(["greedy", "chains", "--k", "50", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["gains"] == [63, 31, 15, 7, 3, 1] + [0] * 44
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "350eb9f8d8c75534b6e867c81e94f81e950859a9c0bffa7f60c3cc32b474110d")
+
     @pytest.mark.parametrize("kind", ["chains", "antichains", "chain-cover", "antichain-cover"])
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_non_positive_k_is_input_error(self, fig_file, capsys, kind, k):
@@ -350,6 +365,32 @@ class TestGreedyCommand:
         captured = capsys.readouterr()
         assert captured.err == solve_err == f"error: k must be positive, got {k}\n"
         assert captured.out == ""
+
+
+class TestModuleEntryPoint:
+    """``python -m gkcover`` runs cli.main, with its exit codes."""
+
+    @staticmethod
+    def run(*argv):
+        env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+        return subprocess.run([sys.executable, "-m", "gkcover", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_solve_prints_the_bytes_of_main(self, fig_file, capsys):
+        argv = ["solve", "ma-k", "--k", "2", "--json", fig_file]
+        proc = self.run(*argv)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_unknown_subcommand_is_input_error(self):
+        proc = self.run("nope")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "invalid choice: 'nope'" in proc.stderr
+
+    def test_non_positive_k_is_input_error(self, fig_file):
+        proc = self.run("solve", "ma-k", "--k", "0", fig_file)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: k must be positive, got 0\n"
 
 
 class TestGenCommand:

@@ -10,7 +10,6 @@ from gkcover import CycleError, build_dag, flowcore, gen_gc
 from gkcover.flowcore import (
     INF,
     Arc,
-    Flow,
     FlowNetwork,
     SplitNetwork,
     check_distances,
@@ -95,22 +94,21 @@ class TestSplitNetworkLists:
         ret = rng.choice([None, (INF, 3), (2, 0)])
         split = SplitNetwork(dag.n, dag.edges, gadgets, demand=demand, ret=ret)
         want = ref.split_arcs(dag.n, dag.edges, gadgets, demand, ret)
-        net = split.net
-        assert columns(net) == arc_columns(want)
-        assert list(net.arcs) == want
-        assert net.ts_arc == (len(want) - 1 if ret is not None else None)
-        assert (net.m, net.s, net.t) == (2 * dag.n + 2, 2 * dag.n, 2 * dag.n + 1)
-        assert columns(FlowNetwork(net.m, want, net.s, net.t, net.ts_arc)) == columns(net)
+        assert columns(split) == arc_columns(want)
+        assert list(split.arcs) == want
+        assert split.ts_arc == (len(want) - 1 if ret is not None else None)
+        assert (split.m, split.s, split.t) == (2 * dag.n + 2, 2 * dag.n, 2 * dag.n + 1)
+        assert columns(FlowNetwork(split.m, want, split.s, split.t, split.ts_arc)) == columns(split)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_release_changes_only_the_released_lower_bounds(self, seed):
         rng = random.Random(seed)
         dag = random_dag(rng)
         split = SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=range(dag.n))
-        before = [list(col) for col in columns(split.net)]
+        before = [list(col) for col in columns(split)]
         released = [v for v in range(dag.n) if rng.random() < 0.4]
         split.release(released)
-        after = columns(split.net)
+        after = columns(split)
         assert after[:2] == tuple(before[:2]) and after[3:] == tuple(before[3:])
         gadget_ids = {split.gadget(v) for v in released}
         for i, (old, new) in enumerate(zip(before[2], after[2])):
@@ -120,8 +118,7 @@ class TestSplitNetworkLists:
 def generic_build(net):
     """The paired adjacency and topological positions of the generic
     arc-order build, on a copy of ``net`` without a supplied adjacency."""
-    copy = FlowNetwork.from_lists(net.m, list(net.tail), list(net.head), list(net.lower),
-                                  list(net.upper), list(net.cost), net.s, net.t, net.ts_arc)
+    copy = FlowNetwork(net.m, net.arcs, net.s, net.t, net.ts_arc)
     return copy._paired, copy.node_topo_pos()
 
 
@@ -135,9 +132,9 @@ class TestSplitAdjacency:
     def test_corner_cases(self, n, gadgets, ret):
         edges = [(0, 1)] if n == 2 else []
         split = SplitNetwork(n, edges, [(INF, 0)] * gadgets, demand=range(n), ret=ret)
-        paired, pos = generic_build(split.net)
+        paired, pos = generic_build(split)
         assert split._adjacency() == paired[3]
-        assert (split.net._paired, split.net.node_topo_pos()) == (paired, pos)
+        assert (split._paired, split.node_topo_pos()) == (paired, pos)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_networks(self, seed):
@@ -149,10 +146,10 @@ class TestSplitAdjacency:
         demand = {v for v in range(dag.n) if rng.random() < 0.5}
         ret = rng.choice([None, (INF, 3), (2, 0)])
         split = SplitNetwork(dag.n, edges, gadgets, demand=demand, ret=ret)
-        paired, pos = generic_build(split.net)
+        paired, pos = generic_build(split)
         assert split._adjacency() == paired[3]
-        assert (split.net._paired, split.net.node_topo_pos()) == (paired, pos)
-        assert pos == network_static_pos(split.net)
+        assert (split._paired, split.node_topo_pos()) == (paired, pos)
+        assert pos == network_static_pos(split)
 
     @pytest.mark.parametrize("case", ["empty", "edgeless", "gc-6"] + list(range(30)))
     def test_gk_networks_take_their_order_from_the_dag(self, case):
@@ -165,14 +162,14 @@ class TestSplitAdjacency:
         else:
             dag = random_dag(random.Random(case), 60)
         for kind in (ALPHA, BETA):
-            net = build_network(dag, 2, kind).net
+            net = build_network(dag, 2, kind)
             assert "_topo" in vars(net)
             assert net.node_topo_pos() == generic_build(net)[1]
 
     @pytest.mark.parametrize("n", [0, 2, 16])
     def test_networks_are_built_with_their_adjacency(self, n):
         split = SplitNetwork(n, [(0, 1)] if n else [], [(INF, 0)])
-        assert vars(split.net)["_paired"] == generic_build(split.net)[0]
+        assert vars(split)["_paired"] == generic_build(split)[0]
 
 
 def random_flows(seed):
@@ -182,14 +179,14 @@ def random_flows(seed):
     rng = random.Random(seed)
     dag = random_dag(rng, 25)
     gk = build_network(dag, rng.randint(1, 4), rng.choice([ALPHA, BETA]))
-    yield gk.net, zero_flow(gk.net)
-    yield gk.net, min_cost_circulation(gk.net).flow
+    yield gk, zero_flow(gk)
+    yield gk, min_cost_circulation(gk).flow
     subset = {v for v in range(dag.n) if rng.random() < 0.6}
     split = SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=subset)
     f = route_paths(split, [p.vertices for p in cover_paths(dag)])
-    yield split.net, f
+    yield split, f
     split.release([v for v in subset if rng.random() < 0.5])
-    yield split.net, f
+    yield split, f
 
 
 def random_circulation(rng):
@@ -210,21 +207,21 @@ def random_circulation(rng):
         u, w = rng.randrange(m), rng.randrange(m)
         arcs.append(Arc(u, w, 0, rng.randint(1, 3), rng.randint(-2, 4)))
         values.append(0)
-    return FlowNetwork(m, arcs, 0, m - 1), Flow(values)
+    return FlowNetwork(m, arcs, 0, m - 1), values
 
 
 class TestResidualLists:
     @pytest.mark.parametrize("seed", range(15))
     def test_residual_matches_the_record_build(self, seed):
         for net, f in random_flows(seed):
-            want = ref.residual_arcs(net.arcs, f.values)
+            want = ref.residual_arcs(net.arcs, f)
             assert residual_rows(net, residual(net, f)) == reference_rows(want)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_bellman_ford_on_solved_flows(self, seed):
         for net, f in random_flows(seed):
             res = residual(net, f)
-            arcs = ref.residual_arcs(net.arcs, f.values)
+            arcs = ref.residual_arcs(net.arcs, f)
             cyc = find_negative_cycle(res)
             want = ref.find_negative_cycle(net.m, arcs)
             assert (cyc is None) == (want is None)
@@ -238,7 +235,7 @@ class TestResidualLists:
         rng = random.Random(seed)
         net, f = random_circulation(rng)
         res = residual(net, f)
-        arcs = ref.residual_arcs(net.arcs, f.values)
+        arcs = ref.residual_arcs(net.arcs, f)
         assert residual_rows(net, res) == reference_rows(arcs)
         cyc = find_negative_cycle(res)
         want = ref.find_negative_cycle(net.m, arcs)
@@ -277,7 +274,7 @@ class TestResidualLists:
             with pytest.raises(MismatchError):
                 check_distances(res, 0, labels)
         # with the cycle saturated, only undo arcs remain and 3 stays unreachable
-        res = residual(net, Flow([1, 1, 1]))
+        res = residual(net, [1, 1, 1])
         assert find_negative_cycle(res) is None
         assert ref.shortest_distances(
             4, ref.residual_arcs(net.arcs, [1, 1, 1]), 0) == [0, 3, -1, None]
@@ -325,25 +322,23 @@ class TestCirculationLabels:
         for kind in (ALPHA, BETA):
             for k in (1, 2, 3, 5):
                 gk = build_network(dag, k, kind)
-                net = gk.net
-                circ = min_cost_circulation(net)
+                circ = min_cost_circulation(gk)
                 flows = [circ.flow]
                 if kind == BETA:
                     flows.append(normalize_beta(gk, circ.flow))
                 for f in flows:
-                    arcs = ref.residual_arcs(net.arcs, f.values)
-                    assert circ.labels == ref.shortest_distances(net.m, arcs, net.s)
-                    check_distances(residual(net, f), net.s, circ.labels)
+                    arcs = ref.residual_arcs(gk.arcs, f)
+                    assert circ.labels == ref.shortest_distances(gk.m, arcs, gk.s)
+                    check_distances(residual(gk, f), gk.s, circ.labels)
 
     def test_labels_survive_the_beta_padding(self):
         # a path of 4 has width 1, so k = 5 leaves four units to pad
         gk = build_network(build_dag(4, [(0, 1), (1, 2), (2, 3)]), 5, BETA)
-        net = gk.net
-        circ = min_cost_circulation(net)
+        circ = min_cost_circulation(gk)
         padded = normalize_beta(gk, circ.flow)
-        assert padded.values[net.ts_arc] == 5 > circ.flow.values[net.ts_arc]
+        assert padded[gk.ts_arc] == 5 > circ.flow[gk.ts_arc]
         assert circ.labels == ref.shortest_distances(
-            net.m, ref.residual_arcs(net.arcs, padded.values), net.s)
+            gk.m, ref.residual_arcs(gk.arcs, padded), gk.s)
 
 
 def tied_network(rng):
@@ -380,7 +375,7 @@ class TestSearchMatchesReference:
         values, iterations, labels, cost, cap, ref_searches = ref.ssp_circulation(net)
         searches.clear()
         circ = min_cost_circulation(net)
-        assert circ.flow.values == values
+        assert circ.flow == values
         assert (circ.iterations, circ.labels, circ.final_cost) == (iterations, labels, cost)
         assert circ.residual.cap == cap == residual(net, circ.flow).cap
         assert len(searches) == circ.iterations + 1 <= ref_searches
@@ -390,7 +385,7 @@ class TestSearchMatchesReference:
         dag = random_dag(random.Random(seed), 30)
         for kind in (ALPHA, BETA):
             for k in range(1, 6):
-                self.check(build_network(dag, k, kind).net, searches)
+                self.check(build_network(dag, k, kind), searches)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_tied_labels_and_parallel_arcs(self, seed, searches):
@@ -409,7 +404,7 @@ class TestSearchMatchesReference:
             dag = build_dag(120, edges)
         for kind in (ALPHA, BETA):
             for k in range(1, 7):
-                self.check(build_network(dag, k, kind).net, searches)
+                self.check(build_network(dag, k, kind), searches)
 
 
 class TestKahnOrder:
@@ -429,9 +424,9 @@ class TestKahnOrder:
     def test_network_orders_are_graphlibs(self, seed):
         rng = random.Random(seed)
         dag = random_dag(rng)
-        nets = [SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=range(dag.n)).net]
+        nets = [SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=range(dag.n))]
         for kind in (ALPHA, BETA):
-            nets.append(build_network(dag, rng.randint(1, 3), kind).net)
+            nets.append(build_network(dag, rng.randint(1, 3), kind))
         for net in nets:
             assert net.node_topo_pos() == network_static_pos(net)
 

@@ -13,7 +13,6 @@ from gkcover.errors import ConservationError, InfeasibleFlowError, InvalidCycleE
 from gkcover.flowcore import (
     INF,
     Arc,
-    Flow,
     FlowNetwork,
     ResidualGraph,
     SplitNetwork,
@@ -57,7 +56,7 @@ class TestFeasibility:
     def test_length_mismatch(self):
         net = diamond()
         with pytest.raises(InfeasibleFlowError):
-            check_feasible(net, Flow([0, 0, 0]))
+            check_feasible(net, [0, 0, 0])
 
     def test_bound_violation(self):
         net = diamond(lower_mid=1)
@@ -67,49 +66,49 @@ class TestFeasibility:
     def test_conservation_violation(self):
         net = diamond()
         with pytest.raises(InfeasibleFlowError):
-            check_feasible(net, Flow([1, 0, 0, 0]))
+            check_feasible(net, [1, 0, 0, 0])
 
     def test_endpoints_exempt_without_return_arc(self):
         net = diamond()
-        check_feasible(net, Flow([1, 0, 1, 0]))  # imbalanced at s and t only
+        check_feasible(net, [1, 0, 1, 0])  # imbalanced at s and t only
 
     def test_return_arc_makes_everything_conserved(self):
         net = two_node_circulation()
-        check_feasible(net, Flow([3, 3]))
+        check_feasible(net, [3, 3])
         with pytest.raises(InfeasibleFlowError):
-            check_feasible(net, Flow([3, 2]))
+            check_feasible(net, [3, 2])
 
 
 class TestFlowAccessors:
     def test_value_st_form(self):
         net = diamond()
-        assert Flow([1, 1, 1, 1]).value(net) == 2
+        assert net.flow_value([1, 1, 1, 1]) == 2
 
     def test_value_circulation_form(self):
         net = two_node_circulation()
-        assert Flow([4, 4]).value(net) == 4
+        assert net.flow_value([4, 4]) == 4
 
     def test_value_counts_arcs_into_the_source(self):
         # s=0 -> 1 carries 3, 1 -> s carries 1 back, 1 -> t=2 carries 2
         net = FlowNetwork(3, [Arc(0, 1, 0, 5, 0), Arc(1, 0, 0, 5, 0), Arc(1, 2, 0, 5, 0)], 0, 2)
-        assert Flow([3, 1, 2]).value(net) == 2
+        assert net.flow_value([3, 1, 2]) == 2
 
     def test_value_after_release(self):
         dag = build_dag(4, [(0, 1), (1, 2), (0, 3)])
         split = SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=range(4))
         f = route_paths(split, [(0, 1, 2), (3,)])
-        assert f.value(split.net) == 2
-        res = residual(split.net, f)
+        assert split.flow_value(f) == 2
+        res = residual(split, f)
         split.release([1, 2, 3])
         for a in (split.gadget(1), split.gadget(2), split.gadget(3)):
             res.cap[2 * a + 1] += 1
-        result = min_flow(split.net, res, f)
-        assert f.value(split.net) == 1 == sum(f.values[split.entry(v)] for v in range(4))
+        result = min_flow(split, res, f)
+        assert split.flow_value(f) == 1 == sum(f[split.entry(v)] for v in range(4))
         assert result.pushes == 1
 
     def test_cost(self):
         net = diamond()
-        assert Flow([1, 1, 1, 1]).cost(net) == 1 + 2 + 1 + 1
+        assert net.flow_cost([1, 1, 1, 1]) == 1 + 2 + 1 + 1
 
 
 def usable_arcs(res):
@@ -120,14 +119,14 @@ def usable_arcs(res):
 class TestResidual:
     def test_arc_directions(self):
         net = diamond()
-        pairs = usable_arcs(residual(net, Flow([1, 0, 1, 0])))
+        pairs = usable_arcs(residual(net, [1, 0, 1, 0]))
         assert (0, 1, True) in pairs    # slack remains
         assert (1, 0, False) in pairs   # undo arc
         assert (2, 0, False) not in pairs  # no flow to undo
 
     def test_saturated_arc_has_no_forward_residual(self):
         net = diamond()
-        assert (0, 1, True) not in usable_arcs(residual(net, Flow([2, 0, 2, 0])))
+        assert (0, 1, True) not in usable_arcs(residual(net, [2, 0, 2, 0]))
 
 
 class TestNegativeCycles:
@@ -140,12 +139,12 @@ class TestNegativeCycles:
         assert sum(res.cost[r] for r in cyc) < 0
         f2 = min_cost_circulation(net).flow
         check_feasible(net, f2)
-        assert f2.cost(net) < f.cost(net)
+        assert net.flow_cost(f2) < net.flow_cost(f)
         assert find_negative_cycle(residual(net, f2)) is None
 
     def test_no_cycle_at_optimum(self):
         net = two_node_circulation()
-        assert find_negative_cycle(residual(net, Flow([5, 5]))) is None
+        assert find_negative_cycle(residual(net, [5, 5])) is None
 
 
 class TestMinCostCirculation:
@@ -153,7 +152,7 @@ class TestMinCostCirculation:
         net = two_node_circulation()
         result = min_cost_circulation(net)
         assert result.final_cost == -5
-        assert result.flow.values == [5, 5]
+        assert result.flow == [5, 5]
         assert result.iterations <= -result.final_cost
 
     def test_second_path_reroutes_through_an_undo_arc(self):
@@ -164,7 +163,7 @@ class TestMinCostCirculation:
                 Arc(0, 2, 0, 1, 2), Arc(1, 3, 0, 1, 2), Arc(3, 0, 0, INF, -4)]
         net = FlowNetwork(4, arcs, 0, 3, ts_arc=5)
         result = min_cost_circulation(net)
-        assert result.flow.values == [1, 0, 1, 1, 1, 2]
+        assert result.flow == [1, 0, 1, 1, 1, 2]
         assert result.iterations == 2 and result.final_cost == 6 - 8
 
     def test_stops_at_the_first_unprofitable_path(self):
@@ -172,13 +171,13 @@ class TestMinCostCirculation:
         arcs = [Arc(0, 1, 0, 1, -3), Arc(0, 1, 0, 5, -1), Arc(1, 0, 0, INF, 2)]
         net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
         result = min_cost_circulation(net)
-        assert result.flow.values == [1, 0, 1] and result.iterations == 1
+        assert result.flow == [1, 0, 1] and result.iterations == 1
 
     def test_return_capacity_bounds_the_augmentations(self):
         arcs = [Arc(0, 1, 0, 1, -3), Arc(0, 1, 0, 5, -1), Arc(1, 0, 0, 2, 0)]
         net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
         result = min_cost_circulation(net)
-        assert result.flow.values == [1, 1, 2] and result.final_cost == -4
+        assert result.flow == [1, 1, 2] and result.final_cost == -4
         assert result.iterations == 2
 
     def test_rejects_networks_without_return_arc(self):
@@ -298,7 +297,7 @@ class TestSettledSearch:
         dag = build_dag(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                             if rng.random() < rng.choice([0.1, 0.3])])
         for kind in (ALPHA, BETA):
-            net = build_network(dag, rng.randint(1, 5), kind).net
+            net = build_network(dag, rng.randint(1, 5), kind)
             for state in solve_searches(net):
                 check_search(net, *state)
 
@@ -308,7 +307,7 @@ class TestSettledSearch:
         # augmentation per chain
         dag = build_dag(15, [(3 * i + j, 3 * i + j + 1) for i in range(5) for j in range(2)]
                         + [(0, 4), (3, 7), (6, 10), (9, 13)])
-        net = build_network(dag, k, kind).net
+        net = build_network(dag, k, kind)
         states = solve_searches(net)
         assert len(states) == 6
         for state in states:
@@ -329,28 +328,28 @@ def reduce(net, f):
 class TestMinFlow:
     def test_reduces_to_zero_without_lower_bounds(self):
         net = diamond()
-        result = reduce(net, Flow([1, 1, 1, 1]))
-        assert result.flow.value(net) == 0
+        result = reduce(net, [1, 1, 1, 1])
+        assert net.flow_value(result.flow) == 0
         assert result.pushes <= 2
 
     def test_respects_lower_bound(self):
         net = diamond(lower_mid=1)
-        result = reduce(net, Flow([2, 2, 2, 2]))
-        assert result.flow.value(net) == 1
-        assert result.flow.values[2] == 1
+        result = reduce(net, [2, 2, 2, 2])
+        assert net.flow_value(result.flow) == 1
+        assert result.flow[2] == 1
         assert not result.t_reach[net.s]
 
     def test_reduces_the_given_flow_and_residual_graph_in_place(self):
         net = diamond(lower_mid=1)
-        f = Flow([2, 2, 2, 2])
+        f = [2, 2, 2, 2]
         res = residual(net, f)
         result = min_flow(net, res, f)
-        assert result.flow is f and f.values == [1, 0, 1, 0]
+        assert result.flow is f and f == [1, 0, 1, 0]
         assert res.cap == residual(net, f).cap
 
     def test_decrementing_path_detection(self):
         net = diamond()
-        found = reduce(net, Flow([1, 1, 1, 1]))
+        found = reduce(net, [1, 1, 1, 1])
         assert found.pushes == 2 and found.searches == 3
         none = reduce(net, zero_flow(net))
         assert (none.searches, none.pushes) == (1, 0)
@@ -381,7 +380,7 @@ class TestMinFlow:
 
         monkeypatch.setattr(flowcore, "_residual_bfs", with_idle_push)
         with pytest.raises(MismatchError, match="2 pushes for a value decrease of 1"):
-            reduce(diamond(), Flow([1, 0, 1, 0]))
+            reduce(diamond(), [1, 0, 1, 0])
 
 
 def _random_subset_network(seed):
@@ -411,23 +410,22 @@ class TestMinFlowMatchesReference:
     @pytest.mark.parametrize("seed", range(24))
     def test_same_flow_and_counts(self, seed):
         rng, split, subset, flow = _random_subset_network(seed)
-        net = split.net
-        res = residual(net, flow)
+        res = residual(split, flow)
         # one cold solve, then warm starts as the greedy rounds run them:
         # some subset vertices lose their lower bound between solves, and
         # the residual graph follows by raising their undo capacities
         for _ in range(3):
-            values, searches, pushes, seen = flow_reference.min_flow(net, flow)
-            result = min_flow(net, res, flow)
-            assert result.flow.values == values
+            values, searches, pushes, seen = flow_reference.min_flow(split, flow)
+            result = min_flow(split, res, flow)
+            assert result.flow == values
             assert (result.searches, result.pushes) == (searches, pushes)
             assert result.t_reach == seen
-            assert res.cap == residual(net, flow).cap
+            assert res.cap == residual(split, flow).cap
             dropped = [v for v in subset if rng.random() < 0.4]
             for a in split.release(dropped):
                 res.cap[2 * a + 1] += 1
             subset.difference_update(dropped)
-            assert res.cap == residual(net, flow).cap
+            assert res.cap == residual(split, flow).cap
 
 
 class TestDecompose:
@@ -441,11 +439,11 @@ class TestDecompose:
         f = route_paths(split, [(0, 1, 2), (3,)])
         peeled = peel_paths(split, f)
         assert peeled == [((0, 1, 2), 0), ((3,), 0)]
-        assert route_paths(split, [p for p, _ in peeled]).values == f.values
+        assert route_paths(split, [p for p, _ in peeled]) == f
 
     def test_zero_flow_decomposes_to_nothing(self):
         split = self.split()
-        assert peel_paths(split, zero_flow(split.net)) == []
+        assert peel_paths(split, zero_flow(split)) == []
 
     def gk_flow(self, path):
         """A beta network on the path 0 -> 1 -> 2 and the flow of one
@@ -456,7 +454,7 @@ class TestDecompose:
     def test_flow_no_unit_reaches_is_left_over(self):
         gk, f = self.gk_flow((1, 2))
         # edge arc (0, 1) carries a unit that no entry feeds
-        f.values[gk.stride * gk.n] += 1
+        f[gk.stride * gk.n] += 1
         for peel in (peel_paths, self.reference):
             with pytest.raises(ConservationError) as err:
                 peel(gk, f)
@@ -467,15 +465,15 @@ class TestDecompose:
         gk, f = self.gk_flow((0, 1))
         if stuck == "s":
             # the return arc carries a second unit that no entry takes on
-            f.values[gk.net.ts_arc] += 1
-            node = gk.net.s
+            f[gk.ts_arc] += 1
+            node = gk.s
         elif stuck == "v_in":
             # vertex 1 passes no flow from v_in to v_out
-            f.values[gk.gadget(1, COVER)] -= 1
+            f[gk.gadget(1, COVER)] -= 1
             node = gk.v_in(1)
         else:
             # nothing leaves vertex 1's v_out
-            f.values[gk.exit(1)] -= 1
+            f[gk.exit(1)] -= 1
             node = gk.v_out(1)
         for peel in (peel_paths, self.reference):
             with pytest.raises(ConservationError) as err:
@@ -484,13 +482,13 @@ class TestDecompose:
 
     @staticmethod
     def reference(split, f):
-        return flow_reference.decompose(split.net, f)
+        return flow_reference.decompose(split, f)
 
 
 def _reference_units(split, f):
     """The units as the network-level peel and its map back give them,
     and the old synthetic test: vertex 0 alone through its overflow arc."""
-    paths = flow_reference.decompose(split.net, f)
+    paths = flow_reference.decompose(split, f)
     synthetic = [len(arcs) == 3 and arcs[1] == split.gadget(0, OVERFLOW) for _, arcs in paths]
     return flow_reference.vertex_paths(split, paths), synthetic
 
@@ -510,9 +508,9 @@ class TestPeelMatchesReference:
                             for v in range(u + 1, n) if rng.random() < density])
         for k in (1, 2, 4):
             alpha = build_network(dag, k, ALPHA)
-            yield alpha, min_cost_circulation(alpha.net).flow
+            yield alpha, min_cost_circulation(alpha).flow
             beta = build_network(dag, k, BETA)
-            yield beta, normalize_beta(beta, min_cost_circulation(beta.net).flow)
+            yield beta, normalize_beta(beta, min_cost_circulation(beta).flow)
 
     def test_same_units_and_synthetic_flags(self):
         flows = synthetic_flows = 0
@@ -522,7 +520,7 @@ class TestPeelMatchesReference:
                 units, synthetic = _reference_units(gk, f)
                 assert peeled == units
                 assert [u == ((0,), OVERFLOW) for u in peeled] == synthetic
-                assert route_paths(gk, [p for p, _ in peeled]).values == f.values
+                assert route_paths(gk, [p for p, _ in peeled]) == f
                 flows += 1
                 synthetic_flows += any(synthetic)
         assert flows == 72 and synthetic_flows > 0
@@ -535,7 +533,7 @@ def with_return_arc(net, cost, upper=INF):
 
 
 def reference_distances(net, f):
-    arcs = flow_reference.residual_arcs(net.arcs, f.values)
+    arcs = flow_reference.residual_arcs(net.arcs, f)
     return flow_reference.shortest_distances(net.m, arcs, net.s)
 
 
@@ -568,7 +566,7 @@ class TestShortestDistances:
         arcs = [Arc(0, 1, 0, 1, 1), Arc(1, 2, 0, 1, 1), Arc(2, 0, 0, INF, -5)]
         net = FlowNetwork(3, arcs, 0, 2, ts_arc=2)
         circ = min_cost_circulation(net)
-        assert circ.flow.values == [1, 1, 1]
+        assert circ.flow == [1, 1, 1]
         assert circ.labels == [0, 4, 5] == reference_distances(net, circ.flow)
 
 

@@ -22,7 +22,13 @@ from gkcover import (
 from gkcover.dagcore import GraphPath
 from gkcover.errors import InfeasibleFlowError, MismatchError
 from gkcover.flowcore import min_flow, residual, route_paths
-from gkcover.greedy import _extract_antichain, build_subset_network, cover_paths, max_coverage_path
+from gkcover.greedy import (
+    GreedyRound,
+    _extract_antichain,
+    build_subset_network,
+    cover_paths,
+    max_coverage_path,
+)
 
 from conftest import FIG_EDGES, FIG_MPC
 
@@ -75,18 +81,24 @@ class TestGreedyChains:
             seen.update(c.vertices)
 
 
+def count_searches(monkeypatch) -> list[int]:
+    """|U| at each max_coverage_path call the greedy rounds make from now."""
+    real = greedy.max_coverage_path
+    calls = []
+
+    def counted(d, uncovered):
+        calls.append(len(uncovered))
+        return real(d, uncovered)
+
+    monkeypatch.setattr(greedy, "max_coverage_path", counted)
+    return calls
+
+
 class TestBestPathRounds:
     """The best-path rounds are computed once per DAG and shared."""
 
     def test_chain_cover_and_path_cover_share_the_rounds(self, monkeypatch):
-        real = greedy.max_coverage_path
-        calls = []
-
-        def counted(d, uncovered):
-            calls.append(len(uncovered))
-            return real(d, uncovered)
-
-        monkeypatch.setattr(greedy, "max_coverage_path", counted)
+        calls = count_searches(monkeypatch)
         dag = gen_gc(5).dag
         _, _, trace = greedy_weighted_chain_cover(dag, 0)
         assert minimum_path_cover(dag)[0] == 2
@@ -98,6 +110,27 @@ class TestBestPathRounds:
         warm = greedy_k_chains(fig, 7)
         cold = greedy_k_chains(build_dag(9, FIG_EDGES), 7)
         assert warm == cold and warm[1].exhausted_early
+
+    def test_rounds_past_u_empty_run_no_search(self, monkeypatch):
+        family, covering = greedy_k_chains(gen_gc(6).dag, 6)
+        calls = count_searches(monkeypatch)
+        dag = gen_gc(6).dag
+        for _ in range(2):
+            fam, trace = greedy_k_chains(dag, 4000)
+            # |U| before each search: six rounds cover the 120 vertices,
+            # and the seventh, which picks nothing, is the last one run
+            assert calls == [120, 57, 26, 11, 4, 1, 0]
+            assert len(dag._path_rounds[0]) == 7
+            assert fam == family
+            assert trace.rounds == covering.rounds + [GreedyRound((0,), 0, 0)] * 3994
+            assert trace.exhausted_early and trace.stop_reason == "U empty"
+
+    def test_empty_graph_runs_one_search(self, monkeypatch):
+        calls = count_searches(monkeypatch)
+        dag = build_dag(0, [])
+        fam, trace = greedy_k_chains(dag, 50)
+        assert calls == [0] and len(dag._path_rounds[0]) == 1
+        assert fam.members == () and trace.rounds == [GreedyRound((), 0, 0)] * 50
 
 
 class TestGreedyWeightedChainCover:
@@ -120,8 +153,8 @@ class TestSubsetNetwork:
         subset = set(range(fig.n))
         sub = build_subset_network(fig, subset)
         f0 = route_paths(sub, [p.vertices for p in cover_paths(fig)])
-        result = min_flow(sub.net, residual(sub.net, f0), f0)
-        assert result.flow.value(sub.net) == 5  # the width
+        result = min_flow(sub, residual(sub, f0), f0)
+        assert sub.flow_value(result.flow) == 5  # the width
         ac = _extract_antichain(fig, subset, 5, result.t_reach)
         assert sorted(ac.vertices) == [2, 3, 4, 5, 6]
 
@@ -129,22 +162,22 @@ class TestSubsetNetwork:
         subset = {0, 1, 7, 8}
         sub = build_subset_network(fig, subset)
         f0 = route_paths(sub, [p.vertices for p in cover_paths(fig)])
-        result = min_flow(sub.net, residual(sub.net, f0), f0)
-        ac = _extract_antichain(fig, subset, result.flow.value(sub.net), result.t_reach)
+        result = min_flow(sub, residual(sub, f0), f0)
+        ac = _extract_antichain(fig, subset, sub.flow_value(result.flow), result.t_reach)
         assert sorted(ac.vertices) == [7, 8]  # sink-side maximum antichain
 
     def test_gadget_lower_bounds_follow_subset(self, fig):
         sub = build_subset_network(fig, {3, 4})
         for v in range(fig.n):
             expected = 1 if v in (3, 4) else 0
-            assert sub.net.arcs[sub.gadget(v)].lower == expected
+            assert sub.arcs[sub.gadget(v)].lower == expected
 
     def test_release_drops_only_the_given_lower_bounds(self, fig):
         sub = build_subset_network(fig, {3, 4, 5})
-        before = list(sub.net.arcs)
+        before = list(sub.arcs)
         # vertex 6 has no lower bound to drop
         assert sub.release([3, 5, 6]) == [sub.gadget(3), sub.gadget(5)]
-        for i, (old, new) in enumerate(zip(before, sub.net.arcs)):
+        for i, (old, new) in enumerate(zip(before, sub.arcs)):
             if i in (sub.gadget(3), sub.gadget(5)):
                 assert old.lower == 1 and new.lower == 0
                 assert (new.tail, new.head, new.upper, new.cost) == \
@@ -272,7 +305,7 @@ class TestTraceChecks:
             if path is None:
                 failed.append(1)
                 if len(failed) == 2:
-                    flows[0].values[0] += 1
+                    flows[0][0] += 1
             return path, seen
 
         monkeypatch.setattr(greedy, "_path_cover_flow", seed)

@@ -35,27 +35,27 @@ class TestNetworkLayout:
     def test_arc_ids_and_bounds(self, fig):
         gk = build_network(fig, 2, ALPHA)
         n = fig.n
-        assert len(gk.net.arcs) == 4 * n + len(fig.edges) + 1
-        assert gk.net.s == 2 * n and gk.net.t == 2 * n + 1
+        assert len(gk.arcs) == 4 * n + len(fig.edges) + 1
+        assert gk.s == 2 * n and gk.t == 2 * n + 1
         for v in range(n):
-            entry = gk.net.arcs[gk.entry(v)]
+            entry = gk.arcs[gk.entry(v)]
             assert (entry.tail, entry.head) == (2 * n, 2 * v)
-            e1 = gk.net.arcs[gk.gadget(v, COVER)]
+            e1 = gk.arcs[gk.gadget(v, COVER)]
             assert (e1.tail, e1.head, e1.upper, e1.cost) == (2 * v, 2 * v + 1, 1, -1)
-            e2 = gk.net.arcs[gk.gadget(v, OVERFLOW)]
+            e2 = gk.arcs[gk.gadget(v, OVERFLOW)]
             assert (e2.tail, e2.head, e2.cost) == (2 * v, 2 * v + 1, 0)
             assert e2.upper >= INF
-            exit_ = gk.net.arcs[gk.exit(v)]
+            exit_ = gk.arcs[gk.exit(v)]
             assert (exit_.tail, exit_.head) == (2 * v + 1, 2 * n + 1)
         for j, (u, v) in enumerate(fig.edges):
-            a = gk.net.arcs[4 * n + j]
+            a = gk.arcs[4 * n + j]
             assert (a.tail, a.head) == (2 * u + 1, 2 * v)
-        assert gk.net.ts_arc == len(gk.net.arcs) - 1
+        assert gk.ts_arc == len(gk.arcs) - 1
 
     def test_return_arc_alpha_vs_beta(self, fig):
-        a = build_network(fig, 3, ALPHA).net.arcs[-1]
+        a = build_network(fig, 3, ALPHA).arcs[-1]
         assert (a.lower, a.cost) == (0, 3) and a.upper >= INF
-        b = build_network(fig, 3, BETA).net.arcs[-1]
+        b = build_network(fig, 3, BETA).arcs[-1]
         assert (b.lower, b.upper, b.cost) == (0, 3, 0)
 
     def test_k_must_be_positive(self, fig):
@@ -209,10 +209,10 @@ class TestValueChecks:
     @pytest.mark.parametrize("kind,k", [(ALPHA, 1), (ALPHA, 2), (BETA, 1), (BETA, 3)])
     def test_perturbed_labels_are_a_mismatch(self, fig, kind, k):
         gk = build_network(fig, k, kind)
-        circ = min_cost_circulation(gk.net)
-        res = circ.residual if kind == ALPHA else residual(gk.net, normalize_beta(gk, circ.flow))
+        circ = min_cost_circulation(gk)
+        res = circ.residual if kind == ALPHA else residual(gk, normalize_beta(gk, circ.flow))
         networks.extract_antichains(gk, res, circ.labels)
-        for v in range(gk.net.m):
+        for v in range(gk.m):
             for delta in (-1, 1):
                 labels = list(circ.labels)
                 labels[v] += delta
@@ -227,7 +227,7 @@ class TestValueChecks:
             "from gkcover.errors import MismatchError\n"
             "from gkcover.flowcore import min_cost_circulation\n"
             "gk = networks.build_network(build_dag(3, [(0, 1)]), 1, networks.ALPHA)\n"
-            "circ = min_cost_circulation(gk.net)\n"
+            "circ = min_cost_circulation(gk)\n"
             "labels = list(circ.labels)\n"
             "labels[gk.v_in(2)] -= 1\n"
             "try:\n"

@@ -173,9 +173,9 @@ def test_large_subset_min_flow_anchor(n, seed):
     subset = {v for v in range(n) if rng.random() < 0.5}
     split = build_subset_network(dag, subset)
     start = route_paths(split, [p.vertices for p in cover_paths(dag)])
-    start_value = start.value(split.net)
-    result = min_flow(split.net, residual(split.net, start), start)
+    start_value = split.flow_value(start)
+    result = min_flow(split, residual(split, start), start)
     width = _width(nx, g, subset)
-    assert result.flow.value(split.net) == width
+    assert split.flow_value(result.flow) == width
     assert result.pushes <= start_value - width
     assert len(_extract_antichain(dag, subset, width, result.t_reach)) == width
