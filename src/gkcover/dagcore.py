@@ -125,6 +125,9 @@ class Dag:
         for i, v in enumerate(self.topo):
             self.topo_pos[v] = i
         self._closure: list[int] | None = None
+        # greedy's runs (maximal unary chains), built by greedy._run_graph
+        # on the first best-path round
+        self._runs: tuple | None = None
         # greedy's best-path rounds and the vertices they leave uncovered,
         # memoised and extended by greedy._best_path_rounds
         self._path_rounds: tuple[list, set[int]] | None = None

@@ -1,22 +1,26 @@
 """Greedy maximum-coverage procedures for chains and antichains.
 
-Chains come from a longest-path dynamic program over the uncovered set.
-Its rounds from U = every vertex depend only on the DAG, so they are
-memoised on it and shared by the chain commands and the path cover that
-seeds the antichain flow. Antichains come from minimum flows on one
-flowcore.SplitNetwork, one flow list and one residual graph per run:
-lower bounds drop as vertices are covered, and each round reduces the
-previous round's flow in place. Each round reads its antichain off the
-cut that min_flow's last, failed search leaves (MinFlowResult.t_reach),
-so no search is run twice. Tie-breaking is deterministic throughout:
-predecessor ties prefer the smallest vertex id, endpoint ties prefer a
-still-uncovered vertex, then the smallest id.
+Chains come from a longest-path dynamic program over the uncovered set
+U, run on the DAG's runs (maximal unary chains), which are found once
+per Dag: a round pays for U, the runs and the edges between them, and
+the path, not for every vertex and edge. Its rounds from U = every
+vertex depend only on the DAG, so they are memoised on it and shared by
+the chain commands and the path cover that seeds the antichain flow.
+Antichains come from minimum flows on one flowcore.SplitNetwork, one
+flow list and one residual graph per run: lower bounds drop as vertices
+are covered, and each round reduces the previous round's flow in place.
+Each round reads its antichain off the cut that min_flow's last, failed
+search leaves (MinFlowResult.t_reach), so no search is run twice.
+Tie-breaking is deterministic throughout: predecessor ties prefer the
+smallest vertex id, endpoint ties prefer a still-uncovered vertex, then
+the smallest id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
+from operator import indexOf
 from typing import Container, Iterable, Iterator, Optional
 
 from .dagcore import (
@@ -66,53 +70,130 @@ class GreedyTrace:
             raise MismatchError(f"greedy gains increased: {g}")
 
 
+def _run_graph(dag: Dag) -> tuple[list[int], list[int], list[int], list[list[int]], int]:
+    """The DAG's runs and the edges between them, as flat int lists.
+
+    A run is a maximal unary chain v -> w -> ...: each vertex but the
+    last has out-degree 1 and each but the first has in-degree 1. Every
+    vertex lies on one run, and every predecessor of a run's head is the
+    last vertex of its own run. Runs are numbered in the topological
+    order of their heads, so the runs whose head is a source come first
+    (dag.topo lists every source first). Returns ``flat``, the runs one
+    after another, run r at flat[start[r]:start[r + 1]]; ``start``;
+    ``run_of``, each vertex's run; ``run_pred[r]``, the runs that end at
+    a predecessor of run r's head, in dag.pred order; and the number of
+    source runs.
+    """
+    succ, pred = dag.succ, dag.pred
+    flat: list[int] = []
+    start: list[int] = []
+    run_pred: list[list[int]] = []
+    run_of = [-1] * dag.n
+    for v in dag.topo:
+        if run_of[v] >= 0:
+            continue  # v extends the run of its one predecessor
+        r = len(start)
+        start.append(len(flat))
+        run_pred.append([run_of[u] for u in pred[v]])
+        flat.append(v)
+        run_of[v] = r
+        ws = succ[v]
+        while len(ws) == 1:
+            w = ws[0]
+            if len(pred[w]) != 1:
+                break
+            flat.append(w)
+            run_of[w] = r
+            ws = succ[w]
+    start.append(len(flat))
+    return flat, start, run_of, run_pred, pred.count([])
+
+
 def max_coverage_path(dag: Dag, uncovered: set[int]) -> GraphPath:
     """Path visiting the most uncovered vertices.
 
     score(v) = [v uncovered] + best predecessor score; the endpoint is
     the highest score, preferring uncovered vertices, then smaller ids;
     backtracking takes the smallest-id predecessor of maximum score and
-    stops when no predecessor improves on zero.
+    stops when no predecessor improves on zero. A vertex of
+    ``uncovered`` outside 0..n-1 raises IndexError.
+
+    The scores are computed run by run (_run_graph, built once per Dag):
+    inside a run each score is the one before plus a seed, so a run ends
+    on the best end score of its head's predecessor runs plus its
+    uncovered count, and the path is read off in run slices. A round
+    takes Python steps for U, the runs, the edges between runs and the
+    path's runs, not for every vertex and edge.
     """
     n = dag.n
-    if n == 0:
-        return GraphPath(())
-    seed = [0] * n
-    for v in uncovered:
-        seed[v] = 1
-    score = seed.copy()
-    pred = dag.pred
-    for v in dag.topo:
-        ps = pred[v]
+    su = sorted(uncovered)
+    if not su:
+        return GraphPath((0,) if n else ())
+    if su[0] < 0 or su[-1] >= n:
+        raise IndexError(f"vertex {su[0] if su[0] < 0 else su[-1]} out of range for n={n}")
+    if dag._runs is None:
+        dag._runs = _run_graph(dag)
+    flat, start, run_of, run_pred, sources = dag._runs
+    cnt = [0] * len(run_pred)
+    for v in su:
+        cnt[run_of[v]] += 1
+    end = cnt.copy()  # end[r]: the score of run r's last vertex
+    for r in range(sources, len(run_pred)):
+        ps = run_pred[r]
         if len(ps) == 1:
-            score[v] += score[ps[0]]
-        elif ps:
+            end[r] += end[ps[0]]
+        else:
             best = 0
-            for u in ps:
-                if score[u] > best:
-                    best = score[u]
-            score[v] += best
-    top = max(score)
-    cur = score.index(top)
-    if not seed[cur]:
-        # an uncovered endpoint of the same score wins
-        for v in range(cur + 1, n):
-            if seed[v] and score[v] == top:
-                cur = v
-                break
-    seq = [cur]
+            for q in ps:
+                if end[q] > best:
+                    best = end[q]
+            end[r] += best
+    # The endpoint is the last uncovered vertex of some run that ends on
+    # top. Walk U in id order, stopping only at vertices of such runs,
+    # until the ids pass the smallest of those last vertices; the
+    # trailing (top,) stops the walk at j == len(su).
+    top = max(end)
+    cur = n
+    seen = set()
+    scores = chain(map(end.__getitem__, map(run_of.__getitem__, su)), (top,))
+    j = -1
     while True:
-        # the best predecessor's score, which is 0 at a source
-        best = score[cur] - seed[cur]
-        if best <= 0:
+        j += indexOf(scores, top) + 1
+        if j == len(su) or su[j] >= cur:
             break
-        nxt = n
-        for u in pred[cur]:
-            if u < nxt and score[u] == best:
-                nxt = u
-        cur = nxt
-        seq.append(cur)
-    return GraphPath(tuple(reversed(seq)))
+        r = run_of[su[j]]
+        if r not in seen:
+            seen.add(r)
+            b = start[r + 1]
+            w = flat[b - 1]
+            if w not in uncovered:
+                w = next(filter(uncovered.__contains__, reversed(flat[start[r]:b])))
+            if w < cur:
+                cur = w
+    # Backtrack run by run. A run is taken from its head when its head's
+    # predecessors score base > 0, and from its first uncovered vertex
+    # otherwise; the next run is the predecessor run whose last vertex
+    # scores base, smallest id first.
+    r = run_of[cur]
+    i = flat.index(cur, start[r]) + 1
+    parts = []
+    while True:
+        base = end[r] - cnt[r]
+        a = start[r]
+        if base <= 0 and flat[a] not in uncovered:
+            a = flat.index(next(filter(uncovered.__contains__, flat[a:i])), a)
+        parts.append(flat[a:i])
+        if base <= 0:
+            break
+        u = n
+        for q in run_pred[r]:
+            if end[q] == base:
+                t = flat[start[q + 1] - 1]
+                if t < u:
+                    u, i = t, start[q + 1]
+        r = run_of[u]
+    parts.reverse()
+    return GraphPath(tuple(chain.from_iterable(parts)))
 
 
 def _best_path_rounds(dag: Dag) -> Iterator[tuple[GraphPath, tuple[int, ...], int]]:
@@ -132,7 +213,7 @@ def _best_path_rounds(dag: Dag) -> Iterator[tuple[GraphPath, tuple[int, ...], in
             if rounds and not rounds[-1][1]:
                 yield from repeat(rounds[-1])
             path = max_coverage_path(dag, left)
-            picked = tuple(v for v in path.vertices if v in left)
+            picked = tuple(filter(left.__contains__, path.vertices))
             left.difference_update(picked)
             rounds.append((path, picked, len(left)))
         yield rounds[i]

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gkcover import flowcore, greedy
+import greedy_reference
+from gkcover import cli, flowcore, greedy
 from gkcover import (
     build_dag,
     gen_antichain_ratio,
+    gen_chain_ratio,
     gen_ga,
     gen_gc,
     greedy_antichain_cover,
@@ -52,6 +58,134 @@ class TestMaxCoveragePath:
     def test_empty_graph(self):
         p = max_coverage_path(build_dag(0, []), set())
         assert p.vertices == ()
+
+    def test_empty_uncovered_set(self, fig):
+        # every score is 0, and vertex 0 is the first vertex of top score
+        assert max_coverage_path(fig, set()).vertices == (0,)
+
+    @pytest.mark.parametrize("uncovered, bad", [
+        ({-1}, -1), ({0, -3}, -3), ({3}, 3), ({0, 1, 2, 4}, 4), ({-1, 5}, -1)])
+    def test_out_of_range_ids_raise(self, uncovered, bad):
+        path = build_dag(3, [(0, 1), (1, 2)])
+        with pytest.raises(IndexError, match=rf"^vertex {bad} out of range for n=3$"):
+            max_coverage_path(path, uncovered)
+
+    def test_any_id_is_out_of_range_on_the_empty_graph(self):
+        with pytest.raises(IndexError, match=r"^vertex 0 out of range for n=0$"):
+            max_coverage_path(build_dag(0, []), {0})
+
+
+def assert_rounds_match_reference(dag):
+    """From U = every vertex, each round's path equals the per-vertex
+    reference DP's, through the first round that finds U empty."""
+    left = set(range(dag.n))
+    while True:
+        path = max_coverage_path(dag, left)
+        assert path == greedy_reference.max_coverage_path(dag, left)
+        if not left:
+            return
+        left.difference_update(path.vertices)
+
+
+def random_edges(rng, n, p):
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < p]
+
+
+def path_heavy_dag(rng, chains, length, shortcuts, isolated, sources):
+    """Long chains under a shuffled labelling, a few forward shortcut
+    edges along and between them, isolated vertices, and extra sources
+    that each point into a chain."""
+    n = chains * length + isolated + sources
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = []
+    for c in range(chains):
+        edges.extend((labels[c * length + i], labels[c * length + i + 1])
+                     for i in range(length - 1))
+    for _ in range(shortcuts):
+        a, b = sorted(rng.sample(range(chains * length), 2))
+        if a // length <= b // length and b > a + 1:
+            edges.append((labels[a], labels[b]))
+    base = chains * length + isolated
+    edges.extend((labels[base + s], labels[rng.randrange(chains * length)])
+                 for s in range(sources))
+    return build_dag(n, edges)
+
+
+class TestRunGraphDP:
+    """The run-by-run DP finds the same path as the per-vertex reference
+    DP, ties included, round after round and on arbitrary uncovered sets."""
+
+    @pytest.mark.parametrize("i", range(1, 13))
+    def test_staircase_rounds(self, i):
+        assert_rounds_match_reference(gen_gc(i).dag)
+
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_tier_rounds(self, i):
+        assert_rounds_match_reference(gen_ga(i).dag)
+
+    @pytest.mark.parametrize("gen", [gen_chain_ratio, gen_antichain_ratio])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_ratio_family_rounds(self, gen, k):
+        assert_rounds_match_reference(gen(k).dag)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_dag_rounds(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            n = rng.randint(0, 40)
+            assert_rounds_match_reference(
+                build_dag(n, random_edges(rng, n, rng.choice([0.03, 0.08, 0.2, 0.5]))))
+
+    @pytest.mark.parametrize("n, degree", [(300, 1.5), (1000, 3.0)])
+    def test_sparse_random_dag_rounds(self, n, degree):
+        rng = random.Random(n)
+        assert_rounds_match_reference(build_dag(n, random_edges(rng, n, 2 * degree / n)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_path_heavy_rounds(self, seed):
+        rng = random.Random(seed)
+        for chains, length in [(1, 200), (3, 60), (8, 15)]:
+            dag = path_heavy_dag(rng, chains, length, shortcuts=rng.randint(0, 6),
+                                 isolated=rng.randint(0, 10), sources=rng.randint(0, 40))
+            assert_rounds_match_reference(dag)
+
+    def test_runs_of_a_path_with_a_shortcut(self):
+        # 0->1->2->3->4 plus 1->3 splits the path into runs at 1 and 3
+        dag = build_dag(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+        flat, start, run_of, run_pred, sources = greedy._run_graph(dag)
+        runs = [flat[a:b] for a, b in zip(start, start[1:])]
+        assert runs == [[0, 1], [2], [3, 4]]
+        assert run_of == [0, 0, 1, 2, 2]
+        assert run_pred == [[], [0], [1, 0]] and sources == 1
+
+
+@st.composite
+def dags_and_subsets(draw, max_n=25):
+    """A DAG with unary chains and random forward edges under a random
+    labelling, and any subset of its vertices."""
+    n = draw(st.integers(0, max_n))
+    labels = draw(st.permutations(range(n)))
+    links = draw(st.lists(st.booleans(), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    edges = [(labels[i], labels[i + 1]) for i, link in enumerate(links) if link]
+    if n > 1:
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=2 * n)):
+            if a < b:
+                edges.append((labels[a], labels[b]))
+    subset = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return build_dag(n, edges), subset
+
+
+@given(dags_and_subsets())
+@settings(max_examples=300, deadline=None)
+def test_any_uncovered_set_matches_reference(case):
+    dag, uncovered = case
+    assert max_coverage_path(dag, uncovered) == \
+        greedy_reference.max_coverage_path(dag, uncovered)
 
 
 class TestGreedyChains:
@@ -124,6 +258,31 @@ class TestBestPathRounds:
             assert fam == family
             assert trace.rounds == covering.rounds + [GreedyRound((0,), 0, 0)] * 3994
             assert trace.exhausted_early and trace.stop_reason == "U empty"
+
+    def test_run_graph_is_built_once_and_shared(self, monkeypatch):
+        real = greedy._run_graph
+        builds = []
+
+        def counted(dag):
+            builds.append(dag)
+            return real(dag)
+
+        monkeypatch.setattr(greedy, "_run_graph", counted)
+        inst = gen_gc(6)  # round 1 checks the staircase path
+        assert builds == [inst.dag]
+        calls = count_searches(monkeypatch)
+        cli._check_instance(inst)  # gen gc --check's greedy and exact covers
+        fam, _ = greedy_k_chains(inst.dag, 6)
+        assert builds == [inst.dag] and calls == [57, 26, 11, 4, 1]
+        assert len(fam) == 6 and fam.coverage() == 120
+
+    def test_gen_check_builds_one_run_graph(self, monkeypatch):
+        real = greedy._run_graph
+        builds = []
+        monkeypatch.setattr(greedy, "_run_graph", lambda dag: builds.append(dag) or real(dag))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gen", "gc", "--i", "6", "--check", "--json"]) == 0
+        assert len(builds) == 1 and builds[0].n == 120
 
     def test_empty_graph_runs_one_search(self, monkeypatch):
         calls = count_searches(monkeypatch)
