@@ -128,9 +128,10 @@ class Dag:
         # greedy's runs (maximal unary chains), built by greedy._run_graph
         # on the first best-path round
         self._runs: tuple | None = None
-        # greedy's best-path rounds and the vertices they leave uncovered,
-        # memoised and extended by greedy._best_path_rounds
-        self._path_rounds: tuple[list, set[int]] | None = None
+        # greedy's best-path rounds, the vertices they leave uncovered and
+        # that set's size when it was last copied, memoised and extended
+        # by greedy._best_path_rounds
+        self._path_rounds: tuple[list, set[int], int] | None = None
 
     def __repr__(self) -> str:
         return f"Dag(n={self.n}, edges={len(self.edges)})"

@@ -204,17 +204,25 @@ def _best_path_rounds(dag: Dag) -> Iterator[tuple[GraphPath, tuple[int, ...], in
     Dag.closure(), and extended as far as a caller reads. Once U is
     empty every round is the same one, which picks nothing, so the memo
     ends at the first of them.
+
+    A set's hash table never shrinks, and max_coverage_path walks U's
+    whole table each round, so U is replaced by a compact copy whenever
+    it has halved since the last copy. The memo holds the current set,
+    and every generator on the DAG reads it from there each round.
     """
     if dag._path_rounds is None:
-        dag._path_rounds = ([], set(range(dag.n)))
-    rounds, left = dag._path_rounds
+        dag._path_rounds = ([], set(range(dag.n)), dag.n)
+    rounds = dag._path_rounds[0]
     for i in count():
         if i == len(rounds):
             if rounds and not rounds[-1][1]:
                 yield from repeat(rounds[-1])
+            _, left, copied = dag._path_rounds
             path = max_coverage_path(dag, left)
             picked = tuple(filter(left.__contains__, path.vertices))
             left.difference_update(picked)
+            if 2 * len(left) <= copied:
+                dag._path_rounds = (rounds, set(left), len(left))
             rounds.append((path, picked, len(left)))
         yield rounds[i]
 

@@ -12,6 +12,13 @@ maps positions back to vertex ids only when it reads off its members.
 Each search visits its nodes in a fixed order and counts one expansion
 per node, so its value, its witness family and the point where
 BudgetExceeded fires are deterministic.
+
+Each search recurses through a nested function that calls itself, and
+such a function and the cell that holds it form a reference cycle that
+keeps the search's memo and lists alive until the cyclic collector
+runs. Each search deletes that name when it returns or raises, so
+everything it built is freed by reference counting, also when the CLI
+has paused the collector.
 """
 
 from __future__ import annotations
@@ -118,7 +125,10 @@ def brute_alpha(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tupl
                 forbidden[c] = old
         rec(i + 1, covered, used)
 
-    rec(0, 0, 0)
+    try:
+        rec(0, 0, 0)
+    finally:
+        del rec
     members = tuple(Antichain(frozenset(c)) for c in best_classes if c)
     return best, Family(members, disjoint=True)
 
@@ -180,7 +190,10 @@ def brute_beta(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tuple
             picks.pop()
         rec(idx + 1, taken, covered, left)
 
-    rec(0, 0, 0, k)
+    try:
+        rec(0, 0, 0, k)
+    finally:
+        del rec
     members = tuple(Chain(chains[i][1]) for i in best_picks)
     return best, Family(members, disjoint=True)
 
@@ -237,7 +250,10 @@ def brute_min_knorm_chain_partition(dag: Dag, k: int,
         return best
 
     full = (1 << n) - 1
-    value = rec(full) if n else 0
+    try:
+        value = rec(full) if n else 0
+    finally:
+        del rec
     members: list[Chain] = []
     mask = full
     while mask:
@@ -303,7 +319,10 @@ def brute_min_knorm_antichain_partition(dag: Dag, k: int,
         return best
 
     full = (1 << n) - 1
-    value = rec(full) if n else 0
+    try:
+        value = rec(full) if n else 0
+    finally:
+        del rec
     members: list[Antichain] = []
     mask = full
     while mask:

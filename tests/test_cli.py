@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from gkcover import (
     build_dag,
     cli,
     gen_gc,
+    greedy,
     networks,
     run_verification_sweep,
 )
@@ -321,6 +323,112 @@ class TestParserReuse:
             assert built == [1]
         finally:
             cli._parser.cache_clear()
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Whether the cyclic collector is on when main is called; the test
+    leaves it as it found it."""
+    was = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was else gc.disable()
+
+
+class TestCollectorPause:
+    """main runs the command with the cyclic collector paused and leaves
+    the collector as it found it, on every way out."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["solve", "ma-k", "--k", "2", "FIG"], 0),
+        (["solve", "ma-k", "--k", "2", "/nonexistent/x.txt"], 1),
+        (["solve", "ma-k", "--k", "0", "FIG"], 1),
+        (["gen", "antichain-ratio", "--k", "2", "--check"], 2),
+    ], ids=["exit-0", "missing-file", "k-0", "mismatch"])
+    def test_exit_codes(self, collector, fig_file, capsys, argv, code):
+        assert main([fig_file if a == "FIG" else a for a in argv]) == code
+        assert gc.isenabled() is collector
+
+    def test_usage_error(self, collector, fig_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "nope", "--k", "2", fig_file])
+        assert gc.isenabled() is collector
+
+    def test_uncaught_exception(self, collector, fig_file, monkeypatch):
+        def broken(dag, k):
+            raise RuntimeError("not a gkcover error")
+
+        monkeypatch.setattr(greedy, "greedy_k_chains", broken)
+        with pytest.raises(RuntimeError, match="not a gkcover error"):
+            main(["greedy", "chains", "--k", "2", fig_file])
+        assert gc.isenabled() is collector
+
+    def test_the_command_runs_with_the_collector_off(self, collector, fig_file, capsys,
+                                                     monkeypatch):
+        real = greedy.greedy_k_chains
+        seen = []
+        monkeypatch.setattr(greedy, "greedy_k_chains",
+                            lambda dag, k: seen.append(gc.isenabled()) or real(dag, k))
+        assert main(["greedy", "chains", "--k", "2", fig_file]) == 0
+        assert seen == [False] and gc.isenabled() is collector
+
+
+def _dense_dag(n: int):
+    """Edges from each vertex to the next three ids, but those whose ends sum
+    to a multiple of 3."""
+    return build_dag(n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + 4))
+                         if (u + v) % 3])
+
+
+class TestCommandsLeaveNoGrowingCycles:
+    """With the collector held off, a small and a large run of each
+    command leave the same number of objects in reference cycles: none,
+    but for the constant closures of json.dumps's indenting encoder."""
+
+    @pytest.mark.parametrize("family", ["greedy-antichains", "greedy-chains", "gen-check",
+                                        "solve-alpha", "solve-beta", "oracle-alpha",
+                                        "oracle-beta", "oracle-chain-partition",
+                                        "oracle-antichain-partition", "verify"])
+    def test_small_and_large_runs(self, tmp_path, capsys, family):
+        def file(name, dag):
+            path = tmp_path / name
+            path.write_text(format_dag(dag))
+            return str(path)
+
+        command, _, kind = family.partition("-")
+        if command == "greedy":
+            small, large = (["greedy", kind, "--k", "2", file(f"gc{i}", gen_gc(i).dag)]
+                            for i in (6, 9))
+        elif command == "gen":
+            small, large = (["gen", "gc", "--i", i, "--check"] for i in ("4", "7"))
+        elif command == "solve":
+            problem = "ma-k" if kind == "alpha" else "mc-k"
+            small, large = (["solve", problem, "--k", "2", file(f"d{n}", _dense_dag(n))]
+                            for n in (8, 40))
+        elif command == "oracle":
+            small, large = (["oracle", kind, "--k", "2", file(f"d{n}", _dense_dag(n))]
+                            for n in (6, 9))
+        else:
+            small, large = (["verify", "--trials", t] for t in ("5", "40"))
+        for argv in (small, large):
+            assert main(argv) == 0
+        capsys.readouterr()
+        gc.collect()
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            for as_json in ([], ["--json"]):
+                counts = []
+                for argv in (small, large):
+                    assert main(argv + as_json) == 0
+                    counts.append(gc.collect())
+                capsys.readouterr()
+                assert counts[0] == counts[1], (as_json, counts)
+                if not as_json:
+                    assert counts == [0, 0]
+        finally:
+            if was:
+                gc.enable()
 
 
 class TestGreedyCommand:

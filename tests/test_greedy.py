@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,6 +284,35 @@ class TestBestPathRounds:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["gen", "gc", "--i", "6", "--check", "--json"]) == 0
         assert len(builds) == 1 and builds[0].n == 120
+
+    def test_interleaved_generators_match_a_fresh_dag(self):
+        fresh = list(islice(greedy._best_path_rounds(gen_gc(7).dag), 12))
+        dag = gen_gc(7).dag
+        a = greedy._best_path_rounds(dag)
+        b = greedy._best_path_rounds(dag)
+        got_a = [next(a) for _ in range(2)]
+        # b extends the rounds past a's, copying U as it halves
+        got_b = [next(b) for _ in range(5)]
+        got_a += [next(a) for _ in range(10)]
+        got_b += [next(b) for _ in range(7)]
+        assert got_a == fresh and got_b == fresh
+        assert [left for _, _, left in fresh[:8]] == [120, 57, 26, 11, 4, 1, 0, 0]
+
+    def test_uncovered_set_is_copied_once_it_halves(self):
+        dag = build_dag(8, [])  # each round covers one vertex
+        rounds = greedy._best_path_rounds(dag)
+        copied = []
+        for left in range(7, -1, -1):
+            assert next(rounds)[2] == left
+            _, uncovered, size = dag._path_rounds
+            assert len(uncovered) == left
+            copied.append(size)
+        assert copied == [8, 8, 8, 4, 4, 2, 1, 0]
+
+    def test_covered_staircase_leaves_a_compact_set(self):
+        dag = gen_gc(9).dag
+        cover_paths(dag)
+        assert sys.getsizeof(dag._path_rounds[1]) == sys.getsizeof(set())
 
     def test_empty_graph_runs_one_search(self, monkeypatch):
         calls = count_searches(monkeypatch)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -165,3 +166,29 @@ class TestMatchesReference:
             assert fn(dag, k, OracleBudget(max_expansions=count)) == (value, fam), (dag.edges, k)
             with pytest.raises(BudgetExceeded, match=f"^oracle expansion limit {count - 1} hit$"):
                 fn(dag, k, OracleBudget(max_expansions=count - 1))
+
+
+class TestSearchesLeaveNoCycles:
+    """Each search drops its recursive function's reference to itself on
+    return and on raise, so reference counting frees all it built."""
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_no_unreachable_objects_after_return_or_raise(self, fig, search):
+        fn = SEARCHES[search][0]
+        gc.collect()
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            for k in (1, 3):
+                fn(fig, k)
+                assert gc.collect() == 0
+                try:
+                    fn(fig, k, OracleBudget(max_expansions=2))
+                except BudgetExceeded:
+                    pass
+                else:
+                    pytest.fail("the budget of 2 expansions was not hit")
+                assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
