@@ -13,6 +13,16 @@ residual() builds only their capacities; the solvers update them in
 place, and the two checks on a solved flow scan the arcs that have
 room.
 
+check_feasible checks a flow's length, then its bounds, then
+conservation. residual() and the circulation certificate run the same
+checks, with the same errors, but read the bounds off the capacities
+they build, since a capacity is negative exactly where the flow leaves
+its bounds. Conservation takes one step per arc with flow in a
+FlowNetwork; a SplitNetwork reads it off its layout, comparing per
+vertex the entry and edges in, the gadget columns, and the exit and
+edges out, from stride slices of the flow, so that only the edge arcs
+with flow take a step each.
+
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971) from the zero flow: start potentials from one pass in
 topological order, which settles them because at the zero flow only the
@@ -160,6 +170,18 @@ class FlowNetwork:
     def flow_cost(self, flow: Sequence[int]) -> int:
         return sum(map(mul, flow, self.cost))
 
+    def _unbalanced_node(self, values: Sequence[int]) -> Optional[int]:
+        """The smallest node whose inflow and outflow differ, s and t
+        aside without a return arc, or None; one step per arc with flow."""
+        balance = [0] * self.m
+        for u, w, x in zip(compress(self.tail, values), compress(self.head, values),
+                           compress(values, values)):
+            balance[u] -= x
+            balance[w] += x
+        if self.ts_arc is None:
+            balance[self.s] = balance[self.t] = 0
+        return next((v for v, b in enumerate(balance) if b), None)
+
 
 def zero_flow(net: FlowNetwork) -> list[int]:
     return [0] * len(net.tail)
@@ -234,6 +256,37 @@ class SplitNetwork(FlowNetwork):
             out[2 * u + 1].append(2 * r)
             out[2 * v].append(2 * r + 1)
         return out
+
+    def _unbalanced_node(self, values: Sequence[int]) -> Optional[int]:
+        """FlowNetwork._unbalanced_node read off the layout.
+
+        Per vertex, the entry plus the edges in (into v_in), the gadget
+        columns (v_in to v_out) and the exit plus the edges out (out of
+        v_out) must agree. Entries, gadgets and exits are stride slices of
+        the flow; only the edge arcs with flow take a step each. s is
+        checked against the return arc when there is one; t then
+        balances too, since the balances of all nodes sum to zero.
+        """
+        n, stride = self.n, self.stride
+        base = stride * n
+        into = values[0:base:stride]
+        out = values[stride - 1:base:stride]
+        through = values[1:base:stride] if stride > 2 else [0] * n
+        for j in range(2, stride - 1):
+            through = list(map(add, through, values[j:base:stride]))
+        ret = self.ts_arc
+        s_fault = ret is not None and values[ret] != sum(into)
+        flows = values[base:base + len(self.edges)]
+        for (u, v), x in zip(compress(self.edges, flows), compress(flows, flows)):
+            out[u] += x
+            into[v] += x
+        if into != through or through != out:
+            for v, (a, b, c) in enumerate(zip(into, through, out)):
+                if a != b:
+                    return 2 * v
+                if b != c:
+                    return 2 * v + 1
+        return self.s if s_fault else None
 
     def take_levels(self, levels: Iterable[Sequence[int]]) -> None:
         """Fix the network's topological order: s, then per level its
@@ -361,24 +414,47 @@ def peel_paths(split: SplitNetwork, f: Sequence[int]) -> list[tuple[tuple[int, .
 
 
 def check_feasible(net: FlowNetwork, values: Sequence[int]) -> None:
-    """Raise InfeasibleFlowError on a bound or conservation violation."""
+    """Raise InfeasibleFlowError on a length, bound or conservation
+    violation, in that order: a bound names the first bad arc,
+    conservation the smallest unbalanced node. s and t are exempt from
+    conservation in a network without a return arc."""
     lower, upper = net.lower, net.upper
-    if len(values) != len(lower):
-        raise InfeasibleFlowError("flow vector length does not match arc count")
+    _check_length(net, values)
     if any(map(gt, lower, values)) or any(map(gt, values, upper)):
-        i = next(i for i, v in enumerate(values) if v < lower[i] or v > upper[i])
-        raise InfeasibleFlowError(
-            f"arc {i} carries {values[i]}, outside [{lower[i]}, {upper[i]}]")
-    balance = [0] * net.m
-    # only arcs that carry flow move a balance
-    for u, w, x in zip(compress(net.tail, values), compress(net.head, values),
-                       compress(values, values)):
-        balance[u] -= x
-        balance[w] += x
-    if net.ts_arc is None:
-        balance[net.s] = balance[net.t] = 0
-    if any(balance):
-        v = next(v for v, b in enumerate(balance) if b)
+        raise _outside(net, values,
+                       next(i for i, v in enumerate(values) if v < lower[i] or v > upper[i]))
+    _check_conservation(net, values)
+
+
+def _checked_cap(net: FlowNetwork, values: Sequence[int]) -> list[int]:
+    """The paired residual capacities of a flow, upper less flow on 2i and
+    flow less lower on 2i + 1, once the flow passes check_feasible's
+    checks, with its errors. A capacity is negative exactly where the
+    flow leaves its bounds, so the capacities are the bound check, and
+    the first negative one names check_feasible's arc."""
+    _check_length(net, values)
+    cap = [0] * (2 * len(values))
+    cap[0::2] = map(sub, net.upper, values)
+    cap[1::2] = map(sub, values, net.lower)
+    if min(cap, default=0) < 0:
+        raise _outside(net, values, next(r for r, x in enumerate(cap) if x < 0) >> 1)
+    _check_conservation(net, values)
+    return cap
+
+
+def _check_length(net: FlowNetwork, values: Sequence[int]) -> None:
+    if len(values) != len(net.lower):
+        raise InfeasibleFlowError("flow vector length does not match arc count")
+
+
+def _outside(net: FlowNetwork, values: Sequence[int], i: int) -> InfeasibleFlowError:
+    return InfeasibleFlowError(
+        f"arc {i} carries {values[i]}, outside [{net.lower[i]}, {net.upper[i]}]")
+
+
+def _check_conservation(net: FlowNetwork, values: Sequence[int]) -> None:
+    v = net._unbalanced_node(values)
+    if v is not None:
         raise InfeasibleFlowError(f"conservation fails at node {v}")
 
 
@@ -406,20 +482,12 @@ class ResidualGraph:
 def residual(net: FlowNetwork, f: Sequence[int]) -> ResidualGraph:
     """Residual graph of a feasible flow: forward slack and undo arcs.
 
-    An uncapped arc's forward capacity is INF less its flow.
+    An uncapped arc's forward capacity is INF less its flow. The flow is
+    checked as check_feasible does, raising the same InfeasibleFlowError,
+    its bounds read off the capacities built here.
     """
-    check_feasible(net, f)
     tail, head, cost, out = net._paired
-    return ResidualGraph(net.m, tail, head, _residual_cap(net, f), cost, out)
-
-
-def _residual_cap(net: FlowNetwork, values: Sequence[int]) -> list[int]:
-    """The paired residual capacities of a flow: upper less flow on 2i,
-    flow less lower on 2i + 1."""
-    cap = [0] * (2 * len(values))
-    cap[0::2] = map(sub, net.upper, values)
-    cap[1::2] = map(sub, values, net.lower)
-    return cap
+    return ResidualGraph(net.m, tail, head, _checked_cap(net, f), cost, out)
 
 
 def _slack(res: ResidualGraph, d: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
@@ -645,10 +713,11 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
     augmentations) is bounded by the total improvement.
 
     The capacities of residual() are updated in place. The certificate
-    runs on that graph: check_feasible on the flow, a check that the
-    capacities are the flow's, and a Bellman-Ford search for a negative
-    residual cycle started from the labels, which confirms a valid
-    potential in one pass and searches in full otherwise.
+    runs on that graph: the flow's capacities rebuilt from it, which
+    runs check_feasible's checks, must be the solver's, and a
+    Bellman-Ford search for a negative residual cycle started from the
+    labels confirms a valid potential in one pass and searches in full
+    otherwise.
     """
     if net.ts_arc is None:
         raise InvalidCycleError("min_cost_circulation expects a network with a return arc")
@@ -690,8 +759,7 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
     far = max(map(dist.__getitem__, settled))
     p0 = pi[src]
     labels = [(x if x != math.inf else far) + p - p0 for x, p in zip(dist, pi)]
-    check_feasible(net, f)
-    if cap != _residual_cap(net, f):
+    if cap != _checked_cap(net, f):
         raise MismatchError("the solver's residual capacities differ from its flow's")
     if find_negative_cycle(res, labels) is not None:
         raise MismatchError("a negative residual cycle remains after the last augmentation")

@@ -17,7 +17,9 @@ graph of the reported flow: for problem Alpha the solver's own graph,
 for problem Beta one residual() build of the padded flow, which is also
 that flow's one feasibility check. Every value a witness family scores
 is checked against the circulation cost, raising MismatchError on a
-difference.
+difference, as are two of the paper's guarantees: at most alpha_k / k
+augmentations for problem Alpha, and beta_1 equal to the DAG's height
+(Mirsky).
 """
 
 from __future__ import annotations
@@ -235,6 +237,10 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     f = circ.flow
     _check_gadget_invariant(gk, f)
     alpha_k = circ.final_cost + n
+    # alpha_k is k per unit on the return arc plus the uncovered vertices,
+    # and every augmentation adds at least one unit there
+    _expect(circ.iterations * k <= alpha_k,
+            f"{circ.iterations} augmentations at k={k} exceed alpha_k / k for alpha_k={alpha_k}")
     dag_paths = [GraphPath(p) for p, _ in peel_paths(gk, f)]
     mps_family = Family(tuple(dag_paths))
     mps_value = knorm_collection(mps_family.members, n, k)
@@ -279,6 +285,10 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
     f = circ.flow
     _check_gadget_invariant(gk, f)
     beta_k = -circ.final_cost
+    if k == 1:
+        # Mirsky: a longest chain has one vertex on every height level
+        _expect(beta_k == len(gk.levels),
+                f"beta_1 = {beta_k} differs from the height {len(gk.levels)}")
     fN = normalize_beta(gk, f)
     # residual() checks the padded flow, which peel_paths does not
     res = residual(gk, fN)

@@ -5,10 +5,11 @@ ResidualArc record; the Bellman-Ford searches scan those records.
 ssp_circulation keeps the successive-shortest-path solve that queued
 the stop node under its own id and ran a separate, final search for
 the labels, and tuple_dijkstra the search that queued (label, key)
-tuples. decompose and vertex_paths peel a flow at network level and map
-each path's arcs back to vertices, the route to chain witnesses that
-flowcore.peel_paths replaced. Tests compare flowcore against these on
-random inputs.
+tuples. check_feasible keeps the flow check that balanced every node
+one arc at a time, whatever the network's layout. decompose and
+vertex_paths peel a flow at network level and map each path's arcs
+back to vertices, the route to chain witnesses that flowcore.peel_paths
+replaced. Tests compare flowcore against these on random inputs.
 """
 
 import heapq
@@ -18,8 +19,8 @@ from itertools import repeat
 from operator import add
 from typing import Optional
 
-from gkcover.errors import ConservationError
-from gkcover.flowcore import INF, Arc, _augment, _start_potentials, residual, zero_flow
+from gkcover.errors import ConservationError, InfeasibleFlowError
+from gkcover.flowcore import INF, Arc, FlowNetwork, _augment, _start_potentials, residual, zero_flow
 
 
 class NegativeCycleError(Exception):
@@ -40,6 +41,20 @@ def split_arcs(n, edges, gadgets, demand=(), ret=None):
     if ret is not None:
         arcs.append(Arc(t, s, 0, *ret))
     return arcs
+
+
+def check_feasible(net, values):
+    """The length, then the first arc outside its bounds, then the
+    smallest unbalanced node by FlowNetwork's per-arc balance, also for
+    a SplitNetwork."""
+    if len(values) != len(net.lower):
+        raise InfeasibleFlowError("flow vector length does not match arc count")
+    for i, (x, lo, up) in enumerate(zip(values, net.lower, net.upper)):
+        if not lo <= x <= up:
+            raise InfeasibleFlowError(f"arc {i} carries {x}, outside [{lo}, {up}]")
+    v = FlowNetwork._unbalanced_node(net, values)
+    if v is not None:
+        raise InfeasibleFlowError(f"conservation fails at node {v}")
 
 
 @dataclass(frozen=True)

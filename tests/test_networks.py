@@ -242,6 +242,81 @@ class TestValueChecks:
         assert proc.stdout.startswith("mismatch: ")
 
 
+class TestPaperGuarantees:
+    """At most alpha_k / k augmentations for problem Alpha and beta_1
+    equal to the height (Mirsky), checked by MismatchError."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_hold_on_the_figure(self, fig, k):
+        result = solve_alpha(fig, k)
+        assert result.stats.iterations * k <= result.alpha
+        assert solve_beta(fig, 1).beta == len(height_levels(fig))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_inflated_augmentation_count(self, fig, monkeypatch, k):
+        # alpha_k // k augmentations pass, one more does not
+        real = networks.min_cost_circulation
+        extra = []
+
+        def inflated(gk):
+            circ = real(gk)
+            circ.iterations = (circ.final_cost + gk.n) // gk.k + len(extra)
+            return circ
+
+        monkeypatch.setattr(networks, "min_cost_circulation", inflated)
+        alpha = solve_alpha(fig, k).alpha
+        extra.append(1)
+        with pytest.raises(MismatchError, match=f"{alpha // k + 1} augmentations at k={k} "
+                                                f"exceed alpha_k / k for alpha_k={alpha}$"):
+            solve_alpha(fig, k)
+
+    def test_split_height_level(self, fig, monkeypatch):
+        # one level split in two is still a valid topological order, but
+        # one level too many for the longest chain
+        real = networks.height_levels
+
+        def split_first(dag):
+            first, *rest = real(dag)
+            return [first[:1], first[1:], *rest]
+
+        monkeypatch.setattr(networks, "height_levels", split_first)
+        with pytest.raises(MismatchError, match="beta_1 = 3 differs from the height 4"):
+            solve_beta(fig, 1)
+        solve_beta(fig, 2)
+
+    def test_checks_survive_optimized_python(self):
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import build_dag, networks\n"
+            "from gkcover.errors import MismatchError\n"
+            "dag = build_dag(3, [(0, 1)])\n"
+            "real_solve, real_levels = networks.min_cost_circulation, networks.height_levels\n"
+            "def inflated(gk):\n"
+            "    circ = real_solve(gk)\n"
+            "    circ.iterations += 3\n"
+            "    return circ\n"
+            "networks.min_cost_circulation = inflated\n"
+            "try:\n"
+            "    networks.solve_alpha(dag, 1)\n"
+            "except MismatchError as exc:\n"
+            "    print('mismatch:', exc)\n"
+            "networks.min_cost_circulation = real_solve\n"
+            "networks.height_levels = lambda d: [[v] for lv in real_levels(d) for v in lv]\n"
+            "try:\n"
+            "    networks.solve_beta(dag, 1)\n"
+            "except MismatchError as exc:\n"
+            "    print('mismatch:', exc)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "mismatch: 4 augmentations at k=1 exceed alpha_k / k for alpha_k=2",
+            "mismatch: beta_1 = 2 differs from the height 3"]
+
+
 class TestRecomputeValue:
     def test_all_problem_kinds(self, fig):
         a = solve_alpha(fig, 2)
