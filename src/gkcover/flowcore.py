@@ -1,27 +1,25 @@
 """Integer min-cost circulation, minimum flow and the unit paths of a flow.
 
-A network is stored as parallel integer lists with one entry per arc
-(``tail``, ``head``, ``lower``, ``upper``, ``cost``) and a flow as one
-more plain list aligned with them. The adjacency depends only on the
-topology, so each network builds it once, on first use, in arc-id
-order; a SplitNetwork, a FlowNetwork itself, builds it when built, read
-off its regular layout, with only the edge arcs placed one at a time.
-The topological order is a Kahn pass over the adjacency, or, through
-SplitNetwork.take_levels, the DAG's depth levels. The residual graph
-of a flow pairs the arcs: 2i runs along network arc i, 2i+1 against it.
-residual() builds only their capacities; the solvers update them in
-place, and the two checks on a solved flow scan the arcs that have
-room.
+The one network is SplitNetwork, the vertex-split network of a DAG
+that the exact solver and the greedy rounds share. It is stored as
+parallel integer lists with one entry per arc (``tail``, ``head``,
+``lower``, ``upper``, ``cost``), and a flow as one more plain list
+aligned with them. The lists and the adjacency are built with the
+network, read off its regular layout, with only the edge arcs placed
+one at a time. Its topological order is the DAG's depth levels, given
+by SplitNetwork.take_levels. The residual graph of a flow pairs the
+arcs: 2i runs along network arc i, 2i+1 against it. residual() builds
+only their capacities; the solvers update them in place, and the two
+checks on a solved flow scan the arcs that have room.
 
 check_feasible checks a flow's length, then its bounds, then
 conservation. residual() and the circulation certificate run the same
 checks, with the same errors, but read the bounds off the capacities
 they build, since a capacity is negative exactly where the flow leaves
-its bounds. Conservation takes one step per arc with flow in a
-FlowNetwork; a SplitNetwork reads it off its layout, comparing per
-vertex the entry and edges in, the gadget columns, and the exit and
-edges out, from stride slices of the flow, so that only the edge arcs
-with flow take a step each.
+its bounds. Conservation is read off the layout: per vertex it compares
+the entry and edges in, the gadget columns, and the exit and edges
+out, from stride slices of the flow, so that only the edge arcs with
+flow take a step each.
 
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971) from the zero flow: start potentials from one pass in
@@ -48,9 +46,8 @@ greedy rounds keep one per run and relax it between rounds. residual()
 checks the start flow, and min_flow checks every flow it returns. Its
 last, failed search marks the nodes reachable from t
 (MinFlowResult.t_reach), the cut that a maximum antichain is read off.
-SplitNetwork is the vertex-split network of a DAG that the exact solver
-and the greedy rounds share; route_paths and peel_paths turn vertex
-sequences into its unit paths and back.
+route_paths and peel_paths turn vertex sequences into a SplitNetwork's
+unit paths and back.
 """
 
 from __future__ import annotations
@@ -58,145 +55,31 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, count, repeat
 from operator import add, gt, mul, neg, not_, sub
 from typing import Container, Iterable, Optional, Sequence
 
-from .dagcore import _topological_order
 from .errors import ConservationError, InfeasibleFlowError, InvalidCycleError, MismatchError
 
 # Sentinel capacity, larger than any finite value our networks can carry.
 INF = 10**18
 
 
-@dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    lower: int
-    upper: int
-    cost: int
+class SplitNetwork:
+    """Vertex-split flow network of a DAG on vertices 0..n-1, with
+    lower/upper bounds and integer costs.
 
-
-def _paired_columns(net: "FlowNetwork") -> tuple[list[int], list[int], list[int]]:
-    """Tail, head and cost of every paired residual arc of ``net``."""
-    size = 2 * len(net.tail)
-    rtail, rhead, rcost = [0] * size, [0] * size, [0] * size
-    rtail[0::2] = rhead[1::2] = net.tail
-    rtail[1::2] = rhead[0::2] = net.head
-    rcost[0::2] = net.cost
-    rcost[1::2] = map(neg, net.cost)
-    return rtail, rhead, rcost
-
-
-def _with_positions(order: list[int]) -> tuple[list[int], list[int]]:
-    """A node order, and each node's position in it."""
-    pos = [0] * len(order)
-    for idx, v in enumerate(order):
-        pos[v] = idx
-    return order, pos
-
-
-class FlowNetwork:
-    """Directed network with lower/upper bounds and integer costs.
-
-    Arc i runs from ``tail[i]`` to ``head[i]`` with bounds ``lower[i]``
-    and ``upper[i]`` and cost ``cost[i]``; a flow is a list aligned with
-    them. Only ``lower`` may change once the network is built
-    (SplitNetwork.release); the cached adjacency and topological
-    positions read the other lists. ``ts_arc`` names the return arc of a
-    circulation network; without it the network is in plain s-t flow
-    form. Aside from the return arc the underlying graph is acyclic,
-    which the topological order relies on. SplitNetwork, the
-    vertex-split network of a DAG, is one.
-    """
-
-    def __init__(self, m: int, arcs: Sequence[Arc], s: int, t: int, ts_arc: Optional[int] = None):
-        self.m, self.s, self.t, self.ts_arc = m, s, t, ts_arc
-        self.tail = [a.tail for a in arcs]
-        self.head = [a.head for a in arcs]
-        self.lower = [a.lower for a in arcs]
-        self.upper = [a.upper for a in arcs]
-        self.cost = [a.cost for a in arcs]
-
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        """The arcs as records, built on each access."""
-        return tuple(map(Arc, self.tail, self.head, self.lower, self.upper, self.cost))
-
-    @cached_property
-    def _paired(self) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-        """Tail, head and cost of every paired residual arc (2i along
-        network arc i, 2i+1 against it), and the paired arcs leaving each
-        node in network-arc order without the return arc's pair. This is
-        the network's one adjacency: the even ids leaving a node are its
-        outgoing arcs, the odd ones its incoming arcs. A SplitNetwork
-        builds it from its layout instead."""
-        out: list[list[int]] = [[] for _ in range(self.m)]
-        skip = self.ts_arc
-        for i, (u, w) in enumerate(zip(self.tail, self.head)):
-            if i != skip:
-                out[u].append(2 * i)
-                out[w].append(2 * i + 1)
-        return (*_paired_columns(self), out)
-
-    @cached_property
-    def _s_arcs(self) -> tuple[list[int], list[int]]:
-        """The network arcs leaving s and those entering it, in id order."""
-        rs = self._paired[3][self.s]
-        return [r >> 1 for r in rs if not r & 1], [r >> 1 for r in rs if r & 1]
-
-    @cached_property
-    def _topo(self) -> tuple[list[int], list[int]]:
-        """The nodes in Kahn order over all arcs except the return arc,
-        and each node's position in that order."""
-        _, rhead, _, out = self._paired
-        succ = [[rhead[r] for r in rs if not r & 1] for rs in out]
-        return _with_positions(_topological_order(succ))
-
-    def node_topo_pos(self) -> list[int]:
-        """Topological positions over all arcs except the return arc."""
-        return self._topo[1]
-
-    def flow_value(self, flow: Sequence[int]) -> int:
-        """The flow on the return arc, or else the net flow out of s."""
-        if self.ts_arc is not None:
-            return flow[self.ts_arc]
-        outs, ins = self._s_arcs
-        get = flow.__getitem__
-        return sum(map(get, outs)) - sum(map(get, ins))
-
-    def flow_cost(self, flow: Sequence[int]) -> int:
-        return sum(map(mul, flow, self.cost))
-
-    def _unbalanced_node(self, values: Sequence[int]) -> Optional[int]:
-        """The smallest node whose inflow and outflow differ, s and t
-        aside without a return arc, or None; one step per arc with flow."""
-        balance = [0] * self.m
-        for u, w, x in zip(compress(self.tail, values), compress(self.head, values),
-                           compress(values, values)):
-            balance[u] -= x
-            balance[w] += x
-        if self.ts_arc is None:
-            balance[self.s] = balance[self.t] = 0
-        return next((v for v, b in enumerate(balance) if b), None)
-
-
-def zero_flow(net: FlowNetwork) -> list[int]:
-    return [0] * len(net.tail)
-
-
-class SplitNetwork(FlowNetwork):
-    """Vertex-split flow network of a DAG on vertices 0..n-1.
-
-    Nodes: v_in = 2v, v_out = 2v+1, s = 2n, t = 2n+1. Vertex v owns
-    consecutive arc ids: entry (s, v_in), one (v_in, v_out) arc per
-    ``gadgets`` entry (upper, cost), exit (v_out, t). Edge arcs follow
-    in edge-list order; the return arc (t, s), given as (upper, cost),
-    is last when present. The first gadget arc of every vertex in
-    ``demand`` carries lower bound 1. The arc lists and the adjacency
-    are built from this layout.
+    Network arc i runs from ``tail[i]`` to ``head[i]`` with bounds
+    ``lower[i]`` and ``upper[i]`` and cost ``cost[i]``; a flow is a list
+    aligned with them. The ``m`` nodes are v_in = 2v, v_out = 2v+1,
+    s = 2n and t = 2n+1. Vertex v owns consecutive arc ids: entry
+    (s, v_in), one (v_in, v_out) arc per ``gadgets`` entry (upper,
+    cost), exit (v_out, t). Edge arcs follow in edge-list order; the
+    return arc (t, s), given as (upper, cost), is last when present and
+    named by ``ts_arc``; without it the network is in plain s-t flow
+    form. The first gadget arc of every vertex in ``demand`` carries
+    lower bound 1. The arc lists and the adjacency are built from this
+    layout; only ``lower`` may change once they are (release).
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
@@ -232,15 +115,23 @@ class SplitNetwork(FlowNetwork):
             upper[ts_arc], cost[ts_arc] = ret
         self.m, self.s, self.t, self.ts_arc = 2 * n + 2, s, t, ts_arc
         self.tail, self.head, self.lower, self.upper, self.cost = tail, head, lower, upper, cost
-        self._paired = (*_paired_columns(self), self._adjacency())
+        # The paired residual arcs: tail, head and cost of 2i along
+        # network arc i and of 2i + 1 against it, then the adjacency.
+        rtail, rhead, rcost = [0] * (2 * size), [0] * (2 * size), [0] * (2 * size)
+        rtail[0::2] = rhead[1::2] = tail
+        rtail[1::2] = rhead[0::2] = head
+        rcost[0::2] = cost
+        rcost[1::2] = map(neg, cost)
+        self._paired = (rtail, rhead, rcost, self._adjacency())
 
     def _adjacency(self) -> list[list[int]]:
-        """FlowNetwork._paired's adjacency, read off the layout.
+        """The paired arcs leaving each node, in network-arc order and
+        without the return arc's pair, read off the layout: the even ids
+        leaving a node are its outgoing arcs, the odd ones its incoming.
 
         v_in lists its entry's undo arc, its gadget arcs, then the undo
         arc of each edge into v; v_out its gadget undo arcs, its exit, then
-        each edge out of v. s lists the entries and t the exit undo arcs,
-        and the return arc's pair is left out, as in the generic build.
+        each edge out of v. s lists the entries and t the exit undo arcs.
         """
         n, stride, edges = self.n, self.stride, self.edges
         step, end = 2 * stride, 2 * stride * n
@@ -257,8 +148,24 @@ class SplitNetwork(FlowNetwork):
             out[2 * v].append(2 * r + 1)
         return out
 
+    def node_topo_pos(self) -> list[int]:
+        """Each node's position in the order that take_levels fixed."""
+        return self._topo[1]
+
+    def flow_value(self, flow: Sequence[int]) -> int:
+        """The flow on the return arc, or else the flow out of s: without
+        a return arc, no arc enters s and the arcs leaving it are the
+        entries."""
+        if self.ts_arc is not None:
+            return flow[self.ts_arc]
+        return sum(flow[0:self.stride * self.n:self.stride])
+
+    def flow_cost(self, flow: Sequence[int]) -> int:
+        return sum(map(mul, flow, self.cost))
+
     def _unbalanced_node(self, values: Sequence[int]) -> Optional[int]:
-        """FlowNetwork._unbalanced_node read off the layout.
+        """The smallest node whose inflow and outflow differ, s and t
+        aside without a return arc, or None, read off the layout.
 
         Per vertex, the entry plus the edges in (into v_in), the gadget
         columns (v_in to v_out) and the exit plus the edges out (out of
@@ -301,7 +208,10 @@ class SplitNetwork(FlowNetwork):
             order += ins
             order += [v + 1 for v in ins]
         order.append(2 * self.n + 1)
-        self._topo = _with_positions(order)
+        pos = [0] * len(order)
+        for idx, v in enumerate(order):
+            pos[v] = idx
+        self._topo = order, pos
 
     def v_in(self, v: int) -> int:
         return 2 * v
@@ -333,6 +243,10 @@ class SplitNetwork(FlowNetwork):
                 lower[a] = 0
                 dropped.append(a)
         return dropped
+
+
+def zero_flow(net: SplitNetwork) -> list[int]:
+    return [0] * len(net.tail)
 
 
 def route_paths(split: SplitNetwork, paths: Iterable[Sequence[int]]) -> list[int]:
@@ -413,7 +327,7 @@ def peel_paths(split: SplitNetwork, f: Sequence[int]) -> list[tuple[tuple[int, .
     return paths
 
 
-def check_feasible(net: FlowNetwork, values: Sequence[int]) -> None:
+def check_feasible(net: SplitNetwork, values: Sequence[int]) -> None:
     """Raise InfeasibleFlowError on a length, bound or conservation
     violation, in that order: a bound names the first bad arc,
     conservation the smallest unbalanced node. s and t are exempt from
@@ -426,7 +340,7 @@ def check_feasible(net: FlowNetwork, values: Sequence[int]) -> None:
     _check_conservation(net, values)
 
 
-def _checked_cap(net: FlowNetwork, values: Sequence[int]) -> list[int]:
+def _checked_cap(net: SplitNetwork, values: Sequence[int]) -> list[int]:
     """The paired residual capacities of a flow, upper less flow on 2i and
     flow less lower on 2i + 1, once the flow passes check_feasible's
     checks, with its errors. A capacity is negative exactly where the
@@ -442,17 +356,17 @@ def _checked_cap(net: FlowNetwork, values: Sequence[int]) -> list[int]:
     return cap
 
 
-def _check_length(net: FlowNetwork, values: Sequence[int]) -> None:
+def _check_length(net: SplitNetwork, values: Sequence[int]) -> None:
     if len(values) != len(net.lower):
         raise InfeasibleFlowError("flow vector length does not match arc count")
 
 
-def _outside(net: FlowNetwork, values: Sequence[int], i: int) -> InfeasibleFlowError:
+def _outside(net: SplitNetwork, values: Sequence[int], i: int) -> InfeasibleFlowError:
     return InfeasibleFlowError(
         f"arc {i} carries {values[i]}, outside [{net.lower[i]}, {net.upper[i]}]")
 
 
-def _check_conservation(net: FlowNetwork, values: Sequence[int]) -> None:
+def _check_conservation(net: SplitNetwork, values: Sequence[int]) -> None:
     v = net._unbalanced_node(values)
     if v is not None:
         raise InfeasibleFlowError(f"conservation fails at node {v}")
@@ -479,7 +393,7 @@ class ResidualGraph:
     out: list[list[int]]
 
 
-def residual(net: FlowNetwork, f: Sequence[int]) -> ResidualGraph:
+def residual(net: SplitNetwork, f: Sequence[int]) -> ResidualGraph:
     """Residual graph of a feasible flow: forward slack and undo arcs.
 
     An uncapped arc's forward capacity is INF less its flow. The flow is
@@ -692,7 +606,7 @@ def _dijkstra(res: ResidualGraph, pi: list[int], src: int, stop: int, seed: floa
     return dist, pred, settled
 
 
-def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
+def min_cost_circulation(net: SplitNetwork) -> CirculationResult:
     """Minimum-cost circulation by successive shortest paths from the
     zero flow.
 
@@ -705,9 +619,11 @@ def min_cost_circulation(net: FlowNetwork) -> CirculationResult:
     the bottleneck around that cycle. Path costs do not decrease from
     round to round, so the first round that does not stop ends the
     solve, and its search, run to the end, gives the exact residual
-    distances from src (``labels``). Nodes it does not reach, which only
-    hand-built networks have, get their potential plus the largest
-    distance found, so the labels stay a valid potential. A solve runs
+    distances from src (``labels``). Nodes it does not reach get their
+    potential plus the largest distance found, so the labels stay a
+    valid potential. On a SplitNetwork s reaches every node through its
+    uncapped entry, overflow and exit arcs, so only the tests'
+    arc-record reference networks have such nodes. A solve runs
     ``iterations + 1`` searches. Costs are integers, so every round
     lowers the cost by at least one and ``iterations`` (the
     augmentations) is bounded by the total improvement.
@@ -815,7 +731,7 @@ def _residual_bfs(out: list[list[int]], head: list[int], cap: list[int],
     return None, seen
 
 
-def min_flow(net: FlowNetwork, res: ResidualGraph, f: list[int]) -> MinFlowResult:
+def min_flow(net: SplitNetwork, res: ResidualGraph, f: list[int]) -> MinFlowResult:
     """Reduce a feasible s-t flow to minimum value, in place.
 
     ``res`` is the residual graph of ``f``, built by residual(), which

@@ -1,7 +1,10 @@
 """Reference copies of flow code that flowcore replaced.
 
-Each network arc is a frozen Arc record and each residual arc a frozen
-ResidualArc record; the Bellman-Ford searches scan those records.
+ArcNetwork is the generic network that SplitNetwork replaced, built
+from frozen Arc records and read one arc at a time, with a Kahn order;
+flowcore's solvers and checks take it as they take a SplitNetwork.
+Each residual arc is a frozen ResidualArc record; the Bellman-Ford
+searches scan those records.
 ssp_circulation keeps the successive-shortest-path solve that queued
 the stop node under its own id and ran a separate, final search for
 the labels, and tuple_dijkstra the search that queued (label, key)
@@ -15,16 +18,90 @@ replaced. Tests compare flowcore against these on random inputs.
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from operator import add
+from operator import add, mul
 from typing import Optional
 
+from gkcover.dagcore import _topological_order
 from gkcover.errors import ConservationError, InfeasibleFlowError
-from gkcover.flowcore import INF, Arc, FlowNetwork, _augment, _start_potentials, residual, zero_flow
+from gkcover.flowcore import INF, _augment, _start_potentials, residual, zero_flow
 
 
 class NegativeCycleError(Exception):
     """The reference search reached a negative cycle from its source."""
+
+
+@dataclass(frozen=True)
+class Arc:
+    tail: int
+    head: int
+    lower: int
+    upper: int
+    cost: int
+
+
+def arcs(net):
+    """The arcs of an ArcNetwork or a SplitNetwork as records, in id order."""
+    return list(map(Arc, net.tail, net.head, net.lower, net.upper, net.cost))
+
+
+class ArcNetwork:
+    """A network on nodes 0..m-1 built from Arc records, with source s,
+    sink t and, when ``ts_arc`` names one, a return arc. Aside from the
+    return arc the network must be acyclic for a topological order."""
+
+    def __init__(self, m, records, s, t, ts_arc=None):
+        self.m, self.s, self.t, self.ts_arc = m, s, t, ts_arc
+        self.tail, self.head, self.lower, self.upper, self.cost = (
+            [getattr(a, f) for a in records] for f in ("tail", "head", "lower", "upper", "cost"))
+
+    @cached_property
+    def _paired(self):
+        """Tail, head and cost of every paired residual arc, and the paired
+        arcs leaving each node in arc order without the return arc's pair."""
+        rtail, rhead, rcost = [], [], []
+        out = [[] for _ in range(self.m)]
+        for i, (u, w, c) in enumerate(zip(self.tail, self.head, self.cost)):
+            rtail += (u, w)
+            rhead += (w, u)
+            rcost += (c, -c)
+            if i != self.ts_arc:
+                out[u].append(2 * i)
+                out[w].append(2 * i + 1)
+        return rtail, rhead, rcost, out
+
+    @cached_property
+    def _topo(self):
+        """The nodes in Kahn order over all arcs except the return arc,
+        and each node's position in that order."""
+        _, rhead, _, out = self._paired
+        order = _topological_order([[rhead[r] for r in rs if not r & 1] for rs in out])
+        return order, sorted(range(self.m), key=order.__getitem__)  # inverse permutation
+
+    def node_topo_pos(self):
+        return self._topo[1]
+
+    def flow_value(self, flow):
+        """The flow on the return arc, or else the net flow out of s."""
+        if self.ts_arc is not None:
+            return flow[self.ts_arc]
+        s = self.s
+        return sum(x * ((u == s) - (w == s)) for u, w, x in zip(self.tail, self.head, flow))
+
+    def flow_cost(self, flow):
+        return sum(map(mul, flow, self.cost))
+
+    def _unbalanced_node(self, values):
+        """The smallest node whose inflow and outflow differ, s and t
+        aside without a return arc, or None."""
+        balance = [0] * self.m
+        for u, w, x in zip(self.tail, self.head, values):
+            balance[u] -= x
+            balance[w] += x
+        if self.ts_arc is None:
+            balance[self.s] = balance[self.t] = 0
+        return next((v for v, b in enumerate(balance) if b), None)
 
 
 def split_arcs(n, edges, gadgets, demand=(), ret=None):
@@ -45,14 +122,14 @@ def split_arcs(n, edges, gadgets, demand=(), ret=None):
 
 def check_feasible(net, values):
     """The length, then the first arc outside its bounds, then the
-    smallest unbalanced node by FlowNetwork's per-arc balance, also for
+    smallest unbalanced node by ArcNetwork's per-arc balance, also for
     a SplitNetwork."""
     if len(values) != len(net.lower):
         raise InfeasibleFlowError("flow vector length does not match arc count")
     for i, (x, lo, up) in enumerate(zip(values, net.lower, net.upper)):
         if not lo <= x <= up:
             raise InfeasibleFlowError(f"arc {i} carries {x}, outside [{lo}, {up}]")
-    v = FlowNetwork._unbalanced_node(net, values)
+    v = ArcNetwork._unbalanced_node(net, values)
     if v is not None:
         raise InfeasibleFlowError(f"conservation fails at node {v}")
 
@@ -166,12 +243,12 @@ def min_flow(net, f0):
     """The minimum flow computed by rebuilding the residual arcs before
     every search: (flow values, searches, pushes, nodes seen by the last
     search)."""
-    arcs = net.arcs
+    records = arcs(net)
     f = list(f0)
     searches = pushes = 0
     while True:
         searches += 1
-        path, seen = residual_bfs(net.m, residual_arcs(arcs, f), net.t, net.s)
+        path, seen = residual_bfs(net.m, residual_arcs(records, f), net.t, net.s)
         if path is None:
             return f, searches, pushes, seen
         push = min(a.cap for a in path)

@@ -16,6 +16,7 @@ from gkcover.flowcore import (
     SplitNetwork,
     check_feasible,
     min_cost_circulation,
+    min_flow,
     residual,
     route_paths,
     zero_flow,
@@ -60,7 +61,8 @@ def library_networks(dag, rng):
 def library_flows(dag, rng):
     """(network, flow): the alpha and beta networks with their solved
     flows and beta's padded flows, and subset networks with path-cover
-    flows, one of them routed before its network's release."""
+    flows, one of them routed before its network's release and then
+    reduced to a minimum flow."""
     for kind in (ALPHA, BETA):
         for k in (1, 2, 3):
             gk = build_network(dag, k, kind)
@@ -74,6 +76,7 @@ def library_flows(dag, rng):
         yield split, f
     split.release([v for v in subset if rng.random() < 0.5])
     yield split, f
+    yield split, min_flow(split, residual(split, f), list(f)).flow
 
 
 def perturbed(split, f, rng):
@@ -156,7 +159,8 @@ class TestLayoutConservation:
             for g in perturbed(split, f, rng):
                 want = outcome(ref.check_feasible, split, g)
                 assert outcome(check_feasible, split, g) == want
-                assert split._unbalanced_node(g) == flowcore.FlowNetwork._unbalanced_node(split, g)
+                assert split._unbalanced_node(g) == ref.ArcNetwork._unbalanced_node(split, g)
+                assert split.flow_value(g) == ref.ArcNetwork.flow_value(split, g)
                 verdicts.add(want and want[1].split()[0])
         assert verdicts == {None, "arc", "conservation"}
 

@@ -12,8 +12,6 @@ from gkcover import CycleError, build_dag, flowcore
 from gkcover.errors import ConservationError, InfeasibleFlowError, InvalidCycleError, MismatchError
 from gkcover.flowcore import (
     INF,
-    Arc,
-    FlowNetwork,
     ResidualGraph,
     SplitNetwork,
     check_feasible,
@@ -26,9 +24,18 @@ from gkcover.flowcore import (
     zero_flow,
 )
 from gkcover.greedy import cover_paths
-from gkcover.networks import ALPHA, BETA, COVER, OVERFLOW, build_network, normalize_beta
+from gkcover.networks import (
+    ALPHA,
+    BETA,
+    COVER,
+    OVERFLOW,
+    build_network,
+    height_levels,
+    normalize_beta,
+)
 
 import flow_reference
+from flow_reference import Arc, ArcNetwork
 
 
 def diamond(lower_mid=0):
@@ -39,13 +46,13 @@ def diamond(lower_mid=0):
         Arc(1, 3, lower_mid, 2, 1),
         Arc(2, 3, 0, 2, 1),
     ]
-    return FlowNetwork(4, arcs, 0, 3)
+    return ArcNetwork(4, arcs, 0, 3)
 
 
 def two_node_circulation():
     """0 -> 1 (cost -2) with return arc 1 -> 0 (cost 1)."""
     arcs = [Arc(0, 1, 0, 5, -2), Arc(1, 0, 0, 5, 1)]
-    return FlowNetwork(2, arcs, 1, 0, ts_arc=1)
+    return ArcNetwork(2, arcs, 1, 0, ts_arc=1)
 
 
 class TestFeasibility:
@@ -90,7 +97,7 @@ class TestFlowAccessors:
 
     def test_value_counts_arcs_into_the_source(self):
         # s=0 -> 1 carries 3, 1 -> s carries 1 back, 1 -> t=2 carries 2
-        net = FlowNetwork(3, [Arc(0, 1, 0, 5, 0), Arc(1, 0, 0, 5, 0), Arc(1, 2, 0, 5, 0)], 0, 2)
+        net = ArcNetwork(3, [Arc(0, 1, 0, 5, 0), Arc(1, 0, 0, 5, 0), Arc(1, 2, 0, 5, 0)], 0, 2)
         assert net.flow_value([3, 1, 2]) == 2
 
     def test_value_after_release(self):
@@ -161,7 +168,7 @@ class TestMinCostCirculation:
         # on the return arc.
         arcs = [Arc(0, 1, 0, 1, 1), Arc(1, 2, 0, 1, 1), Arc(2, 3, 0, 1, 1),
                 Arc(0, 2, 0, 1, 2), Arc(1, 3, 0, 1, 2), Arc(3, 0, 0, INF, -4)]
-        net = FlowNetwork(4, arcs, 0, 3, ts_arc=5)
+        net = ArcNetwork(4, arcs, 0, 3, ts_arc=5)
         result = min_cost_circulation(net)
         assert result.flow == [1, 0, 1, 1, 1, 2]
         assert result.iterations == 2 and result.final_cost == 6 - 8
@@ -169,13 +176,13 @@ class TestMinCostCirculation:
     def test_stops_at_the_first_unprofitable_path(self):
         # parallel s-t arcs of cost -3 and -1 against a return cost of 2
         arcs = [Arc(0, 1, 0, 1, -3), Arc(0, 1, 0, 5, -1), Arc(1, 0, 0, INF, 2)]
-        net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
+        net = ArcNetwork(2, arcs, 0, 1, ts_arc=2)
         result = min_cost_circulation(net)
         assert result.flow == [1, 0, 1] and result.iterations == 1
 
     def test_return_capacity_bounds_the_augmentations(self):
         arcs = [Arc(0, 1, 0, 1, -3), Arc(0, 1, 0, 5, -1), Arc(1, 0, 0, 2, 0)]
-        net = FlowNetwork(2, arcs, 0, 1, ts_arc=2)
+        net = ArcNetwork(2, arcs, 0, 1, ts_arc=2)
         result = min_cost_circulation(net)
         assert result.flow == [1, 1, 2] and result.final_cost == -4
         assert result.iterations == 2
@@ -189,7 +196,7 @@ class TestMinCostCirculation:
         # 1 -> 2 -> 1 would leave the start potentials unsettled after one pass
         arcs = [Arc(0, 1, 0, 1, -1), Arc(1, 2, 0, 1, -1), Arc(2, 1, 0, 1, -1),
                 Arc(2, 3, 0, 1, 0), Arc(3, 0, 0, INF, 0)]
-        net = FlowNetwork(4, arcs, 0, 3, ts_arc=4)
+        net = ArcNetwork(4, arcs, 0, 3, ts_arc=4)
         with pytest.raises(CycleError):
             min_cost_circulation(net)
 
@@ -198,7 +205,7 @@ class TestMinCostCirculation:
         # order would stop at [0, -1, -1, -1]
         arcs = [Arc(2, 3, 0, 1, -1), Arc(1, 2, 0, 1, -1), Arc(0, 1, 0, 1, -1),
                 Arc(3, 0, 0, INF, 9)]
-        net = FlowNetwork(4, arcs, 0, 3, ts_arc=3)
+        net = ArcNetwork(4, arcs, 0, 3, ts_arc=3)
         res = residual(net, zero_flow(net))
         order = sorted(range(4), key=net.node_topo_pos().__getitem__)
         pi = flowcore._start_potentials(4, order, res.out, res.head, res.cost, res.cap)
@@ -224,7 +231,7 @@ def acyclic_circulations(draw):
     arcs = [Arc(min(u, v), max(u, v), 0, upper, cost)
             for u, v, upper, cost in draw(st.lists(arc, max_size=14)) if u != v]
     arcs.append(Arc(m - 1, 0, 0, draw(st.integers(1, 6)), draw(st.integers(-3, 3))))
-    return FlowNetwork(m, arcs, 0, m - 1, ts_arc=len(arcs) - 1)
+    return ArcNetwork(m, arcs, 0, m - 1, ts_arc=len(arcs) - 1)
 
 
 @given(acyclic_circulations())
@@ -233,7 +240,7 @@ def test_circulation_cost_matches_network_simplex(net):
     nx = pytest.importorskip("networkx")
     g = nx.MultiDiGraph()
     g.add_nodes_from(range(net.m))
-    for a in net.arcs:
+    for a in flow_reference.arcs(net):
         g.add_edge(a.tail, a.head, capacity=a.upper, weight=a.cost)
     want, _ = nx.network_simplex(g)
     result = min_cost_circulation(net)
@@ -432,7 +439,10 @@ class TestDecompose:
     """peel_paths reads a flow's units back as vertex sequences."""
 
     def split(self):
-        return SplitNetwork(4, [(0, 1), (1, 2), (0, 3)], [(INF, 0)], demand=range(4))
+        edges = [(0, 1), (1, 2), (0, 3)]
+        split = SplitNetwork(4, edges, [(INF, 0)], demand=range(4))
+        split.take_levels(height_levels(build_dag(4, edges)))
+        return split
 
     def test_unit_paths_reconstruct_flow(self):
         split = self.split()
@@ -528,12 +538,12 @@ class TestPeelMatchesReference:
 
 def with_return_arc(net, cost, upper=INF):
     """The network with a return arc t -> s appended."""
-    arcs = list(net.arcs) + [Arc(net.t, net.s, 0, upper, cost)]
-    return FlowNetwork(net.m, arcs, net.s, net.t, ts_arc=len(arcs) - 1)
+    arcs = flow_reference.arcs(net) + [Arc(net.t, net.s, 0, upper, cost)]
+    return ArcNetwork(net.m, arcs, net.s, net.t, ts_arc=len(arcs) - 1)
 
 
 def reference_distances(net, f):
-    arcs = flow_reference.residual_arcs(net.arcs, f)
+    arcs = flow_reference.residual_arcs(flow_reference.arcs(net), f)
     return flow_reference.shortest_distances(net.m, arcs, net.s)
 
 
@@ -551,7 +561,7 @@ class TestShortestDistances:
         # node 2 only sends: s = 0 reaches 1 and t = 3
         arcs = [Arc(0, 1, 0, 1, 4), Arc(1, 3, 0, 1, 1), Arc(2, 1, 0, 1, -7),
                 Arc(3, 0, 0, INF, 9)]
-        net = FlowNetwork(4, arcs, 0, 3, ts_arc=3)
+        net = ArcNetwork(4, arcs, 0, 3, ts_arc=3)
         circ = min_cost_circulation(net)
         assert reference_distances(net, circ.flow) == [0, 4, None, 5]
         assert circ.labels[:2] + circ.labels[3:] == [0, 4, 5]
@@ -564,7 +574,7 @@ class TestShortestDistances:
         # t only by the return arc's undo arc (cost 5) and node 1 by the
         # undo arc of 1 -> 2 (cost -1).
         arcs = [Arc(0, 1, 0, 1, 1), Arc(1, 2, 0, 1, 1), Arc(2, 0, 0, INF, -5)]
-        net = FlowNetwork(3, arcs, 0, 2, ts_arc=2)
+        net = ArcNetwork(3, arcs, 0, 2, ts_arc=2)
         circ = min_cost_circulation(net)
         assert circ.flow == [1, 1, 1]
         assert circ.labels == [0, 4, 5] == reference_distances(net, circ.flow)
@@ -587,21 +597,21 @@ PYTHON_FLAGS = [pytest.param((), id="python"), pytest.param(("-O",), id="python-
 def test_labels_of_the_wrong_length_are_a_mismatch(flags):
     script = (
         "from gkcover.errors import MismatchError\n"
-        "from gkcover.flowcore import (Arc, FlowNetwork, check_distances,\n"
+        "from gkcover.flowcore import (SplitNetwork, check_distances,\n"
         "                              find_negative_cycle, residual, zero_flow)\n"
         "def report(check, *args):\n"
         "    try:\n"
         "        check(*args)\n"
         "    except MismatchError as exc:\n"
         "        print('mismatch:', exc)\n"
-        "net = FlowNetwork(3, [Arc(0, 1, 0, 1, 1), Arc(1, 2, 0, 1, 1)], 0, 2)\n"
+        "net = SplitNetwork(1, [], [(1, 1)])\n"
         "res = residual(net, zero_flow(net))\n"
-        "for labels in ([0, 1], [0, 1, 2, 3]):\n"
+        "for labels in ([0, 1, 2], [0, 1, 2, 3, 4]):\n"
         "    report(check_distances, res, 0, labels)\n"
         "    report(find_negative_cycle, res, labels)\n")
     assert _run_optimized(script, flags).splitlines() == [
-        "mismatch: 2 labels for a residual graph of 3 nodes"] * 2 + [
-        "mismatch: 4 labels for a residual graph of 3 nodes"] * 2
+        "mismatch: 3 labels for a residual graph of 4 nodes"] * 2 + [
+        "mismatch: 5 labels for a residual graph of 4 nodes"] * 2
 
 
 @pytest.mark.parametrize("flags", PYTHON_FLAGS)

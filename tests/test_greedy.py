@@ -38,6 +38,7 @@ from gkcover.greedy import (
 )
 
 from conftest import FIG_EDGES, FIG_MPC
+from flow_reference import arcs
 
 
 class TestMaxCoveragePath:
@@ -359,14 +360,14 @@ class TestSubsetNetwork:
         sub = build_subset_network(fig, {3, 4})
         for v in range(fig.n):
             expected = 1 if v in (3, 4) else 0
-            assert sub.arcs[sub.gadget(v)].lower == expected
+            assert arcs(sub)[sub.gadget(v)].lower == expected
 
     def test_release_drops_only_the_given_lower_bounds(self, fig):
         sub = build_subset_network(fig, {3, 4, 5})
-        before = list(sub.arcs)
+        before = arcs(sub)
         # vertex 6 has no lower bound to drop
         assert sub.release([3, 5, 6]) == [sub.gadget(3), sub.gadget(5)]
-        for i, (old, new) in enumerate(zip(before, sub.arcs)):
+        for i, (old, new) in enumerate(zip(before, arcs(sub))):
             if i in (sub.gadget(3), sub.gadget(5)):
                 assert old.lower == 1 and new.lower == 0
                 assert (new.tail, new.head, new.upper, new.cost) == \

@@ -29,33 +29,35 @@ from gkcover.networks import (
 )
 
 from conftest import FIG_ALPHA, FIG_BETA
+from flow_reference import arcs
 
 
 class TestNetworkLayout:
     def test_arc_ids_and_bounds(self, fig):
         gk = build_network(fig, 2, ALPHA)
         n = fig.n
-        assert len(gk.arcs) == 4 * n + len(fig.edges) + 1
+        records = arcs(gk)
+        assert len(records) == 4 * n + len(fig.edges) + 1
         assert gk.s == 2 * n and gk.t == 2 * n + 1
         for v in range(n):
-            entry = gk.arcs[gk.entry(v)]
+            entry = records[gk.entry(v)]
             assert (entry.tail, entry.head) == (2 * n, 2 * v)
-            e1 = gk.arcs[gk.gadget(v, COVER)]
+            e1 = records[gk.gadget(v, COVER)]
             assert (e1.tail, e1.head, e1.upper, e1.cost) == (2 * v, 2 * v + 1, 1, -1)
-            e2 = gk.arcs[gk.gadget(v, OVERFLOW)]
+            e2 = records[gk.gadget(v, OVERFLOW)]
             assert (e2.tail, e2.head, e2.cost) == (2 * v, 2 * v + 1, 0)
             assert e2.upper >= INF
-            exit_ = gk.arcs[gk.exit(v)]
+            exit_ = records[gk.exit(v)]
             assert (exit_.tail, exit_.head) == (2 * v + 1, 2 * n + 1)
         for j, (u, v) in enumerate(fig.edges):
-            a = gk.arcs[4 * n + j]
+            a = records[4 * n + j]
             assert (a.tail, a.head) == (2 * u + 1, 2 * v)
-        assert gk.ts_arc == len(gk.arcs) - 1
+        assert gk.ts_arc == len(records) - 1
 
     def test_return_arc_alpha_vs_beta(self, fig):
-        a = build_network(fig, 3, ALPHA).arcs[-1]
+        a = arcs(build_network(fig, 3, ALPHA))[-1]
         assert (a.lower, a.cost) == (0, 3) and a.upper >= INF
-        b = build_network(fig, 3, BETA).arcs[-1]
+        b = arcs(build_network(fig, 3, BETA))[-1]
         assert (b.lower, b.upper, b.cost) == (0, 3, 0)
 
     def test_k_must_be_positive(self, fig):
