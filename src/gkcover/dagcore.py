@@ -119,7 +119,6 @@ class Dag:
         for u, v in edges:
             self.succ[u].append(v)
             self.pred[v].append(u)
-        self.edge_set = frozenset(edges)
         self.topo = tuple(_topological_order(self.succ))
         self.topo_pos = [0] * n
         for i, v in enumerate(self.topo):
@@ -249,7 +248,7 @@ def certify_path(dag: Dag, vertices: Sequence[int]) -> GraphPath:
     seq = tuple(vertices)
     _check_range(dag, seq)
     for i in range(1, len(seq)):
-        if (seq[i - 1], seq[i]) not in dag.edge_set:
+        if seq[i] not in dag.succ[seq[i - 1]]:
             raise NotChainError(seq[i - 1], seq[i])
     return GraphPath(seq)
 

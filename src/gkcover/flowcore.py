@@ -7,19 +7,20 @@ parallel integer lists with one entry per arc (``tail``, ``head``,
 aligned with them. The lists and the adjacency are built with the
 network, read off its regular layout, with only the edge arcs placed
 one at a time. Its topological order is the DAG's depth levels, given
-by SplitNetwork.take_levels. The residual graph of a flow pairs the
-arcs: 2i runs along network arc i, 2i+1 against it. residual() builds
-only their capacities; the solvers update them in place, and the two
-checks on a solved flow scan the arcs that have room.
+by SplitNetwork.take_levels. A flow's residual graph is the network's
+paired arcs, 2i along network arc i and 2i+1 against it, whose tails,
+heads, costs and adjacency the network caches, plus one capacity list.
+residual() builds that list, every routine on the residual graph takes
+the network and the list, the solvers update the list in place, and
+the two checks on a solved flow scan the arcs that have room.
 
 check_feasible checks a flow's length, then its bounds, then
-conservation. residual() and the circulation certificate run the same
-checks, with the same errors, but read the bounds off the capacities
-they build, since a capacity is negative exactly where the flow leaves
-its bounds. Conservation is read off the layout: per vertex it compares
-the entry and edges in, the gadget columns, and the exit and edges
-out, from stride slices of the flow, so that only the edge arcs with
-flow take a step each.
+conservation. residual() runs the same checks, with the same errors,
+but reads the bounds off the capacities it builds, since a capacity is
+negative exactly where the flow leaves its bounds. Conservation is read
+off the layout: per vertex it compares the entry and edges in, the
+gadget columns, and the exit and edges out, from stride slices of the
+flow, so that only the edge arcs with flow take a step each.
 
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971) from the zero flow: start potentials from one pass in
@@ -32,8 +33,8 @@ distances from the source are the labels, so a solve runs one search
 per augmentation and one more. After an augmentation only the nodes the
 search settled change potential: the rest would all move by the same
 amount, and every use of the potentials is a difference. The
-optimality certificate runs on the solver's own residual graph, once
-its capacities are checked to be the flow's: a Bellman-Ford
+optimality certificate runs on the solver's own capacities, once they
+are checked to equal residual() of the flow: a Bellman-Ford
 negative-cycle search started from the labels, the one Bellman-Ford
 left, which confirms a valid potential in one pass of C-level maps and
 builds its arc list for the full search only for other labels.
@@ -41,8 +42,8 @@ check_distances proves in O(m) that given labels are the exact shortest
 distances, so callers can read the labels without trusting them.
 
 min_flow pushes along breadth-first t-to-s residual paths over the same
-paired arcs, in place, on a residual graph its caller built once: the
-greedy rounds keep one per run and relax it between rounds. residual()
+paired arcs, in place, on capacities its caller built once: the greedy
+rounds keep one list per run and relax it between rounds. residual()
 checks the start flow, and min_flow checks every flow it returns. Its
 last, failed search marks the nodes reachable from t
 (MinFlowResult.t_reach), the cut that a maximum antichain is read off.
@@ -340,22 +341,6 @@ def check_feasible(net: SplitNetwork, values: Sequence[int]) -> None:
     _check_conservation(net, values)
 
 
-def _checked_cap(net: SplitNetwork, values: Sequence[int]) -> list[int]:
-    """The paired residual capacities of a flow, upper less flow on 2i and
-    flow less lower on 2i + 1, once the flow passes check_feasible's
-    checks, with its errors. A capacity is negative exactly where the
-    flow leaves its bounds, so the capacities are the bound check, and
-    the first negative one names check_feasible's arc."""
-    _check_length(net, values)
-    cap = [0] * (2 * len(values))
-    cap[0::2] = map(sub, net.upper, values)
-    cap[1::2] = map(sub, values, net.lower)
-    if min(cap, default=0) < 0:
-        raise _outside(net, values, next(r for r, x in enumerate(cap) if x < 0) >> 1)
-    _check_conservation(net, values)
-    return cap
-
-
 def _check_length(net: SplitNetwork, values: Sequence[int]) -> None:
     if len(values) != len(net.lower):
         raise InfeasibleFlowError("flow vector length does not match arc count")
@@ -372,55 +357,46 @@ def _check_conservation(net: SplitNetwork, values: Sequence[int]) -> None:
         raise InfeasibleFlowError(f"conservation fails at node {v}")
 
 
-@dataclass
-class ResidualGraph:
-    """The residual graph of a flow as paired arcs: 2i along network arc
-    i, 2i+1 against it.
+def residual(net: SplitNetwork, f: Sequence[int]) -> list[int]:
+    """The paired residual capacities of a feasible flow: upper less flow
+    on 2i (INF less flow on an uncapped arc) and flow less lower on
+    2i + 1. The arcs they belong to are the network's ``_paired`` columns.
 
-    Residual arc r runs from ``tail[r]`` to ``head[r]`` with cost
-    ``cost[r]`` and is usable while ``cap[r]`` is positive; ``out[u]``
-    lists the arcs leaving node u in network-arc order, without the
-    return arc's pair. Only ``cap`` is built per flow, and the solvers
-    update it in place; the other lists are the network's cache and must
-    not be edited.
+    The flow is checked as check_feasible does, raising the same
+    InfeasibleFlowError in the same order. A capacity is negative exactly
+    where the flow leaves its bounds, so the capacities are the bound
+    check, and the first negative one names check_feasible's arc.
     """
-
-    m: int
-    tail: list[int]
-    head: list[int]
-    cap: list[int]
-    cost: list[int]
-    out: list[list[int]]
-
-
-def residual(net: SplitNetwork, f: Sequence[int]) -> ResidualGraph:
-    """Residual graph of a feasible flow: forward slack and undo arcs.
-
-    An uncapped arc's forward capacity is INF less its flow. The flow is
-    checked as check_feasible does, raising the same InfeasibleFlowError,
-    its bounds read off the capacities built here.
-    """
-    tail, head, cost, out = net._paired
-    return ResidualGraph(net.m, tail, head, _checked_cap(net, f), cost, out)
+    _check_length(net, f)
+    cap = [0] * (2 * len(f))
+    cap[0::2] = map(sub, net.upper, f)
+    cap[1::2] = map(sub, f, net.lower)
+    if min(cap, default=0) < 0:
+        raise _outside(net, f, next(r for r, x in enumerate(cap) if x < 0) >> 1)
+    _check_conservation(net, f)
+    return cap
 
 
-def _slack(res: ResidualGraph, d: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+def _slack(net: SplitNetwork, cap: Sequence[int],
+           d: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """Tail, head and reduced cost d[u] + c - d[w] of every residual arc
     with room, in id order; MismatchError unless there is one label per
     node."""
-    if len(d) != res.m:
-        raise MismatchError(f"{len(d)} labels for a residual graph of {res.m} nodes")
-    room = list(map(gt, res.cap, repeat(0)))
-    tails, heads = list(compress(res.tail, room)), list(compress(res.head, room))
+    if len(d) != net.m:
+        raise MismatchError(f"{len(d)} labels for a residual graph of {net.m} nodes")
+    tail, head, cost, _ = net._paired
+    room = list(map(gt, cap, repeat(0)))
+    tails, heads = list(compress(tail, room)), list(compress(head, room))
     get = d.__getitem__
-    slack = list(map(sub, map(add, map(get, tails), compress(res.cost, room)),
+    slack = list(map(sub, map(add, map(get, tails), compress(cost, room)),
                      map(get, heads)))
     return tails, heads, slack
 
 
-def find_negative_cycle(res: ResidualGraph,
+def find_negative_cycle(net: SplitNetwork, cap: Sequence[int],
                         labels: Optional[Sequence[int]] = None) -> Optional[list[int]]:
-    """Return the residual arc ids of one negative-cost cycle, or None.
+    """Return the residual arc ids of one negative-cost cycle, or None,
+    over the network's paired arcs with room under ``cap``.
 
     Bellman-Ford from a virtual source, scanning the arcs with room in id
     order, with the labels starting at ``labels`` (zeros when not given;
@@ -432,12 +408,12 @@ def find_negative_cycle(res: ResidualGraph,
     negative cycle. Of a returned id r, ``r >> 1`` is the network arc,
     and ``r & 1`` marks an undo arc.
     """
-    m = res.m
+    m = net.m
     dist = [0] * m if labels is None else list(labels)
-    if min(_slack(res, dist)[2], default=0) >= 0:
+    if min(_slack(net, cap, dist)[2], default=0) >= 0:
         return None
-    arcs = [(r, u, w, c) for r, (u, w, c, x)
-            in enumerate(zip(res.tail, res.head, res.cost, res.cap)) if x > 0]
+    tail, head, cost, _ = net._paired
+    arcs = [(r, u, w, c) for r, (u, w, c, x) in enumerate(zip(tail, head, cost, cap)) if x > 0]
     pred = [-1] * m
     last_updated = -1
     for _ in range(m + 1):
@@ -451,7 +427,6 @@ def find_negative_cycle(res: ResidualGraph,
                 last_updated = w
         if not changed:
             return None
-    tail = res.tail
     x = last_updated
     for _ in range(m):
         if pred[x] < 0:
@@ -468,15 +443,15 @@ def find_negative_cycle(res: ResidualGraph,
         if cur == x:
             break
     found = cycle_rev[::-1]
-    total = sum(res.cost[r] for r in found)
+    total = sum(cost[r] for r in found)
     if total >= 0:
         raise MismatchError(f"the predecessor cycle costs {total}, not less than zero")
     return found
 
 
-def check_distances(res: ResidualGraph, s: int, d: Sequence[int]) -> None:
+def check_distances(net: SplitNetwork, cap: Sequence[int], s: int, d: Sequence[int]) -> None:
     """Raise MismatchError unless ``d`` holds the exact shortest distances
-    from s over the residual arcs with room.
+    from s over the network's paired arcs with room under ``cap``.
 
     Three checks in O(m) prove it, after one that there is a label per
     node: d[s] is zero, no arc (u, w, c) has d[w] > d[u] + c, and the
@@ -485,8 +460,8 @@ def check_distances(res: ResidualGraph, s: int, d: Sequence[int]) -> None:
     each label a path of exactly that cost. The arcs' reduced costs are
     computed in one pass of C-level maps; only a failure walks them.
     """
-    m = res.m
-    tails, heads, slack = _slack(res, d)
+    m = net.m
+    tails, heads, slack = _slack(net, cap, d)
     if d[s] != 0:
         raise MismatchError(f"the labels do not start at 0 on node {s}")
     if min(slack, default=0) < 0:
@@ -522,28 +497,29 @@ class CirculationResult:
     """An optimal circulation with its augmentation count and cost (the
     solve starts from the zero flow, of cost 0), ``labels``: the exact
     shortest distances from the head of the return arc over the residual
-    graph of the flow, the return arc's forward pair aside, and
-    ``residual``: the solver's residual graph of the flow, which the
-    certificate has checked against it."""
+    graph of the flow, the return arc's forward pair aside, and ``cap``:
+    the solver's residual capacities of the flow, which the certificate
+    has checked to equal residual() of it."""
 
     flow: list[int]
     iterations: int
     final_cost: int
     labels: list[int]
-    residual: ResidualGraph
+    cap: list[int]
 
 
-def _start_potentials(m: int, order: list[int], out: list[list[int]], head: list[int],
-                      cost: list[int], cap: list[int]) -> list[int]:
-    """Labels with non-negative reduced cost on every residual arc in ``out``.
+def _start_potentials(net: SplitNetwork, cap: list[int]) -> list[int]:
+    """Labels with non-negative reduced cost on every residual arc in the
+    network's adjacency with room under ``cap``.
 
-    One pass over the nodes in topological order of the network, every
+    One pass over the nodes in the network's topological order, every
     label starting at zero. At the zero flow only forward arcs have room,
     and without the return arc they are acyclic, so every arc into a node
     is relaxed before the node's own arcs and one pass settles every label.
     """
-    pi = [0] * m
-    for u in order:
+    _, head, cost, out = net._paired
+    pi = [0] * net.m
+    for u in net._topo[0]:
         pu = pi[u]
         for r in out[u]:
             if cap[r] > 0 and pu + cost[r] < pi[head[r]]:
@@ -551,11 +527,11 @@ def _start_potentials(m: int, order: list[int], out: list[list[int]], head: list
     return pi
 
 
-def _dijkstra(res: ResidualGraph, pi: list[int], src: int, stop: int, seed: float,
-              below: float) -> tuple[list[float], list[int], list[int]]:
-    """Dijkstra on reduced costs over the paired residual arcs in
-    ``res.out`` with room, from ``src`` at label 0 and ``stop`` at label
-    ``seed`` (math.inf for none).
+def _dijkstra(net: SplitNetwork, cap: list[int], pi: list[int], src: int, stop: int,
+              seed: float, below: float) -> tuple[list[float], list[int], list[int]]:
+    """Dijkstra on reduced costs over the network's paired arcs with room
+    under ``cap``, from ``src`` at label 0 and ``stop`` at label ``seed``
+    (math.inf for none).
 
     A heap entry is one int, ``label * (m + 1) + key``, with key 0 for
     ``stop`` and w + 1 for any other node w, so entries order by label,
@@ -567,7 +543,7 @@ def _dijkstra(res: ResidualGraph, pi: list[int], src: int, stop: int, seed: floa
     taken at their final label, in the order taken, without a ``stop``
     taken to end the search.
     """
-    out, head, cost, cap = res.out, res.head, res.cost, res.cap
+    _, head, cost, out = net._paired
     m = len(out)
     base_key = m + 1
     dist: list[float] = [math.inf] * m
@@ -629,8 +605,8 @@ def min_cost_circulation(net: SplitNetwork) -> CirculationResult:
     augmentations) is bounded by the total improvement.
 
     The capacities of residual() are updated in place. The certificate
-    runs on that graph: the flow's capacities rebuilt from it, which
-    runs check_feasible's checks, must be the solver's, and a
+    runs on them: residual() of the final flow, which runs
+    check_feasible's checks, must equal them, and a
     Bellman-Ford search for a negative residual cycle started from the
     labels confirms a valid potential in one pass and searches in full
     otherwise.
@@ -638,19 +614,20 @@ def min_cost_circulation(net: SplitNetwork) -> CirculationResult:
     if net.ts_arc is None:
         raise InvalidCycleError("min_cost_circulation expects a network with a return arc")
     f = zero_flow(net)
-    res = residual(net, f)
+    cap = residual(net, f)
     ret_id = net.ts_arc
     fwd, undo = 2 * ret_id, 2 * ret_id + 1
     src, dst = net.head[ret_id], net.tail[ret_id]
-    head, cost, cap = res.head, res.cost, res.cap
-    pi = _start_potentials(net.m, net._topo[0], res.out, head, cost, cap)
+    _, head, cost, _ = net._paired
+    pi = _start_potentials(net, cap)
     iterations = 0
     while True:
         # the reduced cost of the return arc's undo arc, src to dst: a
         # path below it closes a negative cycle with the return arc
         rc = cost[undo] + pi[src] - pi[dst]
         room = cap[fwd] > 0
-        dist, pred, settled = _dijkstra(res, pi, src, dst, rc if cap[undo] > 0 else math.inf,
+        dist, pred, settled = _dijkstra(net, cap, pi, src, dst,
+                                        rc if cap[undo] > 0 else math.inf,
                                         rc if room else -math.inf)
         dt = dist[dst]
         if not (room and dt < rc):
@@ -675,23 +652,22 @@ def min_cost_circulation(net: SplitNetwork) -> CirculationResult:
     far = max(map(dist.__getitem__, settled))
     p0 = pi[src]
     labels = [(x if x != math.inf else far) + p - p0 for x, p in zip(dist, pi)]
-    if cap != _checked_cap(net, f):
+    if cap != residual(net, f):
         raise MismatchError("the solver's residual capacities differ from its flow's")
-    if find_negative_cycle(res, labels) is not None:
+    if find_negative_cycle(net, cap, labels) is not None:
         raise MismatchError("a negative residual cycle remains after the last augmentation")
     cf = net.flow_cost(f)
     if iterations > -cf:
         raise MismatchError(f"{iterations} augmentations for a cost improvement of {-cf}")
-    return CirculationResult(f, iterations, cf, labels, res)
+    return CirculationResult(f, iterations, cf, labels, cap)
 
 
 @dataclass
 class MinFlowResult:
-    """A minimum flow, its search and push counts, and which nodes are
+    """The search and push counts of a minimum flow, and which nodes are
     reachable from t in its residual graph (seen by the last, failed
-    search)."""
+    search). The flow itself is the caller's list, reduced in place."""
 
-    flow: list[int]
     searches: int
     pushes: int
     t_reach: list[bool]
@@ -731,21 +707,24 @@ def _residual_bfs(out: list[list[int]], head: list[int], cap: list[int],
     return None, seen
 
 
-def min_flow(net: SplitNetwork, res: ResidualGraph, f: list[int]) -> MinFlowResult:
+def min_flow(net: SplitNetwork, cap: list[int], f: list[int]) -> MinFlowResult:
     """Reduce a feasible s-t flow to minimum value, in place.
 
-    ``res`` is the residual graph of ``f``, built by residual(), which
-    checks the flow, and kept exact since. Repeatedly finds a t-to-s
+    ``cap`` must equal residual(net, f): built by residual(), which
+    checks the flow, and kept exact since. min_flow does not re-check
+    that (a rebuild costs twice its closing check_feasible): stale
+    capacities go unnoticed, and the flow returned, though feasible,
+    need not be minimal. Repeatedly finds a t-to-s
     residual path by breadth-first search and pushes the bottleneck
-    along it, updating ``res.cap`` and ``f`` in place, so both stay
-    exact for a caller that relaxes bounds and reduces again.
-    Feasibility of the result is checked. Each push lowers the flow
-    value, so successful searches are bounded by the total decrease.
+    along it, updating ``cap`` and ``f`` in place, so both stay exact
+    for a caller that relaxes bounds and reduces again. Feasibility of
+    the result is checked. Each push lowers the flow value, so
+    successful searches are bounded by the total decrease.
     """
     if net.ts_arc is not None:
         raise InvalidCycleError("min_flow expects a network without a return arc")
     v0 = net.flow_value(f)
-    head, cap, out = res.head, res.cap, res.out
+    _, head, _, out = net._paired
     searches = 0
     pushes = 0
     while True:
@@ -759,4 +738,4 @@ def min_flow(net: SplitNetwork, res: ResidualGraph, f: list[int]) -> MinFlowResu
     if pushes > v0 - net.flow_value(f):
         raise MismatchError(
             f"{pushes} pushes for a value decrease of {v0 - net.flow_value(f)}")
-    return MinFlowResult(f, searches, pushes, reach)
+    return MinFlowResult(searches, pushes, reach)

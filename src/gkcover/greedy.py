@@ -7,8 +7,9 @@ the path, not for every vertex and edge. Its rounds from U = every
 vertex depend only on the DAG, so they are memoised on it and shared by
 the chain commands and the path cover that seeds the antichain flow.
 Antichains come from minimum flows on one flowcore.SplitNetwork, one
-flow list and one residual graph per run: lower bounds drop as vertices
-are covered, and each round reduces the previous round's flow in place.
+flow list and one residual capacity list per run: lower bounds drop as
+vertices are covered, and each round reduces the previous round's flow
+in place.
 Each round reads its antichain off the cut that min_flow's last, failed
 search leaves (MinFlowResult.t_reach), so no search is run twice.
 Tie-breaking is deterministic throughout: predecessor ties prefer the
@@ -58,7 +59,6 @@ class GreedyRound:
 class GreedyTrace:
     rounds: list[GreedyRound] = field(default_factory=list)
     stop_reason: str = ""
-    exhausted_early: bool = False
 
     def gains(self) -> list[int]:
         return [r.gain for r in self.rounds]
@@ -238,8 +238,6 @@ def greedy_k_chains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
         trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), left))
         if picked:
             members.append(certify_chain(dag, picked))
-        else:
-            trace.exhausted_early = True
     trace.stop_reason = "U empty" if not left else "k reached"
     trace.assert_monotone()
     return Family(tuple(members), disjoint=True), trace
@@ -316,7 +314,7 @@ def _extract_antichain(dag: Dag, subset: Iterable[int], value: int,
 def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:
     """Exact minimum number of paths covering every vertex."""
     if dag.n == 0:
-        return 0, MinFlowResult([], 0, 0, [])
+        return 0, MinFlowResult(0, 0, [])
     split = build_subset_network(dag, range(dag.n))
     flow = _path_cover_flow(dag, split)
     result = min_flow(split, residual(split, flow), flow)
@@ -326,21 +324,20 @@ def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:
 def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
     """A maximum antichain of the still-uncovered set U per round.
 
-    One subset network, one flow and one residual graph serve every
-    round. Round 1 reduces a path-cover flow to a minimum flow; later
-    rounds reduce the previous round's flow in place, which stays
+    One subset network, one flow and one residual capacity list serve
+    every round. Round 1 reduces a path-cover flow to a minimum flow;
+    later rounds reduce the previous round's flow in place, which stays
     feasible because covered vertices only lose their lower bound, and
-    the residual graph follows by raising each released gadget arc's
-    undo capacity. min_flow checks the flow every round ends with. A
+    the capacities follow by raising each released gadget arc's undo
+    capacity. min_flow checks the flow every round ends with. A
     yielded antichain leaves U when the next round is asked for.
     """
     uncovered = set(range(dag.n))
     split = build_subset_network(dag, uncovered)
     flow = _path_cover_flow(dag, split)
-    res = residual(split, flow)
-    cap = res.cap
+    cap = residual(split, flow)
     while uncovered:
-        result = min_flow(split, res, flow)
+        result = min_flow(split, cap, flow)
         value = split.flow_value(flow)
         ac = _extract_antichain(dag, uncovered, value, result.t_reach)
         yield ac, GreedyRound(
@@ -371,7 +368,6 @@ def greedy_k_antichains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
         if searches > bound:
             raise MismatchError(
                 f"{searches} decrementing-path searches exceed the warm-start bound {bound}")
-    trace.exhausted_early = len(trace.rounds) < k
     trace.rounds.extend(GreedyRound((), 0, 0) for _ in range(k - len(trace.rounds)))
     trace.stop_reason = "U empty" if sum(map(len, members)) == dag.n else "k reached"
     trace.assert_monotone()

@@ -8,14 +8,14 @@ then equals alpha_k - n, respectively -beta_k. The network is a
 flowcore.SplitNetwork, which owns the layout, and goes to the solvers as
 it is. Every solve starts from the zero flow and runs
 flowcore.min_cost_circulation (successive shortest paths, certified on
-the solver's own residual graph by a negative-cycle search seeded with
-its final labels). Chain witnesses are the flow's unit paths, read off
-one vertex at a time by flowcore.peel_paths. Antichain witnesses are
-read off the solver's labels, the residual shortest distances from s,
-once flowcore.check_distances has proved them exact on the residual
-graph of the reported flow: for problem Alpha the solver's own graph,
-for problem Beta one residual() build of the padded flow, which is also
-that flow's one feasibility check. Every value a witness family scores
+the solver's own residual capacities by a negative-cycle search seeded
+with its final labels). Chain witnesses are the flow's unit paths, read
+off one vertex at a time by flowcore.peel_paths. Antichain witnesses
+are read off the solver's labels, the residual shortest distances from
+s, once flowcore.check_distances has proved them exact on the residual
+capacities of the reported flow: for problem Alpha the solver's own
+list, for problem Beta the one residual() build of the padded flow,
+which is also that flow's one feasibility check. Every value a witness family scores
 is checked against the circulation cost, raising MismatchError on a
 difference, as are two of the paper's guarantees: at most alpha_k / k
 augmentations for problem Alpha, and beta_1 equal to the DAG's height
@@ -42,7 +42,6 @@ from .dagcore import (
 from .errors import MismatchError
 from .flowcore import (
     INF,
-    ResidualGraph,
     SplitNetwork,
     check_distances,
     min_cost_circulation,
@@ -152,18 +151,19 @@ def height_levels(dag: Dag) -> list[list[int]]:
     return levels
 
 
-def extract_antichains(gk: GkNetwork, res: ResidualGraph, labels: Sequence[int]) -> Family:
+def extract_antichains(gk: GkNetwork, cap: list[int], labels: Sequence[int]) -> Family:
     """Antichain levels from residual shortest-path labels.
 
-    ``res`` is the residual graph of the circulation (for problem Beta,
-    of its padded flow), and ``labels`` are its residual distances from
-    s; they are checked to be exact on ``res`` (MismatchError otherwise).
+    ``cap`` holds the residual capacities of the circulation (for
+    problem Beta, of its padded flow), and ``labels`` are its residual
+    distances from s; they are checked to be exact under ``cap``
+    (MismatchError otherwise).
     Vertex v lands in level d(v_in) - d(t) whenever d(v_in) > d(v_out);
     level indices run 1..d(s)-d(t).
     """
     if gk.n == 0:
         return Family((), disjoint=True)
-    check_distances(res, gk.s, labels)
+    check_distances(gk, cap, gk.s, labels)
     d = labels
     dt = d[gk.t]
     h = -dt
@@ -254,7 +254,7 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     mcp_value = knorm_partition(mcp_family, n, k)
     _expect(mcp_value == alpha_k, f"chain partition norm {mcp_value} != alpha {alpha_k}")
     if routed:
-        ma_family = extract_antichains(gk, circ.residual, circ.labels)
+        ma_family = extract_antichains(gk, circ.cap, circ.labels)
     else:
         height = len(gk.levels)
         _expect(height <= k, f"zero circulation optimal at height {height} > k={k}")
@@ -291,7 +291,7 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
                 f"beta_1 = {beta_k} differs from the height {len(gk.levels)}")
     fN = normalize_beta(gk, f)
     # residual() checks the padded flow, which peel_paths does not
-    res = residual(gk, fN)
+    cap = residual(gk, fN)
     peeled = peel_paths(gk, fN)
     if n > 0:
         _expect(len(peeled) == k, f"expected k={k} paths, got {len(peeled)}")
@@ -305,7 +305,7 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
     mc_value = mc_family.coverage()
     _expect(mc_value == beta_k, f"chain coverage {mc_value} != beta {beta_k}")
     _expect(len(mc_family) <= k, f"{len(mc_family)} chains for k={k}")
-    mas_family = extract_antichains(gk, res, circ.labels)
+    mas_family = extract_antichains(gk, cap, circ.labels)
     mas_value = knorm_collection(mas_family.members, n, k)
     _expect(mas_value == beta_k, f"antichain collection norm {mas_value} != beta {beta_k}")
     map_family = partition_completion(mas_family, n, Antichain)

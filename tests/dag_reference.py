@@ -1,10 +1,11 @@
-"""Reference copies of the line-by-line parser, the edge-by-edge build_dag
-and the pairwise certification, one DFS per pair, that the bulk and
-closure-based versions replaced.
+"""Reference copies of the line-by-line parser, the edge-by-edge build_dag,
+the pairwise certification, one DFS per pair, that the bulk and
+closure-based versions replaced, and the path check against a set of
+the DAG's edges that the adjacency lookup replaced.
 
-Tests compare gkcover's parse_dag, build_dag, certify_antichain and
-certify_chain against these on random inputs: the same result, or the
-same error with the same message, line and witness.
+Tests compare gkcover's parse_dag, build_dag, certify_antichain,
+certify_chain and certify_path against these on random inputs: the same
+result, or the same error with the same message, line and witness.
 """
 
 from typing import Optional
@@ -118,4 +119,18 @@ def certify_chain(dag, vertices):
         seen.add(seq[i])
         if i > 0 and not _pair_reaches(dag, seq[i - 1], seq[i]):
             raise NotChainError(seq[i - 1], seq[i])
+    return seq
+
+
+def certify_path(dag, vertices):
+    """Consecutive pairs against a set of the DAG's edges; the first
+    pair that is not an edge is the witness."""
+    seq = tuple(vertices)
+    for v in seq:
+        if not 0 <= v < dag.n:
+            raise IndexError(f"vertex {v} out of range for n={dag.n}")
+    edges = frozenset(dag.edges)
+    for u, v in zip(seq, seq[1:]):
+        if (u, v) not in edges:
+            raise NotChainError(u, v)
     return seq

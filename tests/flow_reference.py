@@ -289,12 +289,11 @@ def ssp_circulation(net):
     (flow values, iterations, labels, final cost, residual capacities,
     searches). No certificate."""
     f = zero_flow(net)
-    res = residual(net, f)
-    head, cost, cap, out = res.head, res.cost, res.cap, res.out
+    cap = residual(net, f)
+    _, head, cost, out = net._paired
     ret = net.ts_arc
     src, dst = net.head[ret], net.tail[ret]
-    order = sorted(range(net.m), key=net.node_topo_pos().__getitem__)
-    pi = _start_potentials(net.m, order, out, head, cost, cap)
+    pi = _start_potentials(net, cap)
     iterations = searches = 0
     while cap[2 * ret] > 0:
         dist, pred = dijkstra(out, head, cost, cap, pi, [(0, src)], dst)
@@ -321,13 +320,13 @@ def ssp_circulation(net):
     return f, iterations, labels, net.flow_cost(f), cap, searches
 
 
-def tuple_dijkstra(res, pi, src, stop, seed, below):
+def tuple_dijkstra(net, cap, pi, src, stop, seed, below):
     """Dijkstra on reduced costs from src at label 0 and stop at label
     seed (math.inf for none), queuing (label, key) tuples with key -1
     for stop, so that stop is taken first among equal labels; taking it
     below ``below`` ends the search. Returns the labels and the arc that
     last lowered each."""
-    out, head, cost, cap = res.out, res.head, res.cost, res.cap
+    _, head, cost, out = net._paired
     m = len(out)
     dist = [math.inf] * m
     pred = [-1] * m

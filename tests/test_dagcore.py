@@ -239,6 +239,22 @@ class TestCertifyMatchesReference:
         # the range check comes before the closure is built
         assert (fig._closure is None) == (warm_after is None)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_path_check_matches_the_edge_set(self, seed):
+        # walks along edges, broken or not, the edges, and random sequences
+        # that may leave the vertex range
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        p = rng.choice([0.1, 0.3, 0.6])
+        perm = rng.sample(range(n), n)
+        dag = build_dag(n, [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)
+                            if rng.random() < p])
+        members = [*random_members(rng, dag), *map(list, dag.edges)]
+        members += [rng.choices(range(n + 1), k=rng.randint(0, 4)) for _ in range(12)]
+        verdicts = [certified(dag_reference.certify_path, dag, m) for m in members]
+        assert [certified(certify_path, dag, m) for m in members] == verdicts
+        assert any(v and isinstance(v[0], type) for v in verdicts)
+
     def test_staircase_past_four_thousand_vertices(self):
         # gc 12 has 8178 vertices; its recorded paths are chains and its
         # sinks an antichain

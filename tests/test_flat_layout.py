@@ -42,15 +42,15 @@ def columns(net):
     return (net.tail, net.head, net.lower, net.upper, net.cost)
 
 
-def residual_rows(net, res, ids=None):
+def residual_rows(net, cap, ids=None):
     """(tail, head, cap, cost, network arc, forward) of the paired arcs
     ``ids``, by default of every arc with room in id order. An uncapped
     arc's forward cap reads as INF, as in the reference."""
+    tail, head, cost, _ = net._paired
     if ids is None:
-        ids = [r for r, x in enumerate(res.cap) if x > 0]
-    return [(res.tail[r], res.head[r],
-             INF if not r & 1 and net.upper[r >> 1] >= INF else res.cap[r],
-             res.cost[r], r >> 1, not r & 1) for r in ids]
+        ids = [r for r, x in enumerate(cap) if x > 0]
+    return [(tail[r], head[r], INF if not r & 1 and net.upper[r >> 1] >= INF else cap[r],
+             cost[r], r >> 1, not r & 1) for r in ids]
 
 
 def reference_rows(arcs):
@@ -222,30 +222,30 @@ class TestResidualLists:
     @pytest.mark.parametrize("seed", range(15))
     def test_bellman_ford_on_solved_flows(self, seed):
         for net, f in random_flows(seed):
-            res = residual(net, f)
+            cap = residual(net, f)
             arcs = ref.residual_arcs(ref.arcs(net), f)
-            cyc = find_negative_cycle(res)
+            cyc = find_negative_cycle(net, cap)
             want = ref.find_negative_cycle(net.m, arcs)
             assert (cyc is None) == (want is None)
             if want is not None:
-                assert residual_rows(net, res, cyc) == reference_rows(want)
+                assert residual_rows(net, cap, cyc) == reference_rows(want)
             for s in (net.s, net.t):
-                assert_label_check_agrees(res, arcs, s)
+                assert_label_check_agrees(net, cap, arcs, s)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_bellman_ford_with_cycles(self, seed):
         rng = random.Random(seed)
         net, f = random_circulation(rng)
-        res = residual(net, f)
+        cap = residual(net, f)
         arcs = ref.residual_arcs(ref.arcs(net), f)
-        assert residual_rows(net, res) == reference_rows(arcs)
-        cyc = find_negative_cycle(res)
+        assert residual_rows(net, cap) == reference_rows(arcs)
+        cyc = find_negative_cycle(net, cap)
         want = ref.find_negative_cycle(net.m, arcs)
         if want is None:
             assert cyc is None
         else:
-            assert residual_rows(net, res, cyc) == reference_rows(want)
-            assert sum(res.cost[r] for r in cyc) < 0
+            assert residual_rows(net, cap, cyc) == reference_rows(want)
+            assert sum(net._paired[2][r] for r in cyc) < 0
         # Seeded with any labels, the search reaches the same verdict.
         seeds = [[rng.randint(-6, 6) for _ in range(net.m)] for _ in range(4)]
         for s in range(net.m):
@@ -255,65 +255,66 @@ class TestResidualLists:
                 continue
             seeds.append([rng.randint(-6, 6) if x is None else x for x in d])
         for labels in seeds:
-            cyc = find_negative_cycle(res, labels)
+            cyc = find_negative_cycle(net, cap, labels)
             assert (cyc is None) == (want is None)
             if cyc is not None:
-                assert_negative_cycle(res, cyc)
+                assert_negative_cycle(net, cap, cyc)
         for s in range(net.m):
-            assert_label_check_agrees(res, arcs, s)
+            assert_label_check_agrees(net, cap, arcs, s)
 
     def test_forced_negative_cycle_and_unreachable_nodes(self):
         # 0 -> 1 -> 2 -> 0 costs -1 in total; node 3 has no arcs
         arcs = [Arc(0, 1, 0, 1, 2), Arc(1, 2, 0, 1, -4), Arc(2, 0, 0, 1, 1)]
         net = ArcNetwork(4, arcs, 0, 3)
-        res = residual(net, zero_flow(net))
+        cap = residual(net, zero_flow(net))
         want = ref.find_negative_cycle(4, ref.residual_arcs(ref.arcs(net), [0, 0, 0]))
-        cyc = find_negative_cycle(res)
-        assert residual_rows(net, res, cyc) == reference_rows(want)
+        cyc = find_negative_cycle(net, cap)
+        assert residual_rows(net, cap, cyc) == reference_rows(want)
         assert sorted(r >> 1 for r in cyc) == [0, 1, 2]
         for labels in ([0, 2, -2, 0], [0, 0, 0, 0], [0, 9, 9, 9]):
-            assert_negative_cycle(res, find_negative_cycle(res, labels))
+            assert_negative_cycle(net, cap, find_negative_cycle(net, cap, labels))
             with pytest.raises(MismatchError):
-                check_distances(res, 0, labels)
+                check_distances(net, cap, 0, labels)
         # with the cycle saturated, only undo arcs remain and 3 stays unreachable
-        res = residual(net, [1, 1, 1])
-        assert find_negative_cycle(res) is None
+        cap = residual(net, [1, 1, 1])
+        assert find_negative_cycle(net, cap) is None
         assert ref.shortest_distances(
             4, ref.residual_arcs(ref.arcs(net), [1, 1, 1]), 0) == [0, 3, -1, None]
-        assert find_negative_cycle(res, [0, 3, -1, 5]) is None
+        assert find_negative_cycle(net, cap, [0, 3, -1, 5]) is None
         with pytest.raises(MismatchError, match="node 3"):
-            check_distances(res, 0, [0, 3, -1, 5])
+            check_distances(net, cap, 0, [0, 3, -1, 5])
 
 
-def assert_negative_cycle(res, cyc):
+def assert_negative_cycle(net, cap, cyc):
     """The residual arc ids form a closed walk of negative cost over
     arcs with room."""
+    tail, head, cost, _ = net._paired
     assert cyc
     for r, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-        assert res.cap[r] > 0 and res.head[r] == res.tail[nxt]
-    assert sum(res.cost[r] for r in cyc) < 0
+        assert cap[r] > 0 and head[r] == tail[nxt]
+    assert sum(cost[r] for r in cyc) < 0
 
 
-def assert_label_check_agrees(res, arcs, s):
+def assert_label_check_agrees(net, cap, arcs, s):
     """check_distances accepts the reference distances from s when they
     exist and reach every node, and rejects them with any one label
     moved; it rejects every labelling otherwise."""
     try:
-        d = ref.shortest_distances(res.m, arcs, s)
+        d = ref.shortest_distances(net.m, arcs, s)
     except ref.NegativeCycleError:
         d = None
     if d is None or None in d:
-        labels = [0] * res.m if d is None else [x or 0 for x in d]
+        labels = [0] * net.m if d is None else [x or 0 for x in d]
         with pytest.raises(MismatchError):
-            check_distances(res, s, labels)
+            check_distances(net, cap, s, labels)
         return
-    check_distances(res, s, d)
-    for v in range(res.m):
+    check_distances(net, cap, s, d)
+    for v in range(net.m):
         for delta in (-1, 1):
             moved = list(d)
             moved[v] += delta
             with pytest.raises(MismatchError):
-                check_distances(res, s, moved)
+                check_distances(net, cap, s, moved)
 
 
 class TestCirculationLabels:
@@ -331,7 +332,7 @@ class TestCirculationLabels:
                 for f in flows:
                     arcs = ref.residual_arcs(ref.arcs(gk), f)
                     assert circ.labels == ref.shortest_distances(gk.m, arcs, gk.s)
-                    check_distances(residual(gk, f), gk.s, circ.labels)
+                    check_distances(gk, residual(gk, f), gk.s, circ.labels)
 
     def test_labels_survive_the_beta_padding(self):
         # a path of 4 has width 1, so k = 5 leaves four units to pad
@@ -379,7 +380,7 @@ class TestSearchMatchesReference:
         circ = min_cost_circulation(net)
         assert circ.flow == values
         assert (circ.iterations, circ.labels, circ.final_cost) == (iterations, labels, cost)
-        assert circ.residual.cap == cap == residual(net, circ.flow).cap
+        assert circ.cap == cap == residual(net, circ.flow)
         assert len(searches) == circ.iterations + 1 <= ref_searches
 
     @pytest.mark.parametrize("seed", range(12))

@@ -76,7 +76,9 @@ def library_flows(dag, rng):
         yield split, f
     split.release([v for v in subset if rng.random() < 0.5])
     yield split, f
-    yield split, min_flow(split, residual(split, f), list(f)).flow
+    f = list(f)
+    min_flow(split, residual(split, f), f)
+    yield split, f
 
 
 def perturbed(split, f, rng):
@@ -231,7 +233,7 @@ class TestSameErrorsFromEveryPath:
                 want = outcome(check_feasible, split, g)
                 assert outcome(residual, split, g) == want
                 if want is None:
-                    cap = residual(split, g).cap
+                    cap = residual(split, g)
                     assert cap == [x for a, lo, up in zip(g, split.lower, split.upper)
                                    for x in (up - a, a - lo)]
 

@@ -12,7 +12,6 @@ from gkcover import CycleError, build_dag, flowcore
 from gkcover.errors import ConservationError, InfeasibleFlowError, InvalidCycleError, MismatchError
 from gkcover.flowcore import (
     INF,
-    ResidualGraph,
     SplitNetwork,
     check_feasible,
     find_negative_cycle,
@@ -105,11 +104,11 @@ class TestFlowAccessors:
         split = SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=range(4))
         f = route_paths(split, [(0, 1, 2), (3,)])
         assert split.flow_value(f) == 2
-        res = residual(split, f)
+        cap = residual(split, f)
         split.release([1, 2, 3])
         for a in (split.gadget(1), split.gadget(2), split.gadget(3)):
-            res.cap[2 * a + 1] += 1
-        result = min_flow(split, res, f)
+            cap[2 * a + 1] += 1
+        result = min_flow(split, cap, f)
         assert split.flow_value(f) == 1 == sum(f[split.entry(v)] for v in range(4))
         assert result.pushes == 1
 
@@ -118,40 +117,40 @@ class TestFlowAccessors:
         assert net.flow_cost([1, 1, 1, 1]) == 1 + 2 + 1 + 1
 
 
-def usable_arcs(res):
+def usable_arcs(net, cap):
     """(tail, head, forward) of every residual arc with room."""
-    return {(res.tail[r], res.head[r], not r & 1) for r, x in enumerate(res.cap) if x > 0}
+    tail, head, _, _ = net._paired
+    return {(tail[r], head[r], not r & 1) for r, x in enumerate(cap) if x > 0}
 
 
 class TestResidual:
     def test_arc_directions(self):
         net = diamond()
-        pairs = usable_arcs(residual(net, [1, 0, 1, 0]))
+        pairs = usable_arcs(net, residual(net, [1, 0, 1, 0]))
         assert (0, 1, True) in pairs    # slack remains
         assert (1, 0, False) in pairs   # undo arc
         assert (2, 0, False) not in pairs  # no flow to undo
 
     def test_saturated_arc_has_no_forward_residual(self):
         net = diamond()
-        assert (0, 1, True) not in usable_arcs(residual(net, [2, 0, 2, 0]))
+        assert (0, 1, True) not in usable_arcs(net, residual(net, [2, 0, 2, 0]))
 
 
 class TestNegativeCycles:
     def test_cycle_found_and_canceled(self):
         net = two_node_circulation()
         f = zero_flow(net)
-        res = residual(net, f)
-        cyc = find_negative_cycle(res)
+        cyc = find_negative_cycle(net, residual(net, f))
         assert cyc is not None
-        assert sum(res.cost[r] for r in cyc) < 0
+        assert sum(net._paired[2][r] for r in cyc) < 0
         f2 = min_cost_circulation(net).flow
         check_feasible(net, f2)
         assert net.flow_cost(f2) < net.flow_cost(f)
-        assert find_negative_cycle(residual(net, f2)) is None
+        assert find_negative_cycle(net, residual(net, f2)) is None
 
     def test_no_cycle_at_optimum(self):
         net = two_node_circulation()
-        assert find_negative_cycle(residual(net, [5, 5])) is None
+        assert find_negative_cycle(net, residual(net, [5, 5])) is None
 
 
 class TestMinCostCirculation:
@@ -206,17 +205,17 @@ class TestMinCostCirculation:
         arcs = [Arc(2, 3, 0, 1, -1), Arc(1, 2, 0, 1, -1), Arc(0, 1, 0, 1, -1),
                 Arc(3, 0, 0, INF, 9)]
         net = ArcNetwork(4, arcs, 0, 3, ts_arc=3)
-        res = residual(net, zero_flow(net))
-        order = sorted(range(4), key=net.node_topo_pos().__getitem__)
-        pi = flowcore._start_potentials(4, order, res.out, res.head, res.cost, res.cap)
+        cap = residual(net, zero_flow(net))
+        pi = flowcore._start_potentials(net, cap)
         assert pi == [0, -1, -2, -3]
-        assert all(pi[res.head[r]] <= pi[res.tail[r]] + res.cost[r]
-                   for rs in res.out for r in rs if res.cap[r] > 0)
+        tail, head, cost, out = net._paired
+        assert all(pi[head[r]] <= pi[tail[r]] + cost[r]
+                   for rs in out for r in rs if cap[r] > 0)
 
     def test_certificate_failure_is_a_mismatch(self, monkeypatch):
         net = two_node_circulation()
-        cycle = find_negative_cycle(residual(net, zero_flow(net)))
-        monkeypatch.setattr(flowcore, "find_negative_cycle", lambda res, labels: cycle)
+        cycle = find_negative_cycle(net, residual(net, zero_flow(net)))
+        monkeypatch.setattr(flowcore, "find_negative_cycle", lambda net, cap, labels: cycle)
         with pytest.raises(MismatchError):
             min_cost_circulation(net)
 
@@ -250,24 +249,22 @@ def test_circulation_cost_matches_network_simplex(net):
 
 
 def solve_searches(net):
-    """The residual graph, potentials, source and stop node of every
+    """The residual capacities, potentials, source and stop node of every
     search that min_cost_circulation runs on net, as the search saw
     them: after 0, 1, 2, ... augmentations."""
     states = []
     real = flowcore._dijkstra
 
-    def record(res, pi, src, stop, seed, below):
-        cap = list(res.cap)
-        states.append((ResidualGraph(res.m, res.tail, res.head, cap, res.cost, res.out),
-                       list(pi), src, stop))
-        return real(res, pi, src, stop, seed, below)
+    def record(net, cap, pi, src, stop, seed, below):
+        states.append((list(cap), list(pi), src, stop))
+        return real(net, cap, pi, src, stop, seed, below)
 
     with mock.patch.object(flowcore, "_dijkstra", record):
         min_cost_circulation(net)
     return states
 
 
-def check_search(net, res, pi, src, stop):
+def check_search(net, cap, pi, src, stop):
     """The search gives the tuple-keyed reference's labels and
     predecessors, with and without a seed at stop and with ``below``
     finite and -inf, and settles each node at most once, in label order:
@@ -275,11 +272,11 @@ def check_search(net, res, pi, src, stop):
     labelled above; otherwise every node it reaches. Adding dist - dt on
     the settled nodes moves every potential by min(dist, dt) - dt."""
     undo = 2 * net.ts_arc + 1
-    rc = res.cost[undo] + pi[src] - pi[stop]
+    rc = net._paired[2][undo] + pi[src] - pi[stop]
     for seed in (rc, math.inf):
         for below in (rc, -math.inf):
-            dist, pred, settled = flowcore._dijkstra(res, pi, src, stop, seed, below)
-            assert (dist, pred) == flow_reference.tuple_dijkstra(res, pi, src, stop,
+            dist, pred, settled = flowcore._dijkstra(net, cap, pi, src, stop, seed, below)
+            assert (dist, pred) == flow_reference.tuple_dijkstra(net, cap, pi, src, stop,
                                                                  seed, below)
             labels = [dist[v] for v in settled]
             assert len(set(settled)) == len(settled) and labels == sorted(labels)
@@ -328,31 +325,33 @@ class TestSettledSearch:
 
 
 def reduce(net, f):
-    """min_flow on a fresh residual graph of f, which it reduces in place."""
+    """min_flow on fresh residual capacities of f, which it reduces in place."""
     return min_flow(net, residual(net, f), f)
 
 
 class TestMinFlow:
     def test_reduces_to_zero_without_lower_bounds(self):
         net = diamond()
-        result = reduce(net, [1, 1, 1, 1])
-        assert net.flow_value(result.flow) == 0
+        f = [1, 1, 1, 1]
+        result = reduce(net, f)
+        assert net.flow_value(f) == 0
         assert result.pushes <= 2
 
     def test_respects_lower_bound(self):
         net = diamond(lower_mid=1)
-        result = reduce(net, [2, 2, 2, 2])
-        assert net.flow_value(result.flow) == 1
-        assert result.flow[2] == 1
+        f = [2, 2, 2, 2]
+        result = reduce(net, f)
+        assert net.flow_value(f) == 1
+        assert f[2] == 1
         assert not result.t_reach[net.s]
 
     def test_reduces_the_given_flow_and_residual_graph_in_place(self):
         net = diamond(lower_mid=1)
         f = [2, 2, 2, 2]
-        res = residual(net, f)
-        result = min_flow(net, res, f)
-        assert result.flow is f and f == [1, 0, 1, 0]
-        assert res.cap == residual(net, f).cap
+        cap = residual(net, f)
+        min_flow(net, cap, f)
+        assert f == [1, 0, 1, 0]
+        assert cap == residual(net, f)
 
     def test_decrementing_path_detection(self):
         net = diamond()
@@ -417,22 +416,22 @@ class TestMinFlowMatchesReference:
     @pytest.mark.parametrize("seed", range(24))
     def test_same_flow_and_counts(self, seed):
         rng, split, subset, flow = _random_subset_network(seed)
-        res = residual(split, flow)
+        cap = residual(split, flow)
         # one cold solve, then warm starts as the greedy rounds run them:
         # some subset vertices lose their lower bound between solves, and
-        # the residual graph follows by raising their undo capacities
+        # the capacities follow by raising their undo capacities
         for _ in range(3):
             values, searches, pushes, seen = flow_reference.min_flow(split, flow)
-            result = min_flow(split, res, flow)
-            assert result.flow == values
+            result = min_flow(split, cap, flow)
+            assert flow == values
             assert (result.searches, result.pushes) == (searches, pushes)
             assert result.t_reach == seen
-            assert res.cap == residual(split, flow).cap
+            assert cap == residual(split, flow)
             dropped = [v for v in subset if rng.random() < 0.4]
             for a in split.release(dropped):
-                res.cap[2 * a + 1] += 1
+                cap[2 * a + 1] += 1
             subset.difference_update(dropped)
-            assert res.cap == residual(split, flow).cap
+            assert cap == residual(split, flow)
 
 
 class TestDecompose:
@@ -565,9 +564,9 @@ class TestShortestDistances:
         circ = min_cost_circulation(net)
         assert reference_distances(net, circ.flow) == [0, 4, None, 5]
         assert circ.labels[:2] + circ.labels[3:] == [0, 4, 5]
-        res = residual(net, circ.flow)
-        assert all(circ.labels[res.head[r]] <= circ.labels[res.tail[r]] + res.cost[r]
-                   for r, x in enumerate(res.cap) if x > 0)
+        tail, head, cost, _ = net._paired
+        assert all(circ.labels[head[r]] <= circ.labels[tail[r]] + cost[r]
+                   for r, x in enumerate(residual(net, circ.flow)) if x > 0)
 
     def test_uses_undo_arcs(self):
         # The unit routed on 0 -> 1 -> 2 saturates both arcs, so s reaches
@@ -605,10 +604,10 @@ def test_labels_of_the_wrong_length_are_a_mismatch(flags):
         "    except MismatchError as exc:\n"
         "        print('mismatch:', exc)\n"
         "net = SplitNetwork(1, [], [(1, 1)])\n"
-        "res = residual(net, zero_flow(net))\n"
+        "cap = residual(net, zero_flow(net))\n"
         "for labels in ([0, 1, 2], [0, 1, 2, 3, 4]):\n"
-        "    report(check_distances, res, 0, labels)\n"
-        "    report(find_negative_cycle, res, labels)\n")
+        "    report(check_distances, net, cap, 0, labels)\n"
+        "    report(find_negative_cycle, net, cap, labels)\n")
     assert _run_optimized(script, flags).splitlines() == [
         "mismatch: 3 labels for a residual graph of 4 nodes"] * 2 + [
         "mismatch: 5 labels for a residual graph of 4 nodes"] * 2
@@ -617,7 +616,7 @@ def test_labels_of_the_wrong_length_are_a_mismatch(flags):
 @pytest.mark.parametrize("flags", PYTHON_FLAGS)
 def test_stale_capacity_fails_the_certificate(flags):
     # every push skips the capacity update of its path's first arc, an
-    # entry arc, so the search runs as before but res.cap goes stale
+    # entry arc, so the search runs as before but the capacities go stale
     script = (
         "from gkcover import build_dag, flowcore, networks\n"
         "from gkcover.errors import MismatchError\n"

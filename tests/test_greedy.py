@@ -245,7 +245,7 @@ class TestBestPathRounds:
         cover_paths(fig)  # every round up to U empty
         warm = greedy_k_chains(fig, 7)
         cold = greedy_k_chains(build_dag(9, FIG_EDGES), 7)
-        assert warm == cold and warm[1].exhausted_early
+        assert warm == cold and len(warm[0]) < 7
 
     def test_rounds_past_u_empty_run_no_search(self, monkeypatch):
         family, covering = greedy_k_chains(gen_gc(6).dag, 6)
@@ -259,7 +259,7 @@ class TestBestPathRounds:
             assert len(dag._path_rounds[0]) == 7
             assert fam == family
             assert trace.rounds == covering.rounds + [GreedyRound((0,), 0, 0)] * 3994
-            assert trace.exhausted_early and trace.stop_reason == "U empty"
+            assert len(fam) < 4000 and trace.stop_reason == "U empty"
 
     def test_run_graph_is_built_once_and_shared(self, monkeypatch):
         real = greedy._run_graph
@@ -344,7 +344,7 @@ class TestSubsetNetwork:
         sub = build_subset_network(fig, subset)
         f0 = route_paths(sub, [p.vertices for p in cover_paths(fig)])
         result = min_flow(sub, residual(sub, f0), f0)
-        assert sub.flow_value(result.flow) == 5  # the width
+        assert sub.flow_value(f0) == 5  # the width
         ac = _extract_antichain(fig, subset, 5, result.t_reach)
         assert sorted(ac.vertices) == [2, 3, 4, 5, 6]
 
@@ -353,7 +353,7 @@ class TestSubsetNetwork:
         sub = build_subset_network(fig, subset)
         f0 = route_paths(sub, [p.vertices for p in cover_paths(fig)])
         result = min_flow(sub, residual(sub, f0), f0)
-        ac = _extract_antichain(fig, subset, sub.flow_value(result.flow), result.t_reach)
+        ac = _extract_antichain(fig, subset, sub.flow_value(f0), result.t_reach)
         assert sorted(ac.vertices) == [7, 8]  # sink-side maximum antichain
 
     def test_gadget_lower_bounds_follow_subset(self, fig):
@@ -408,7 +408,7 @@ class TestGreedyAntichains:
         dag = build_dag(2, [])
         fam, trace = greedy_k_antichains(dag, 4)
         assert fam.coverage() == 2
-        assert trace.exhausted_early
+        assert len(fam) < 4
         assert len(trace.rounds) == 4
         assert trace.stop_reason == "U empty"
 

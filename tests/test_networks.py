@@ -212,14 +212,14 @@ class TestValueChecks:
     def test_perturbed_labels_are_a_mismatch(self, fig, kind, k):
         gk = build_network(fig, k, kind)
         circ = min_cost_circulation(gk)
-        res = circ.residual if kind == ALPHA else residual(gk, normalize_beta(gk, circ.flow))
-        networks.extract_antichains(gk, res, circ.labels)
+        cap = circ.cap if kind == ALPHA else residual(gk, normalize_beta(gk, circ.flow))
+        networks.extract_antichains(gk, cap, circ.labels)
         for v in range(gk.m):
             for delta in (-1, 1):
                 labels = list(circ.labels)
                 labels[v] += delta
                 with pytest.raises(MismatchError):
-                    networks.extract_antichains(gk, res, labels)
+                    networks.extract_antichains(gk, cap, labels)
 
     def test_perturbed_labels_survive_optimized_python(self):
         script = (
@@ -233,7 +233,7 @@ class TestValueChecks:
             "labels = list(circ.labels)\n"
             "labels[gk.v_in(2)] -= 1\n"
             "try:\n"
-            "    networks.extract_antichains(gk, circ.residual, labels)\n"
+            "    networks.extract_antichains(gk, circ.cap, labels)\n"
             "except MismatchError as exc:\n"
             "    print('mismatch:', exc)\n")
         src = os.path.join(os.path.dirname(__file__), "..", "src")
