@@ -4,6 +4,8 @@ The chain instances interleave k rows so that the best single path eats
 across every row, leaving three quarters of the optimum; vertices are
 numbered so the deterministic tie-breaks reproduce the intended trace
 (intended path first, then the follow-up paths, then leftovers). The
+chain and antichain ratio families share one block mix and expected
+record and differ in their blocks and in how blocks are joined. The
 path-count and antichain-count families come with closed-form expected
 records; layouts carry the named substructures tests compare against.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable
 
 from .dagcore import Dag, build_dag
 from .errors import DomainError, MismatchError
@@ -44,14 +47,6 @@ _G2_CHAIN_ROWS = [
 ]
 
 
-def _g2_chain_edges() -> list[tuple[int, int]]:
-    edges = []
-    for row in _G2_CHAIN_ROWS:
-        edges.extend(zip(row, row[1:]))
-    edges.append((3, 4))  # A4 -> B5, the diagonal jump
-    return edges
-
-
 # Three interleaved 9-rows. Ids: intended first path (A1..A3, B4..B6,
 # C7..C9) = 0..8, second path (B1, B2, C3, C4, A8, A9) = 9..14, third
 # (A4..A7) = 15..18, leftovers 19..26.
@@ -64,15 +59,20 @@ _G3_CHAIN_ROWS = [
 _G3_CHAIN_CROSS = [(2, 3), (10, 11), (5, 6), (12, 13)]  # A3->B4, B2->C3, B6->C7, C4->A8
 
 
-def _g3_chain_edges() -> list[tuple[int, int]]:
+def _row_edges(rows: list[list[int]], cross: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Each row's consecutive pairs, then the crossing edges."""
     edges = []
-    for row in _G3_CHAIN_ROWS:
+    for row in rows:
         edges.extend(zip(row, row[1:]))
-    edges.extend(_G3_CHAIN_CROSS)
+    edges.extend(cross)
     return edges
 
 
-def _compose_disjoint(blocks: list[tuple[int, list[tuple[int, int]], list[list[int]]]]) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
+# A block: its vertex count, its edges and its rows, each on ids from 0.
+_Block = tuple[int, list[tuple[int, int]], list[list[int]]]
+
+
+def _compose_disjoint(blocks: list[_Block]) -> _Block:
     """Disjoint union; returns (n, edges, shifted per-block rows)."""
     n = 0
     edges: list[tuple[int, int]] = []
@@ -84,6 +84,23 @@ def _compose_disjoint(blocks: list[tuple[int, list[tuple[int, int]], list[list[i
     return n, edges, rows
 
 
+def _ratio_instance(k: int, name: str, family: str, two: _Block, three: _Block,
+                    compose: Callable[[list[_Block]], _Block]) -> AdversarialInstance:
+    """The ratio families' shared body: the block mix by parity, composed,
+    with the optimum n (the k rows partition V) and greedy's 6k / 6k+1."""
+    if k < 2:
+        raise DomainError(f"{name} instances need k >= 2, got {k}")
+    blocks = [two] * (k // 2) if k % 2 == 0 else [two] * ((k - 3) // 2) + [three]
+    n, edges, rows = compose(blocks)
+    expected = ExpectedStats(
+        optimal=n,
+        greedy=6 * k if k % 2 == 0 else 6 * k + 1,
+        greedy_members=k,
+        optimal_members=k)
+    return AdversarialInstance(build_dag(n, edges), family, k, expected,
+                               layout={"rows": rows})
+
+
 def gen_chain_ratio(k: int) -> AdversarialInstance:
     """k interleaved rows on which k greedy paths cover 3/4 of beta_k.
 
@@ -91,22 +108,12 @@ def gen_chain_ratio(k: int) -> AdversarialInstance:
     plus one three-row block. beta_k equals n (the rows partition V);
     greedy covers 6k (even) or 6k+1 (odd).
     """
-    if k < 2:
-        raise DomainError(f"chain-ratio instances need k >= 2, got {k}")
-    blocks = []
-    if k % 2 == 0:
-        blocks = [( _G2_CHAIN_N, _g2_chain_edges(), _G2_CHAIN_ROWS)] * (k // 2)
-    else:
-        blocks = [(_G2_CHAIN_N, _g2_chain_edges(), _G2_CHAIN_ROWS)] * ((k - 3) // 2)
-        blocks.append((_G3_CHAIN_N, _g3_chain_edges(), _G3_CHAIN_ROWS))
-    n, edges, rows = _compose_disjoint(blocks)
-    expected = ExpectedStats(
-        optimal=n,
-        greedy=6 * k if k % 2 == 0 else 6 * k + 1,
-        greedy_members=k,
-        optimal_members=k)
-    return AdversarialInstance(build_dag(n, edges), "ChainRatio", k, expected,
-                               layout={"rows": rows})
+    return _ratio_instance(
+        k, "chain-ratio", "ChainRatio",
+        # A4 -> B5, the diagonal jump
+        (_G2_CHAIN_N, _row_edges(_G2_CHAIN_ROWS, [(3, 4)]), _G2_CHAIN_ROWS),
+        (_G3_CHAIN_N, _row_edges(_G3_CHAIN_ROWS, _G3_CHAIN_CROSS), _G3_CHAIN_ROWS),
+        _compose_disjoint)
 
 
 # Two 8-rows with edges x_j -> y_j and x_j -> y_{j-4} (j = 5..8).
@@ -140,7 +147,7 @@ def _g3_anti_edges() -> list[tuple[int, int]]:
     return edges
 
 
-def _compose_chained(blocks: list[tuple[int, list[tuple[int, int]], list[list[int]]]]) -> tuple[int, list[tuple[int, int]], list[list[int]]]:
+def _compose_chained(blocks: list[_Block]) -> _Block:
     """Disjoint union plus all edges from each block to the next."""
     n, edges, rows = _compose_disjoint(blocks)
     lo = 0
@@ -159,21 +166,11 @@ def gen_antichain_ratio(k: int) -> AdversarialInstance:
     expected greedy value records the intended worst-case trace of
     12 per two-row block (+19 for the three-row block).
     """
-    if k < 2:
-        raise DomainError(f"antichain-ratio instances need k >= 2, got {k}")
-    if k % 2 == 0:
-        blocks = [(_G2_ANTI_N, _g2_anti_edges(), _G2_ANTI_ROWS)] * (k // 2)
-    else:
-        blocks = [(_G2_ANTI_N, _g2_anti_edges(), _G2_ANTI_ROWS)] * ((k - 3) // 2)
-        blocks.append((_G3_ANTI_N, _g3_anti_edges(), _G3_ANTI_ROWS))
-    n, edges, rows = _compose_chained(blocks)
-    expected = ExpectedStats(
-        optimal=n,
-        greedy=6 * k if k % 2 == 0 else 6 * k + 1,
-        greedy_members=k,
-        optimal_members=k)
-    return AdversarialInstance(build_dag(n, edges), "AntichainRatio", k, expected,
-                               layout={"rows": rows})
+    return _ratio_instance(
+        k, "antichain-ratio", "AntichainRatio",
+        (_G2_ANTI_N, _g2_anti_edges(), _G2_ANTI_ROWS),
+        (_G3_ANTI_N, _g3_anti_edges(), _G3_ANTI_ROWS),
+        _compose_chained)
 
 
 def gen_gc(i: int) -> AdversarialInstance:

@@ -197,14 +197,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     dag, names = _read_dag(args.file)
     t1 = time.perf_counter()
     alpha_side = args.problem in ("ma-k", "mps-k", "mcp-k")
-    if alpha_side:
-        res = networks.solve_alpha(dag, args.k)
-        sol = {"ma-k": res.ma, "mps-k": res.mps, "mcp-k": res.mcp}[args.problem]
-        stats = res.stats
-    else:
-        res = networks.solve_beta(dag, args.k)
-        sol = {"mc-k": res.mc, "mp-k": res.mp, "mas-k": res.mas, "map-k": res.map}[args.problem]
-        stats = res.stats
+    res = (networks.solve_alpha if alpha_side else networks.solve_beta)(dag, args.k)
+    # "mcp-k" names res.mcp, and so on for every problem
+    sol = getattr(res, args.problem[:-2])
+    stats = res.stats
     t2 = time.perf_counter()
     _certify_family(dag, sol.family)
     recomputed = networks.recompute_value(dag, sol)
@@ -351,10 +347,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.check:
         report["actual"] = _check_instance(inst)
         report["certificate"] = "verified"
-    if args.output:
+    if args.output or args.json:
         _emit(report, args.json)
-    elif args.json:
-        _emit(report, True)
     else:
         sys.stdout.write(format_dag(inst.dag))
     return 0

@@ -398,8 +398,6 @@ def random_dag(n_max: int, trial: int, seed: int) -> Dag:
 
 @dataclass
 class SweepResult:
-    trials: int
-    k_max: int
     reports: list[GkReport] = field(default_factory=list)
     mismatches: list[str] = field(default_factory=list)
 
@@ -416,7 +414,7 @@ def run_verification_sweep(n_max: int, trials: int, seed: int, k_max: int,
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     budget = budget or OracleBudget.from_env()
-    result = SweepResult(trials, k_max)
+    result = SweepResult()
     for t in range(trials):
         dag = random_dag(n_max, t, seed)
         try:

@@ -210,21 +210,22 @@ class TestCertifyMatchesReference:
                  if rng.random() < p]
         dag = build_dag(n, edges)  # random_members reads its closure
         checked = build_dag(n, edges)
-        failures = 0
+        chain_failures = 0
         needs_closure = False
         for i, m in enumerate(random_members(rng, dag)):
             if i == warm_after:
                 checked.closure()
             want = certified(dag_reference.certify_antichain, checked, m)
             assert certified(certify_antichain, checked, m) == want
-            failures += isinstance(want, tuple)
             want = certified(dag_reference.certify_chain, checked, m)
             assert certified(certify_chain, checked, m) == want
-            failures += isinstance(want, tuple)
+            # an error's type, message and witness, not a chain's vertex tuple
+            chain_failures += bool(want) and isinstance(want[0], type)
             if warm_after is None:
                 needs_closure |= len(m) > 1 and all(0 <= v < n for v in m)
                 assert (checked._closure is not None) == needs_closure
-        assert failures
+        # every seed rejects some chains; some seeds reject no antichain
+        assert chain_failures
         assert checked.closure() == dag.closure()
 
     @pytest.mark.parametrize("warm_after", [None, 0])

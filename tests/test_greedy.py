@@ -28,7 +28,7 @@ from gkcover import (
 )
 from gkcover.dagcore import GraphPath
 from gkcover.errors import InfeasibleFlowError, MismatchError
-from gkcover.flowcore import min_flow, residual, route_paths
+from gkcover.flowcore import INF, SplitNetwork, min_flow, residual, route_paths
 from gkcover.greedy import (
     GreedyRound,
     _extract_antichain,
@@ -374,6 +374,21 @@ class TestSubsetNetwork:
                     (old.tail, old.head, old.upper, old.cost)
             else:
                 assert new == old
+
+    def test_stale_capacities_are_caught_by_the_read_off(self):
+        # released without raising the undo capacities, the capacity list
+        # is stale; min_flow trusts it and keeps the flow at value 2 with
+        # no push, and only the read-off's size check sees that a flow of
+        # value 1 exists
+        dag = build_dag(4, [(0, 1), (1, 2), (0, 3)])
+        net = SplitNetwork(4, dag.edges, [(INF, 0)], demand=range(4))
+        f = route_paths(net, [(0, 1, 2), (3,)])
+        cap = residual(net, f)
+        net.release([1, 2, 3])
+        result = min_flow(net, cap, f)
+        assert (net.flow_value(f), result.pushes) == (2, 0)
+        with pytest.raises(MismatchError, match="extracted 0 vertices from a flow of value 2"):
+            _extract_antichain(dag, {0}, 2, result.t_reach)
 
 
 class TestMinimumPathCover:
