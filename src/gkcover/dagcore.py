@@ -2,11 +2,11 @@
 
 Vertices are dense 0-based ids. Reachability is reflexive: every vertex
 reaches itself, so a single vertex is both a chain and an antichain.
-Every reachability test reads the DAG's transitive closure, one bitset
-of descendants per vertex, built on first use.
-Topological orders come from a FIFO Kahn's algorithm that yields the
-order of graphlib's ``TopologicalSorter.static_order()`` on the same
-graph; graphlib itself only runs to name a cycle.
+A reachability test reads the DAG's transitive closure, one bitset of
+descendants per vertex, built on first use; a chain step along an edge
+needs none. Topological orders come from a FIFO Kahn's algorithm that
+yields the order of graphlib's ``TopologicalSorter.static_order()`` on
+the same graph; graphlib itself only runs to name a cycle.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class Dag:
         for u, v in edges:
             self.succ[u].append(v)
             self.pred[v].append(u)
-        self.topo = tuple(_topological_order(self.succ))
+        self.topo = tuple(_topological_order(self.succ, map(len, self.pred)))
         self.topo_pos = [0] * n
         for i, v in enumerate(self.topo):
             self.topo_pos[v] = i
@@ -148,8 +148,9 @@ class Dag:
         return self._closure
 
 
-def _topological_order(succ: Sequence[Sequence[int]]) -> list[int]:
-    """Nodes 0..len(succ)-1 in topological order, by FIFO Kahn's algorithm.
+def _topological_order(succ: Sequence[Sequence[int]], indeg: Iterable[int]) -> list[int]:
+    """Nodes 0..len(succ)-1 in topological order, by FIFO Kahn's
+    algorithm, given each node's in-degree: how often succ lists it.
 
     The order equals graphlib's ``TopologicalSorter.static_order()`` with
     the nodes added in id order and each node's successors in list order:
@@ -158,10 +159,7 @@ def _topological_order(succ: Sequence[Sequence[int]]) -> list[int]:
     counts as often as it is listed. On a cycle, raises CycleError naming
     the cycle that graphlib finds.
     """
-    indeg = [0] * len(succ)
-    for ws in succ:
-        for w in ws:
-            indeg[w] += 1
+    indeg = list(indeg)
     order = [v for v, d in enumerate(indeg) if not d]
     for v in order:  # the loop also visits the nodes appended below
         for w in succ[v]:
@@ -227,10 +225,12 @@ def certify_antichain(dag: Dag, vertices: Iterable[int]) -> Antichain:
 
 
 def certify_chain(dag: Dag, vertices: Sequence[int]) -> Chain:
-    """Check consecutive reachability; raise NotChainError at the first gap."""
+    """Check consecutive reachability; raise NotChainError at the first gap
+    or repeat. A step along an edge is accepted as it is; the closure is
+    built only at the first step that is not an edge."""
     seq = tuple(vertices)
     _check_range(dag, seq)
-    desc = dag.closure() if len(seq) > 1 else None
+    succ = dag.succ
     seen: set[int] = set()
     for i, v in enumerate(seq):
         if v in seen:
@@ -238,7 +238,7 @@ def certify_chain(dag: Dag, vertices: Sequence[int]) -> Chain:
         seen.add(v)
         if i:
             u = seq[i - 1]
-            if not desc[u] >> v & 1:
+            if v not in succ[u] and not dag.closure()[u] >> v & 1:
                 raise NotChainError(u, v)
     return Chain(seq)
 

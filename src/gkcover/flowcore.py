@@ -8,11 +8,13 @@ aligned with them. The lists and the adjacency are built with the
 network, read off its regular layout, with only the edge arcs placed
 one at a time. Its topological order is the DAG's depth levels, given
 by SplitNetwork.take_levels. A flow's residual graph is the network's
-paired arcs, 2i along network arc i and 2i+1 against it, whose tails,
-heads, costs and adjacency the network caches, plus one capacity list.
-residual() builds that list, every routine on the residual graph takes
-the network and the list, the solvers update the list in place, and
-the two checks on a solved flow scan the arcs that have room.
+paired arcs, 2i along network arc i and 2i+1 against it, plus one
+capacity list. The network builds the paired heads and adjacency with
+itself, and the paired tails and costs, which only the exact solver
+reads, on first use. residual() builds the capacity list, every
+routine on the residual graph takes the network and the list, the
+solvers update the list in place, and the two checks on a solved flow
+scan the arcs that have room.
 
 check_feasible checks a flow's length, then its bounds, then
 conservation. residual() runs the same checks, with the same errors,
@@ -79,8 +81,10 @@ class SplitNetwork:
     return arc (t, s), given as (upper, cost), is last when present and
     named by ``ts_arc``; without it the network is in plain s-t flow
     form. The first gadget arc of every vertex in ``demand`` carries
-    lower bound 1. The arc lists and the adjacency are built from this
-    layout; only ``lower`` may change once they are (release).
+    lower bound 1. The arc lists, the paired residual heads (``_rhead``)
+    and the adjacency (``_out``) are built from this layout; only
+    ``lower`` may change once they are (release). ``_paired`` adds the
+    paired tails and costs on its first read (``_paired_cache``).
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
@@ -116,14 +120,31 @@ class SplitNetwork:
             upper[ts_arc], cost[ts_arc] = ret
         self.m, self.s, self.t, self.ts_arc = 2 * n + 2, s, t, ts_arc
         self.tail, self.head, self.lower, self.upper, self.cost = tail, head, lower, upper, cost
-        # The paired residual arcs: tail, head and cost of 2i along
-        # network arc i and of 2i + 1 against it, then the adjacency.
-        rtail, rhead, rcost = [0] * (2 * size), [0] * (2 * size), [0] * (2 * size)
-        rtail[0::2] = rhead[1::2] = tail
-        rtail[1::2] = rhead[0::2] = head
-        rcost[0::2] = cost
-        rcost[1::2] = map(neg, cost)
-        self._paired = (rtail, rhead, rcost, self._adjacency())
+        # The paired residual arcs' heads, 2i along network arc i and
+        # 2i + 1 against it, and the adjacency: all that min_flow reads.
+        rhead = [0] * (2 * size)
+        rhead[0::2] = head
+        rhead[1::2] = tail
+        self._rhead, self._out = rhead, self._adjacency()
+        # _paired's columns, built on its first read. The slot is set
+        # here, not by a functools.cached_property: one that writes the
+        # instance's __dict__ after construction slowed every later
+        # attribute read, small exact solves by about 4% on CPython 3.11.
+        self._paired_cache: Optional[tuple] = None
+
+    @property
+    def _paired(self) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+        """Tail, head and cost of every paired residual arc, then the
+        adjacency. The tails and costs, which only the exact solver
+        reads, are built on the first read."""
+        if self._paired_cache is None:
+            rtail, rcost = [0] * len(self._rhead), [0] * len(self._rhead)
+            rtail[0::2] = self.tail
+            rtail[1::2] = self.head
+            rcost[0::2] = self.cost
+            rcost[1::2] = map(neg, self.cost)
+            self._paired_cache = rtail, self._rhead, rcost, self._out
+        return self._paired_cache
 
     def _adjacency(self) -> list[list[int]]:
         """The paired arcs leaving each node, in network-arc order and
@@ -724,7 +745,7 @@ def min_flow(net: SplitNetwork, cap: list[int], f: list[int]) -> MinFlowResult:
     if net.ts_arc is not None:
         raise InvalidCycleError("min_flow expects a network without a return arc")
     v0 = net.flow_value(f)
-    _, head, _, out = net._paired
+    head, out = net._rhead, net._out
     searches = 0
     pushes = 0
     while True:

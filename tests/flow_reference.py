@@ -55,6 +55,8 @@ class ArcNetwork:
         self.m, self.s, self.t, self.ts_arc = m, s, t, ts_arc
         self.tail, self.head, self.lower, self.upper, self.cost = (
             [getattr(a, f) for a in records] for f in ("tail", "head", "lower", "upper", "cost"))
+        # the two columns that min_flow reads by name
+        _, self._rhead, _, self._out = self._paired
 
     @cached_property
     def _paired(self):
@@ -76,7 +78,9 @@ class ArcNetwork:
         """The nodes in Kahn order over all arcs except the return arc,
         and each node's position in that order."""
         _, rhead, _, out = self._paired
-        order = _topological_order([[rhead[r] for r in rs if not r & 1] for rs in out])
+        # the in-degrees: the arcs into a node are the odd (undo) ids in its list
+        order = _topological_order([[rhead[r] for r in rs if not r & 1] for rs in out],
+                                   [sum(r & 1 for r in rs) for rs in out])
         return order, sorted(range(self.m), key=order.__getitem__)  # inverse permutation
 
     def node_topo_pos(self):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gkcover import (
     Antichain,
     CycleError,
+    Dag,
     Family,
     ParseError,
     build_dag,
@@ -464,6 +465,21 @@ class TestGreedyCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "350eb9f8d8c75534b6e867c81e94f81e950859a9c0bffa7f60c3cc32b474110d")
 
+    @pytest.mark.parametrize("argv", [["greedy", "chains", "--k", "3"],
+                                      ["greedy", "chain-cover", "--k", "1"],
+                                      ["gen", "gc", "--i", "8", "--check"]])
+    def test_chain_requests_on_gc_build_no_closure(self, tmp_path, monkeypatch, capsys, argv):
+        # every chain step is an edge of gc 8, so certification needs no closure
+        if argv[0] == "greedy":
+            path = tmp_path / "gc8.txt"
+            path.write_text(format_dag(gen_gc(8).dag))
+            argv = argv + [str(path)]
+        built = []
+        closure = Dag.closure
+        monkeypatch.setattr(Dag, "closure", lambda dag: built.append(dag) or closure(dag))
+        assert main(argv) == 0
+        assert built == []
+
     @pytest.mark.parametrize("kind", ["chains", "antichains", "chain-cover", "antichain-cover"])
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_non_positive_k_is_input_error(self, fig_file, capsys, kind, k):
@@ -524,6 +540,12 @@ class TestGenCommand:
         assert main(["gen", "gc", "--i", "4", "--check", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["actual"] == {"optimal": 2, "greedy": 4, "greedy_members": 4}
+
+    def test_readme_self_check_example(self, capsys):
+        assert main(["gen", "gc", "--i", "6", "--check", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["actual"] == {"optimal": 2, "greedy": 6, "greedy_members": 6}
+        assert doc["certificate"] == "verified"
 
     def test_check_fails_honestly_on_antichain_family(self, capsys):
         # the recorded worst-case greedy trace is not what the solver

@@ -141,6 +141,21 @@ class TestCertify:
         with pytest.raises(NotChainError):
             certify_chain(fig, [7, 4])
 
+    def test_chain_along_edges_builds_no_closure(self, fig):
+        assert certify_chain(fig, [1, 4, 8]).vertices == (1, 4, 8)
+        assert fig._closure is None
+
+    def test_chain_builds_the_closure_at_a_step_off_the_edges(self, fig):
+        # 1 reaches 7 through 4, by no edge of its own
+        assert certify_chain(fig, [1, 7]).vertices == (1, 7)
+        assert fig._closure is not None
+
+    def test_unreachable_step_names_the_references_witness(self, fig):
+        # 0 -> 4 is an edge; 4 does not reach 6
+        want = certified(dag_reference.certify_chain, fig, [0, 4, 6])
+        assert want[0] is NotChainError and want[2:] == (4, 6)
+        assert certified(certify_chain, fig, [0, 4, 6]) == want
+
     def test_path_needs_consecutive_edges(self, fig):
         p = certify_path(fig, [0, 4, 7])
         assert isinstance(p, GraphPath)
@@ -192,13 +207,27 @@ def random_members(rng, dag):
             yield m
 
 
+def steps_off_the_edges(dag, m):
+    """Whether a chain check of ``m`` reaches a step that is not an edge
+    before it stops at a repeated vertex."""
+    for i, v in enumerate(m):
+        if v in m[:i]:
+            return False
+        if i and v not in dag.succ[m[i - 1]]:
+            return True
+    return False
+
+
 class TestCertifyMatchesReference:
     """The closure-based checks accept what the pairwise DFS accepts and
     name the witness it names."""
 
     # warm_after: how many members are certified before the test builds
     # the checked DAG's closure itself; None leaves that to certification,
-    # which must build it only for an in-range member of two or more vertices
+    # which must build it only for an in-range member of two or more
+    # distinct vertices (the antichain check). The chain check, run on a
+    # DAG of its own, must build it only at the first step that is
+    # neither a repeat nor an edge.
     @pytest.mark.parametrize("warm_after", [None, 0, 5])
     @pytest.mark.parametrize("seed", range(40))
     def test_same_result_and_witness(self, seed, warm_after):
@@ -209,9 +238,9 @@ class TestCertifyMatchesReference:
         edges = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < p]
         dag = build_dag(n, edges)  # random_members reads its closure
-        checked = build_dag(n, edges)
+        checked, chained = build_dag(n, edges), build_dag(n, edges)
         chain_failures = 0
-        needs_closure = False
+        needs_closure = chain_needs_closure = False
         for i, m in enumerate(random_members(rng, dag)):
             if i == warm_after:
                 checked.closure()
@@ -219,11 +248,15 @@ class TestCertifyMatchesReference:
             assert certified(certify_antichain, checked, m) == want
             want = certified(dag_reference.certify_chain, checked, m)
             assert certified(certify_chain, checked, m) == want
+            assert certified(certify_chain, chained, m) == want
             # an error's type, message and witness, not a chain's vertex tuple
             chain_failures += bool(want) and isinstance(want[0], type)
             if warm_after is None:
-                needs_closure |= len(m) > 1 and all(0 <= v < n for v in m)
+                in_range = all(0 <= v < n for v in m)
+                needs_closure |= in_range and len(set(m)) > 1
+                chain_needs_closure |= in_range and steps_off_the_edges(dag, m)
                 assert (checked._closure is not None) == needs_closure
+                assert (chained._closure is not None) == chain_needs_closure
         # every seed rejects some chains; some seeds reject no antichain
         assert chain_failures
         assert checked.closure() == dag.closure()

@@ -6,13 +6,28 @@ import random
 
 import pytest
 
-from gkcover import CycleError, build_dag, flowcore, gen_gc
+from gkcover import (
+    CycleError,
+    build_dag,
+    flowcore,
+    gen_ga,
+    gen_gc,
+    greedy,
+    greedy_antichain_cover,
+    greedy_k_antichains,
+    minimum_path_cover,
+    networks,
+    solve_alpha,
+    solve_beta,
+)
 from gkcover.flowcore import (
     INF,
     SplitNetwork,
     check_distances,
+    check_feasible,
     find_negative_cycle,
     min_cost_circulation,
+    min_flow,
     residual,
     route_paths,
     zero_flow,
@@ -170,8 +185,73 @@ class TestSplitAdjacency:
 
     @pytest.mark.parametrize("n", [0, 2, 16])
     def test_networks_are_built_with_their_adjacency(self, n):
+        # the paired heads and the adjacency come with the network; the
+        # paired tails and costs with the first read of _paired, which
+        # reuses the two built columns
         split = SplitNetwork(n, [(0, 1)] if n else [], [(INF, 0)])
-        assert vars(split)["_paired"] == generic_build(split)[0]
+        paired = generic_build(split)[0]
+        assert (split._rhead, split._out) == (paired[1], paired[3])
+        assert split._paired_cache is None
+        assert split._paired == paired
+        assert split._paired[1] is split._rhead and split._paired[3] is split._out
+
+
+class TestLazyResidualColumns:
+    """The paired residual tails and costs are built on the first read of
+    ``_paired``, which only the exact side makes: no greedy min-flow path
+    builds them, and a solve's network ends with the reference's."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_min_flow_rounds_leave_them_unbuilt(self, seed):
+        rng = random.Random(seed)
+        dag = random_dag(rng, 30)
+        split = SplitNetwork(dag.n, dag.edges, [(INF, 0)], demand=range(dag.n))
+        f = route_paths(split, [p.vertices for p in cover_paths(dag)])
+        cap = residual(split, f)
+        min_flow(split, cap, f)
+        for a in split.release([v for v in range(dag.n) if rng.random() < 0.5]):
+            cap[2 * a + 1] += 1
+        min_flow(split, cap, f)
+        check_feasible(split, f)
+        assert split._paired_cache is None
+        assert cap == residual(split, f)
+
+    @pytest.mark.parametrize("solve", [solve_alpha, solve_beta])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solves_build_them_as_the_reference(self, monkeypatch, solve, seed):
+        built = spy_on(monkeypatch, networks, "build_network")
+        solve(random_dag(random.Random(seed), 30), 1 + seed % 3)
+        net, = built
+        assert net._paired_cache == generic_build(net)[0]
+
+    @pytest.mark.parametrize("run", [
+        minimum_path_cover,
+        lambda dag: greedy_k_antichains(dag, 3),
+        lambda dag: greedy_antichain_cover(dag, 1),
+    ])
+    @pytest.mark.parametrize("case", ["gc-8", "ga-4", 0, 1, 2])
+    def test_greedy_min_flows_leave_them_unbuilt(self, monkeypatch, run, case):
+        built = spy_on(monkeypatch, greedy, "build_subset_network")
+        if isinstance(case, int):
+            dag = random_dag(random.Random(case), 40)
+        else:
+            dag = (gen_gc if case.startswith("gc") else gen_ga)(int(case[3:])).dag
+        run(dag)
+        assert len(built) == (dag.n > 0)
+        assert all(net._paired_cache is None for net in built)
+
+
+def spy_on(monkeypatch, module, name):
+    """The list of results of every call to ``module.name`` from now."""
+    real = getattr(module, name)
+    results = []
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
 
 
 def random_flows(seed):

@@ -13,6 +13,7 @@ import greedy_reference
 from gkcover import cli, flowcore, greedy
 from gkcover import (
     build_dag,
+    certify_chain,
     gen_antichain_ratio,
     gen_chain_ratio,
     gen_ga,
@@ -207,6 +208,14 @@ class TestGreedyChains:
         _, trace = greedy_k_chains(fig, 5)
         gains = [g for g in trace.gains() if g > 0]
         assert gains == sorted(gains, reverse=True)
+
+    def test_chains_along_edges_build_no_closure(self):
+        # every step of gc 6's greedy chains and of its path cover is an edge
+        dag = gen_gc(6).dag
+        fam, _ = greedy_k_chains(dag, 3)
+        for member in [*fam.members, *cover_paths(dag)]:
+            certify_chain(dag, member.vertices)
+        assert dag._closure is None
 
     def test_chain_members_disjoint_and_certified(self, fig):
         fam, _ = greedy_k_chains(fig, 4)
