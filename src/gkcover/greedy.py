@@ -12,6 +12,8 @@ vertices are covered, and each round reduces the previous round's flow
 in place.
 Each round reads its antichain off the cut that min_flow's last, failed
 search leaves (MinFlowResult.t_reach), so no search is run twice.
+Every path, chain and antichain a greedy returns is certified as it is
+built, except the one-vertex members that complete a partition.
 Tie-breaking is deterministic throughout: predecessor ties prefer the
 smallest vertex id, endpoint ties prefer a still-uncovered vertex, then
 the smallest id.
@@ -32,6 +34,7 @@ from .dagcore import (
     GraphPath,
     certify_antichain,
     certify_chain,
+    certify_path,
     partition_completion,
 )
 from .errors import MismatchError
@@ -260,7 +263,7 @@ def greedy_weighted_chain_cover(dag: Dag, k: int) -> tuple[Family, Family, Greed
             trace.stop_reason = "gain <= threshold"
             break
         trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), after))
-        paths.append(path)
+        paths.append(certify_path(dag, path.vertices))
         chains.append(certify_chain(dag, picked))
         left = after
     else:

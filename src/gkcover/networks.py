@@ -10,16 +10,19 @@ it is. Every solve starts from the zero flow and runs
 flowcore.min_cost_circulation (successive shortest paths, certified on
 the solver's own residual capacities by a negative-cycle search seeded
 with its final labels). Chain witnesses are the flow's unit paths, read
-off one vertex at a time by flowcore.peel_paths. Antichain witnesses
-are read off the solver's labels, the residual shortest distances from
-s, once flowcore.check_distances has proved them exact on the residual
-capacities of the reported flow: for problem Alpha the solver's own
-list, for problem Beta the one residual() build of the padded flow,
-which is also that flow's one feasibility check. Every value a witness family scores
-is checked against the circulation cost, raising MismatchError on a
-difference, as are two of the paper's guarantees: at most alpha_k / k
-augmentations for problem Alpha, and beta_1 equal to the DAG's height
-(Mirsky).
+off one vertex at a time by flowcore.peel_paths and certified as graph
+paths; their disjoint remnants are certified as chains. Antichain
+witnesses are read off the solver's labels, the residual shortest
+distances from s, once flowcore.check_distances has proved them exact on
+the residual capacities of the reported flow: for problem Alpha the
+solver's own list, for problem Beta the one residual() build of the
+padded flow, which is also that flow's one feasibility check. Each
+level is certified as an antichain. So every member of every family a
+solve returns is certified, except the one-vertex members that complete
+a partition. Every value a witness family scores is checked against the
+circulation cost, raising MismatchError on a difference, as are two of
+the paper's guarantees: at most alpha_k / k augmentations for problem
+Alpha, and beta_1 equal to the DAG's height (Mirsky).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .dagcore import (
     GraphPath,
     certify_antichain,
     certify_chain,
+    certify_path,
     knorm_collection,
     knorm_partition,
     partition_completion,
@@ -241,7 +245,7 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     # and every augmentation adds at least one unit there
     _expect(circ.iterations * k <= alpha_k,
             f"{circ.iterations} augmentations at k={k} exceed alpha_k / k for alpha_k={alpha_k}")
-    dag_paths = [GraphPath(p) for p, _ in peel_paths(gk, f)]
+    dag_paths = [certify_path(dag, p) for p, _ in peel_paths(gk, f)]
     mps_family = Family(tuple(dag_paths))
     mps_value = knorm_collection(mps_family.members, n, k)
     _expect(mps_value == alpha_k, f"path collection norm {mps_value} != alpha {alpha_k}")
@@ -295,7 +299,7 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
     peeled = peel_paths(gk, fN)
     if n > 0:
         _expect(len(peeled) == k, f"expected k={k} paths, got {len(peeled)}")
-    dag_paths = [GraphPath(p) for p, _ in peeled]
+    dag_paths = [certify_path(dag, p) for p, _ in peeled]
     # a padding unit: vertex 0 alone, through its overflow arc
     synthetic = tuple(i for i, unit in enumerate(peeled) if unit == ((0,), OVERFLOW))
     mp_family = Family(tuple(dag_paths))

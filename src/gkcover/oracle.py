@@ -11,7 +11,8 @@ the antichain-partition search uses masks over topological positions
 maps positions back to vertex ids only when it reads off its members.
 Each search visits its nodes in a fixed order and counts one expansion
 per node, so its value, its witness family and the point where
-BudgetExceeded fires are deterministic.
+BudgetExceeded fires are deterministic. Each search builds its members
+with certify_antichain or certify_chain, as the solvers do.
 
 Each search recurses through a nested function that calls itself, and
 such a function and the cell that holds it form a reference cycle that
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dagcore import Antichain, Chain, Dag, Family, build_dag
+from .dagcore import Antichain, Chain, Dag, Family, build_dag, certify_antichain, certify_chain
 from .errors import BudgetExceeded, MismatchError
 from .networks import solve_alpha, solve_beta
 
@@ -129,7 +130,7 @@ def brute_alpha(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tupl
         rec(0, 0, 0)
     finally:
         del rec
-    members = tuple(Antichain(frozenset(c)) for c in best_classes if c)
+    members = tuple(certify_antichain(dag, c) for c in best_classes if c)
     return best, Family(members, disjoint=True)
 
 
@@ -194,7 +195,7 @@ def brute_beta(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tuple
         rec(0, 0, 0, k)
     finally:
         del rec
-    members = tuple(Chain(chains[i][1]) for i in best_picks)
+    members = tuple(certify_chain(dag, chains[i][1]) for i in best_picks)
     return best, Family(members, disjoint=True)
 
 
@@ -258,7 +259,7 @@ def brute_min_knorm_chain_partition(dag: Dag, k: int,
     mask = full
     while mask:
         chain = pick[mask]
-        members.append(Chain(tuple(v for v in topo if chain >> v & 1)))
+        members.append(certify_chain(dag, [v for v in topo if chain >> v & 1]))
         mask ^= chain
     return value, Family(tuple(members), disjoint=True)
 
@@ -327,7 +328,7 @@ def brute_min_knorm_antichain_partition(dag: Dag, k: int,
     mask = full
     while mask:
         amask = pick[mask]
-        members.append(Antichain(frozenset(order[p] for p in range(n) if amask >> p & 1)))
+        members.append(certify_antichain(dag, [order[p] for p in range(n) if amask >> p & 1]))
         mask ^= amask
     return value, Family(tuple(members), disjoint=True)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -10,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkcover import (
-    Antichain,
     CycleError,
     Dag,
-    Family,
     ParseError,
     build_dag,
+    certify_antichain,
     cli,
     gen_gc,
     greedy,
@@ -279,15 +277,11 @@ class TestSolveCommand:
         assert main(["solve", "ma-k", "--k", "0", fig_file]) == 1
 
     def test_internal_certification_error_exits_2(self, fig_file, capsys, monkeypatch):
-        # An MA-k family holding the edge 0 -> 4 (dense ids 0 and 1) fails
-        # the CLI's re-certification with NotAntichainError, no input error.
-        real = networks.solve_alpha
-
+        # A solve whose antichain holds the edge 0 -> 4 (dense ids 0 and 1)
+        # fails the library's certification with NotAntichainError, which
+        # is no input error.
         def comparable_pair(dag, k):
-            res = real(dag, k)
-            bad = Family((Antichain(frozenset({0, 1})),), disjoint=True)
-            res.ma = dataclasses.replace(res.ma, family=bad)
-            return res
+            certify_antichain(dag, [0, 1])
 
         monkeypatch.setattr(networks, "solve_alpha", comparable_pair)
         assert main(["solve", "ma-k", "--k", "2", fig_file]) == 2
