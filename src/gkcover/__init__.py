@@ -44,7 +44,7 @@ from .greedy import (
     greedy_weighted_chain_cover,
     minimum_path_cover,
 )
-from .networks import recompute_value, solve_alpha, solve_beta
+from .networks import solve_alpha, solve_beta
 from .oracle import (
     brute_alpha,
     brute_beta,
@@ -73,7 +73,6 @@ __all__ = [
     # exact
     "solve_alpha",
     "solve_beta",
-    "recompute_value",
     # greedy
     "greedy_k_chains",
     "greedy_k_antichains",

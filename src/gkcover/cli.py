@@ -1,10 +1,12 @@
 """Command-line front end: solve, greedy, gen, oracle, verify.
 
-One solve per invocation. Every family it reports was certified
-against the graph as the library built it. Exit codes: 0 when the
-reported value matches the one recomputed from its family, 1 on input
-and usage errors, 2 when values that must agree do not or any other
-package error escapes (a witness that fails its certification).
+One solve per invocation. A command parses its input, calls the
+library and reports what it returns: the library certifies each family
+against the graph where it builds it and checks each value against its
+family where it computes it, so no command checks either again. Exit
+codes: 0 on success, 1 on input and usage errors, 2 when values that
+must agree do not or any other package error escapes (a witness that
+fails its certification, or a family that does not score its value).
 JSON output omits wall-clock timings so identical inputs give identical
 bytes.
 
@@ -28,17 +30,10 @@ import json
 import sys
 import time
 from itertools import chain, filterfalse
-from typing import NoReturn, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from . import adversarial, greedy, networks, oracle
-from .dagcore import (
-    Antichain,
-    Dag,
-    Family,
-    build_dag,
-    knorm_collection,
-    knorm_partition,
-)
+from .dagcore import Antichain, Dag, Family, build_dag, knorm_collection
 from .errors import (
     BudgetExceeded,
     CycleError,
@@ -152,13 +147,12 @@ def _read_dag(path: str) -> tuple[Dag, list[str]]:
         return parse_dag(fh.read())
 
 
-def _timings_ms(t0: float, t1: float, t2: float, t3: float) -> dict[str, float]:
-    """Wall-clock milliseconds of the parse, solve and certify phases. The
-    solve certifies its witnesses; the certify phase checks the value."""
+def _timings_ms(t0: float, t1: float, t2: float) -> dict[str, float]:
+    """Wall-clock milliseconds of the parse and solve phases. The solve
+    also certifies its witnesses and checks its value."""
     return {
         "parse": round(1000 * (t1 - t0), 3),
         "solve": round(1000 * (t2 - t1), 3),
-        "certify": round(1000 * (t3 - t2), 3),
     }
 
 
@@ -190,9 +184,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     sol = getattr(res, args.problem[:-2])
     stats = res.stats
     t2 = time.perf_counter()
-    recomputed = networks.recompute_value(dag, sol)
-    certificate = "verified" if recomputed == sol.value else "value mismatch"
-    t3 = time.perf_counter()
     report = {
         "problem": sol.problem,
         "k": args.k,
@@ -204,12 +195,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "initial_cost": 0,
             "final_cost": stats.final_cost,
         },
-        "timings_ms": _timings_ms(t0, t1, t2, t3),
-        "certificate": certificate,
+        "timings_ms": _timings_ms(t0, t1, t2),
+        "certificate": "verified",
     }
     _emit(report, args.json)
-    if certificate != "verified":
-        raise MismatchError(f"recomputed value {recomputed} != reported {sol.value}")
     return 0
 
 
@@ -255,7 +244,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
         "stop_reason": trace.stop_reason,
         "families": {name: _family_lists(f, names) for name, f in families.items()},
         "iterations": iterations,
-        "timings_ms": _timings_ms(t0, t1, t2, t2),
+        "timings_ms": _timings_ms(t0, t1, t2),
         "certificate": "verified",
     }
     _emit(report, args.json)
@@ -303,12 +292,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family in ("chain-ratio", "antichain-ratio"):
         if args.k is None:
             raise DomainError(f"gen {args.family} needs --k")
+        if args.i is not None:
+            raise DomainError(f"gen {args.family} takes --k, not --i")
         param = args.k
         inst = (adversarial.gen_chain_ratio(param) if args.family == "chain-ratio"
                 else adversarial.gen_antichain_ratio(param))
     else:
         if args.i is None:
             raise DomainError(f"gen {args.family} needs --i")
+        if args.k is not None:
+            raise DomainError(f"gen {args.family} takes --i, not --k")
         param = args.i
         inst = adversarial.gen_gc(param) if args.family == "gc" else adversarial.gen_ga(param)
     if args.output:
@@ -354,23 +347,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     }[args.problem]
     value, family = fn(dag, args.k, budget)
     t2 = time.perf_counter()
-    if args.problem in ("alpha", "beta"):
-        recomputed = family.coverage()
-    else:
-        recomputed = knorm_partition(family, dag.n, args.k)
-    certificate = "verified" if recomputed == value else "value mismatch"
-    t3 = time.perf_counter()
     report = {
         "problem": f"oracle-{args.problem}",
         "k": args.k,
         "value": value,
         "families": {args.problem: _family_lists(family, names)},
-        "timings_ms": _timings_ms(t0, t1, t2, t3),
-        "certificate": certificate,
+        "timings_ms": _timings_ms(t0, t1, t2),
+        "certificate": "verified",
     }
     _emit(report, args.json)
-    if certificate != "verified":
-        raise MismatchError(f"recomputed value {recomputed} != reported {value}")
     return 0
 
 
@@ -401,25 +386,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_file_command(sub: argparse._SubParsersAction, name: str, summary: str, choice: str,
+                      choices: Sequence[str], func: Callable[[argparse.Namespace], int]) -> None:
+    """Add the subcommand ``name`` that takes <choice> --k K [--json] file."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument(choice, choices=choices)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("file")
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gkcover",
         description="Chain/antichain coverage solvers on DAGs (exact, greedy, oracle).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="exact solve via min-cost circulation")
-    p.add_argument("problem", choices=SOLVE_PROBLEMS)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("greedy", help="greedy approximations")
-    p.add_argument("kind", choices=GREEDY_KINDS)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_greedy)
+    _add_file_command(sub, "solve", "exact solve via min-cost circulation",
+                      "problem", SOLVE_PROBLEMS, _cmd_solve)
+    _add_file_command(sub, "greedy", "greedy approximations", "kind", GREEDY_KINDS, _cmd_greedy)
 
     p = sub.add_parser("gen", help="adversarial instance generators")
     p.add_argument("family", choices=GEN_FAMILIES)
@@ -431,12 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("oracle", help="brute-force reference values")
-    p.add_argument("problem", choices=ORACLE_PROBLEMS)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_oracle)
+    _add_file_command(sub, "oracle", "brute-force reference values",
+                      "problem", ORACLE_PROBLEMS, _cmd_oracle)
 
     p = sub.add_parser("verify", help="cross-check solvers against oracles on random DAGs")
     p.add_argument("--n", type=int, default=8)

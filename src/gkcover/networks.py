@@ -323,14 +323,3 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
         GkSolution("MAP-k", k, map_family, map_value),
         SolveStats(circ.iterations, circ.final_cost))
 
-
-def recompute_value(dag: Dag, sol: GkSolution) -> int:
-    """Recompute a solution's objective from its family alone."""
-    n = dag.n
-    if sol.problem in ("MA-k", "MC-k", "MP-k"):
-        return sol.family.coverage()
-    if sol.problem in ("MPS-k", "MAS-k"):
-        return knorm_collection(sol.family.members, n, sol.k)
-    if sol.problem in ("MCP-k", "MAP-k"):
-        return knorm_partition(sol.family, n, sol.k)
-    raise ValueError(f"unknown problem tag {sol.problem!r}")

@@ -12,7 +12,10 @@ maps positions back to vertex ids only when it reads off its members.
 Each search visits its nodes in a fixed order and counts one expansion
 per node, so its value, its witness family and the point where
 BudgetExceeded fires are deterministic. Each search builds its members
-with certify_antichain or certify_chain, as the solvers do.
+with certify_antichain or certify_chain, as the solvers do, and scores
+the family it returns against its own value: coverage for brute_alpha
+and brute_beta, the k-norm of the partition for the two partition
+searches. A difference raises MismatchError, also under python -O.
 
 Each search recurses through a nested function that calls itself, and
 such a function and the cell that holds it form a reference cycle that
@@ -27,7 +30,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .dagcore import Antichain, Chain, Dag, Family, build_dag, certify_antichain, certify_chain
 from .errors import BudgetExceeded, MismatchError
@@ -84,6 +87,27 @@ def _expansion_limit(limit: int) -> BudgetExceeded:
     return BudgetExceeded(f"oracle expansion limit {limit} hit")
 
 
+def _scored_family(members: Sequence[Chain | Antichain], value: int, k: int = 0,
+                   partition_of: Optional[int] = None) -> Family:
+    """The disjoint family of ``members``, checked to score ``value``: its
+    coverage, or its k-norm when it must partition ``partition_of`` vertices.
+
+    A disjoint family covers the sum of its member sizes, and partitions
+    n vertices when that sum is n, so no vertex set is built. Raises
+    MismatchError on a difference.
+    """
+    family = Family(tuple(members), disjoint=True)
+    sizes = list(map(len, members))
+    score = sum(sizes)
+    if partition_of is not None:
+        if score != partition_of:
+            raise MismatchError(f"the partition covers {score} of {partition_of} vertices")
+        score = sum(size if size < k else k for size in sizes)
+    if score != value:
+        raise MismatchError(f"the family scores {score}, the search found {value}")
+    return family
+
+
 def brute_alpha(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tuple[int, Family]:
     """Maximum coverage by k disjoint antichains, by labeled search.
 
@@ -130,8 +154,8 @@ def brute_alpha(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tupl
         rec(0, 0, 0)
     finally:
         del rec
-    members = tuple(certify_antichain(dag, c) for c in best_classes if c)
-    return best, Family(members, disjoint=True)
+    members = [certify_antichain(dag, c) for c in best_classes if c]
+    return best, _scored_family(members, best)
 
 
 def _all_chains(dag: Dag) -> list[tuple[int, tuple[int, ...]]]:
@@ -195,8 +219,8 @@ def brute_beta(dag: Dag, k: int, budget: Optional[OracleBudget] = None) -> tuple
         rec(0, 0, 0, k)
     finally:
         del rec
-    members = tuple(certify_chain(dag, chains[i][1]) for i in best_picks)
-    return best, Family(members, disjoint=True)
+    members = [certify_chain(dag, chains[i][1]) for i in best_picks]
+    return best, _scored_family(members, best)
 
 
 def brute_min_knorm_chain_partition(dag: Dag, k: int,
@@ -261,7 +285,7 @@ def brute_min_knorm_chain_partition(dag: Dag, k: int,
         chain = pick[mask]
         members.append(certify_chain(dag, [v for v in topo if chain >> v & 1]))
         mask ^= chain
-    return value, Family(tuple(members), disjoint=True)
+    return value, _scored_family(members, value, k, partition_of=n)
 
 
 def brute_min_knorm_antichain_partition(dag: Dag, k: int,
@@ -330,7 +354,7 @@ def brute_min_knorm_antichain_partition(dag: Dag, k: int,
         amask = pick[mask]
         members.append(certify_antichain(dag, [order[p] for p in range(n) if amask >> p & 1]))
         mask ^= amask
-    return value, Family(tuple(members), disjoint=True)
+    return value, _scored_family(members, value, k, partition_of=n)
 
 
 @dataclass

@@ -18,12 +18,13 @@ from gkcover import (
     gen_gc,
     greedy,
     networks,
+    oracle,
     run_verification_sweep,
 )
 from gkcover.cli import format_dag, main, parse_dag
 
 import dag_reference
-from conftest import FIG_EDGES
+from conftest import FIG_EDGES, dropping_last_vertex
 
 FIG_TEXT = "9\n" + "\n".join(f"{u} {v}" for u, v in FIG_EDGES) + "\n"
 
@@ -554,6 +555,18 @@ class TestGenCommand:
     def test_bad_parameter(self, capsys):
         assert main(["gen", "gc", "--i", "0"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["chain-ratio", "--k", "2", "--i", "9"], "gen chain-ratio takes --k, not --i"),
+        (["antichain-ratio", "--k", "2", "--i", "9"], "gen antichain-ratio takes --k, not --i"),
+        (["gc", "--i", "3", "--k", "5", "--json"], "gen gc takes --i, not --k"),
+        (["ga", "--i", "2", "--k", "5"], "gen ga takes --i, not --k"),
+    ], ids=["chain-ratio", "antichain-ratio", "gc", "ga"])
+    def test_parameter_of_the_other_families(self, capsys, argv, message):
+        assert main(["gen", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestOracleCommand:
     def test_alpha_matches_solver(self, fig_file, capsys):
@@ -586,6 +599,17 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err == ("error: GKCOVER_BUDGET_N must be a non-negative integer, "
                                 f"got {raw!r}\n")
+
+    @pytest.mark.parametrize("problem", ["alpha", "beta", "chain-partition",
+                                         "antichain-partition"])
+    def test_family_short_of_its_value_exits_2(self, fig_file, capsys, monkeypatch, problem):
+        monkeypatch.setattr(oracle, "certify_antichain",
+                            dropping_last_vertex(oracle.certify_antichain))
+        monkeypatch.setattr(oracle, "certify_chain", dropping_last_vertex(oracle.certify_chain))
+        assert main(["oracle", problem, "--k", "2", "--json", fig_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mismatch: the ")
 
     @pytest.mark.parametrize("problem", ["alpha", "beta", "chain-partition",
                                          "antichain-partition"])

@@ -11,7 +11,7 @@ from gkcover import (
     build_dag,
     knorm_collection,
     knorm_partition,
-    recompute_value,
+    random_dag,
     solve_alpha,
     solve_beta,
 )
@@ -28,7 +28,7 @@ from gkcover.networks import (
     normalize_beta,
 )
 
-from conftest import FIG_ALPHA, FIG_BETA
+from conftest import FIG_ALPHA, FIG_BETA, FIG_EDGES
 from flow_reference import arcs
 
 
@@ -319,12 +319,26 @@ class TestPaperGuarantees:
             "mismatch: beta_1 = 2 differs from the height 3"]
 
 
-class TestRecomputeValue:
-    def test_all_problem_kinds(self, fig):
-        a = solve_alpha(fig, 2)
-        b = solve_beta(fig, 2)
-        for sol in (a.ma, a.mps, a.mcp, b.mp, b.mc, b.mas, b.map):
-            assert recompute_value(fig, sol) == sol.value
+class TestSolutionScores:
+    """Every solution's value is the score of its family under the public
+    scorer of its problem."""
+
+    @pytest.mark.parametrize("dag", [
+        build_dag(9, FIG_EDGES),
+        *(random_dag(12, t, 4) for t in range(3)),
+    ], ids=["fig", "random-0", "random-1", "random-2"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_all_problem_kinds(self, dag, k):
+        a = solve_alpha(dag, k)
+        b = solve_beta(dag, k)
+        for sol in (a.ma, b.mc, b.mp):
+            assert sol.family.coverage() == sol.value
+        for sol in (a.mps, b.mas):
+            assert knorm_collection(sol.family.members, dag.n, k) == sol.value
+        for sol in (a.mcp, b.map):
+            assert knorm_partition(sol.family, dag.n, k) == sol.value
+        assert [sol.value for sol in (a.ma, a.mps, a.mcp)] == [a.alpha] * 3
+        assert [sol.value for sol in (b.mp, b.mc, b.mas, b.map)] == [b.beta] * 4
 
 
 def test_height_levels(fig):

@@ -1,5 +1,8 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +23,7 @@ from gkcover.errors import MismatchError
 from gkcover.oracle import OracleBudget
 
 import oracle_reference
-from conftest import FIG_ALPHA, FIG_BETA
+from conftest import FIG_ALPHA, FIG_BETA, dropping_last_vertex
 
 
 class TestBruteValues:
@@ -166,6 +169,58 @@ class TestMatchesReference:
             assert fn(dag, k, OracleBudget(max_expansions=count)) == (value, fam), (dag.edges, k)
             with pytest.raises(BudgetExceeded, match=f"^oracle expansion limit {count - 1} hit$"):
                 fn(dag, k, OracleBudget(max_expansions=count - 1))
+
+
+# each search's error on fig at k=2 when every certifier drops a vertex,
+# in the order alpha, beta and the chain and antichain partitions
+SHORT_FAMILY_ERRORS = {
+    "alpha": "the family scores 6, the search found 8",
+    "beta": "the family scores 3, the search found 5",
+    "chain-partition": "the partition covers 8 of 9 vertices",
+    "antichain-partition": "the partition covers 7 of 9 vertices",
+}
+
+
+class TestSearchesScoreTheirFamilies:
+    """Each search checks the family it returns against its own value, so
+    a member short of a vertex raises instead of reaching a report."""
+
+    @pytest.fixture
+    def short_members(self, monkeypatch):
+        monkeypatch.setattr(oracle, "certify_antichain",
+                            dropping_last_vertex(oracle.certify_antichain))
+        monkeypatch.setattr(oracle, "certify_chain", dropping_last_vertex(oracle.certify_chain))
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_short_member_raises(self, fig, short_members, search):
+        with pytest.raises(MismatchError, match=f"^{SHORT_FAMILY_ERRORS[search]}$"):
+            SEARCHES[search][0](fig, 2)
+
+    def test_verify_gk_raises(self, fig, short_members):
+        with pytest.raises(MismatchError, match="^the family scores 6, the search found 8$"):
+            verify_gk(fig, 2)
+
+    def test_short_member_raises_under_python_O(self):
+        script = (
+            "from gkcover import GkError, build_dag, oracle\n"
+            "from conftest import FIG_EDGES, dropping_last_vertex\n"
+            "oracle.certify_antichain = dropping_last_vertex(oracle.certify_antichain)\n"
+            "oracle.certify_chain = dropping_last_vertex(oracle.certify_chain)\n"
+            "fig = build_dag(9, FIG_EDGES)\n"
+            "for search in (oracle.brute_alpha, oracle.brute_beta,\n"
+            "               oracle.brute_min_knorm_chain_partition,\n"
+            "               oracle.brute_min_knorm_antichain_partition):\n"
+            "    try:\n"
+            "        search(fig, 2)\n"
+            "    except GkError as exc:\n"
+            "        print(exc)\n")
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(here, "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here])}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == list(SHORT_FAMILY_ERRORS.values())
 
 
 class TestSearchesLeaveNoCycles:
