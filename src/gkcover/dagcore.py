@@ -2,18 +2,23 @@
 
 Vertices are dense 0-based ids. Reachability is reflexive: every vertex
 reaches itself, so a single vertex is both a chain and an antichain.
-A reachability test reads the DAG's transitive closure, one bitset of
-descendants per vertex, built on first use; a chain step along an edge
-needs none. Topological orders come from a FIFO Kahn's algorithm that
-yields the order of graphlib's ``TopologicalSorter.static_order()`` on
-the same graph; graphlib itself only runs to name a cycle.
+Certification proves reachability facts by forward sweeps of the
+topological order, in O(n + m) time and memory: an antichain by one
+sweep over its members' range that marks what they reach, a chain by
+its edges, by one stamped sweep over the ranges of its other steps, or,
+when it was cut from a graph path, as a subsequence of that path. Only
+a failing member is searched again, for the witness the pairwise check
+names. The transitive closure, one bitset of descendants per vertex
+built on first use by Dag.closure(), serves the brute-force oracles'
+bitmask searches and no certifier. Topological orders come from a FIFO
+Kahn's algorithm that yields the order of graphlib's
+``TopologicalSorter.static_order()`` on the same graph; graphlib itself
+only runs to name a cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import lshift
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -136,7 +141,8 @@ class Dag:
         return f"Dag(n={self.n}, edges={len(self.edges)})"
 
     def closure(self) -> list[int]:
-        """Descendant bitsets (self included), built on first use."""
+        """Descendant bitsets (self included), built on first use: n²/8
+        bytes, for the oracles' bitmask searches on small DAGs."""
         if self._closure is None:
             desc = [0] * self.n
             for v in reversed(self.topo):
@@ -206,40 +212,116 @@ def _check_range(dag: Dag, vertices: Iterable[int]) -> None:
             raise IndexError(f"vertex {v} out of range for n={dag.n}")
 
 
+def _stamp_reach(dag: Dag, stamp: list[int], mark: int, u: int, hi: int) -> None:
+    """Set stamp[w] = mark on u and on every w that u reaches by a walk
+    within topological positions pos[u]..hi: one forward sweep of
+    dag.topo over that range, O(range + edges out of reached vertices)."""
+    succ = dag.succ
+    stamp[u] = mark
+    for w in dag.topo[dag.topo_pos[u]:hi]:
+        if stamp[w] == mark:
+            for x in succ[w]:
+                stamp[x] = mark
+
+
 def certify_antichain(dag: Dag, vertices: Iterable[int]) -> Antichain:
-    """Check pairwise unreachability; raise NotAntichainError with a witness."""
+    """Check pairwise unreachability; raise NotAntichainError with a witness.
+
+    One forward sweep of dag.topo over the members' topological range
+    marks what they reach by at least one edge; the check fails when a
+    member is marked. Only then is the witness searched for: the first
+    comparable pair in topological order.
+    """
     vs = sorted(set(vertices))
     _check_range(dag, vs)
     if len(vs) > 1:
-        desc = dag.closure()
-        # one pass: no member's descendants hold another member
-        mask = sum(map(lshift, repeat(1), vs))
-        if any(desc[v] & mask != 1 << v for v in vs):
-            # the first comparable pair in topological order is the witness
-            order = sorted(vs, key=lambda v: dag.topo_pos[v])
+        succ, pos = dag.succ, dag.topo_pos
+        mark = bytearray(dag.n)
+        lo = hi = pos[vs[0]]
+        for v in vs:
+            mark[v] = 1
+            p = pos[v]
+            if p < lo:
+                lo = p
+            elif p > hi:
+                hi = p
+        for w in dag.topo[lo:hi]:
+            if mark[w]:
+                for x in succ[w]:
+                    mark[x] = 2
+        if 2 in map(mark.__getitem__, vs):
+            order = sorted(vs, key=pos.__getitem__)
+            stamp = [-1] * dag.n
             for i, u in enumerate(order):
+                _stamp_reach(dag, stamp, i, u, pos[order[-1]])
                 for v in order[i + 1:]:
-                    if desc[u] >> v & 1:
+                    if stamp[v] == i:
                         raise NotAntichainError(u, v)
     return Antichain(frozenset(vs))
 
 
-def certify_chain(dag: Dag, vertices: Sequence[int]) -> Chain:
+def _along(dag: Dag, seq: tuple[int, ...], path: Sequence[int]) -> bool:
+    """Whether seq is a subsequence of path and path's vertices from
+    seq's first to its last are joined by edges. Then seq is a chain:
+    reachability is transitive, and a walk along the edges of a DAG
+    repeats no vertex. O(length of path)."""
+    if len(seq) < 2:
+        return True
+    try:
+        start = path.index(seq[0])
+    except ValueError:
+        return False
+    succ = dag.succ
+    u, j = seq[0], 1
+    for w in path[start + 1:]:
+        if w not in succ[u]:
+            return False
+        u = w
+        if w == seq[j]:
+            j += 1
+            if j == len(seq):
+                return True
+    return False
+
+
+def certify_chain(dag: Dag, vertices: Sequence[int],
+                  path: Sequence[int] | None = None) -> Chain:
     """Check consecutive reachability; raise NotChainError at the first gap
-    or repeat. A step along an edge is accepted as it is; the closure is
-    built only at the first step that is not an edge."""
+    or repeat.
+
+    A step along an edge is accepted as it is. A step u -> v that is not
+    one fails at once when v does not come after u in dag.topo (a repeat
+    is named (v, v)); the other such steps are checked by one stamped
+    forward sweep over their topological ranges, which lie one after
+    another. A chain cut from a graph path can name it as ``path``: if
+    the chain is a subsequence of it along edges, that O(len(path)) walk
+    proves it and no sweep runs; otherwise the steps are checked as
+    above, so a failure names the same step.
+    """
     seq = tuple(vertices)
     _check_range(dag, seq)
-    succ = dag.succ
-    seen: set[int] = set()
-    for i, v in enumerate(seq):
-        if v in seen:
-            raise NotChainError(v, v)
-        seen.add(v)
-        if i:
-            u = seq[i - 1]
-            if v not in succ[u] and not dag.closure()[u] >> v & 1:
+    if path is not None and _along(dag, seq, path):
+        return Chain(seq)
+    succ, pos = dag.succ, dag.topo_pos
+    gaps: list[tuple[int, int]] = []
+    stop = None
+    for i in range(1, len(seq)):
+        u, v = seq[i - 1], seq[i]
+        if v not in succ[u]:
+            # up to here positions rise along seq, so v can repeat an
+            # earlier vertex only if it does not come after u
+            if pos[v] <= pos[u]:
+                stop = (v, v) if v in seq[:i] else (u, v)
+                break
+            gaps.append((u, v))
+    if gaps:
+        stamp = [-1] * dag.n
+        for i, (u, v) in enumerate(gaps):
+            _stamp_reach(dag, stamp, i, u, pos[v])
+            if stamp[v] != i:
                 raise NotChainError(u, v)
+    if stop:
+        raise NotChainError(*stop)
     return Chain(seq)
 
 

@@ -13,7 +13,11 @@ in place.
 Each round reads its antichain off the cut that min_flow's last, failed
 search leaves (MinFlowResult.t_reach), so no search is run twice.
 Every path, chain and antichain a greedy returns is certified as it is
-built, except the one-vertex members that complete a partition.
+built, except the one-vertex members that complete a partition: a chain
+as a subsequence of the best path it was picked from, an antichain by
+one sweep of the topological order, so no closure is built.
+minimum_path_cover proves its value by an antichain of the same size
+read off the same cut.
 Tie-breaking is deterministic throughout: predecessor ties prefer the
 smallest vertex id, endpoint ties prefer a still-uncovered vertex, then
 the smallest id.
@@ -240,7 +244,7 @@ def greedy_k_chains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
     for path, picked, left in islice(_best_path_rounds(dag), k):
         trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), left))
         if picked:
-            members.append(certify_chain(dag, picked))
+            members.append(certify_chain(dag, picked, path.vertices))
     trace.stop_reason = "U empty" if not left else "k reached"
     trace.assert_monotone()
     return Family(tuple(members), disjoint=True), trace
@@ -264,7 +268,7 @@ def greedy_weighted_chain_cover(dag: Dag, k: int) -> tuple[Family, Family, Greed
             break
         trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), after))
         paths.append(certify_path(dag, path.vertices))
-        chains.append(certify_chain(dag, picked))
+        chains.append(certify_chain(dag, picked, path.vertices))
         left = after
     else:
         trace.stop_reason = "U empty"
@@ -315,13 +319,20 @@ def _extract_antichain(dag: Dag, subset: Iterable[int], value: int,
 
 
 def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:
-    """Exact minimum number of paths covering every vertex."""
+    """Exact minimum number of paths covering every vertex.
+
+    The minimum is proved by an antichain of the same size read off the
+    flow's cut (Dilworth: every path meets an antichain at most once);
+    a flow that is not minimal raises MismatchError.
+    """
     if dag.n == 0:
         return 0, MinFlowResult(0, 0, [])
     split = build_subset_network(dag, range(dag.n))
     flow = _path_cover_flow(dag, split)
     result = min_flow(split, residual(split, flow), flow)
-    return split.flow_value(flow), result
+    value = split.flow_value(flow)
+    _extract_antichain(dag, range(dag.n), value, result.t_reach)
+    return value, result
 
 
 def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:

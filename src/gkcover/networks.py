@@ -11,16 +11,18 @@ flowcore.min_cost_circulation (successive shortest paths, certified on
 the solver's own residual capacities by a negative-cycle search seeded
 with its final labels). Chain witnesses are the flow's unit paths, read
 off one vertex at a time by flowcore.peel_paths and certified as graph
-paths; their disjoint remnants are certified as chains. Antichain
+paths; their disjoint remnants are certified as chains, each as a
+subsequence of its path, with no reachability search. Antichain
 witnesses are read off the solver's labels, the residual shortest
 distances from s, once flowcore.check_distances has proved them exact on
 the residual capacities of the reported flow: for problem Alpha the
 solver's own list, for problem Beta the one residual() build of the
 padded flow, which is also that flow's one feasibility check. Each
-level is certified as an antichain. So every member of every family a
-solve returns is certified, except the one-vertex members that complete
-a partition. Every value a witness family scores is checked against the
-circulation cost, raising MismatchError on a difference, as are two of
+level is certified as an antichain by one sweep of the topological
+order. So every member of every family a solve returns is certified,
+except the one-vertex members that complete a partition. Every value a
+witness family scores is checked against the circulation cost, raising
+MismatchError on a difference, as are two of
 the paper's guarantees: at most alpha_k / k augmentations for problem
 Alpha, and beta_1 equal to the DAG's height (Mirsky).
 """
@@ -115,7 +117,7 @@ def chains_from_paths(dag: Dag, paths: Sequence[GraphPath]) -> Family:
 
     Each vertex is kept by the earliest path that visits it. A remnant
     of a path is a chain because reachability is transitive, and each
-    remnant is certified as one.
+    remnant is certified as one against the path it was cut from.
     """
     seen: set[int] = set()
     members: list[Chain] = []
@@ -123,7 +125,7 @@ def chains_from_paths(dag: Dag, paths: Sequence[GraphPath]) -> Family:
         remnant = [v for v in p.vertices if v not in seen]
         seen.update(remnant)
         if remnant:
-            members.append(certify_chain(dag, remnant))
+            members.append(certify_chain(dag, remnant, p.vertices))
     return Family(tuple(members), disjoint=True)
 
 

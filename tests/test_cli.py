@@ -21,7 +21,7 @@ from gkcover import (
     oracle,
     run_verification_sweep,
 )
-from gkcover.cli import format_dag, main, parse_dag
+from gkcover.cli import GREEDY_KINDS, SOLVE_PROBLEMS, format_dag, main, parse_dag
 
 import dag_reference
 from conftest import FIG_EDGES, dropping_last_vertex
@@ -460,12 +460,13 @@ class TestGreedyCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "350eb9f8d8c75534b6e867c81e94f81e950859a9c0bffa7f60c3cc32b474110d")
 
-    @pytest.mark.parametrize("argv", [["greedy", "chains", "--k", "3"],
-                                      ["greedy", "chain-cover", "--k", "1"],
-                                      ["gen", "gc", "--i", "8", "--check"]])
-    def test_chain_requests_on_gc_build_no_closure(self, tmp_path, monkeypatch, capsys, argv):
-        # every chain step is an edge of gc 8, so certification needs no closure
-        if argv[0] == "greedy":
+    @pytest.mark.parametrize("argv", [
+        *(["greedy", kind, "--k", "3"] for kind in GREEDY_KINDS),
+        *(["solve", problem, "--k", "2"] for problem in SOLVE_PROBLEMS),
+        ["gen", "gc", "--i", "8", "--check"]])
+    def test_requests_on_gc_build_no_closure(self, tmp_path, monkeypatch, capsys, argv):
+        # certification sweeps the graph and never reads the closure
+        if argv[0] != "gen":
             path = tmp_path / "gc8.txt"
             path.write_text(format_dag(gen_gc(8).dag))
             argv = argv + [str(path)]

@@ -145,10 +145,11 @@ class TestCertify:
         assert certify_chain(fig, [1, 4, 8]).vertices == (1, 4, 8)
         assert fig._closure is None
 
-    def test_chain_builds_the_closure_at_a_step_off_the_edges(self, fig):
-        # 1 reaches 7 through 4, by no edge of its own
+    def test_step_off_the_edges_builds_no_closure(self, fig):
+        # 1 reaches 7 through 4, by no edge of its own; the sweep proves it
         assert certify_chain(fig, [1, 7]).vertices == (1, 7)
-        assert fig._closure is not None
+        assert certify_antichain(fig, [2, 3, 4, 5, 6]).vertices == frozenset(range(2, 7))
+        assert fig._closure is None
 
     def test_unreachable_step_names_the_references_witness(self, fig):
         # 0 -> 4 is an edge; 4 does not reach 6
@@ -207,27 +208,14 @@ def random_members(rng, dag):
             yield m
 
 
-def steps_off_the_edges(dag, m):
-    """Whether a chain check of ``m`` reaches a step that is not an edge
-    before it stops at a repeated vertex."""
-    for i, v in enumerate(m):
-        if v in m[:i]:
-            return False
-        if i and v not in dag.succ[m[i - 1]]:
-            return True
-    return False
-
-
 class TestCertifyMatchesReference:
-    """The closure-based checks accept what the pairwise DFS accepts and
+    """The sweep-based checks accept what the pairwise DFS accepts and
     name the witness it names."""
 
     # warm_after: how many members are certified before the test builds
-    # the checked DAG's closure itself; None leaves that to certification,
-    # which must build it only for an in-range member of two or more
-    # distinct vertices (the antichain check). The chain check, run on a
-    # DAG of its own, must build it only at the first step that is
-    # neither a repeat nor an edge.
+    # the checked DAG's closure itself; None leaves it unbuilt, and then
+    # certification must never build it, neither on the checked DAG nor
+    # on ``chained``, a DAG of its own that only the chain check reads.
     @pytest.mark.parametrize("warm_after", [None, 0, 5])
     @pytest.mark.parametrize("seed", range(40))
     def test_same_result_and_witness(self, seed, warm_after):
@@ -240,7 +228,6 @@ class TestCertifyMatchesReference:
         dag = build_dag(n, edges)  # random_members reads its closure
         checked, chained = build_dag(n, edges), build_dag(n, edges)
         chain_failures = 0
-        needs_closure = chain_needs_closure = False
         for i, m in enumerate(random_members(rng, dag)):
             if i == warm_after:
                 checked.closure()
@@ -252,11 +239,8 @@ class TestCertifyMatchesReference:
             # an error's type, message and witness, not a chain's vertex tuple
             chain_failures += bool(want) and isinstance(want[0], type)
             if warm_after is None:
-                in_range = all(0 <= v < n for v in m)
-                needs_closure |= in_range and len(set(m)) > 1
-                chain_needs_closure |= in_range and steps_off_the_edges(dag, m)
-                assert (checked._closure is not None) == needs_closure
-                assert (chained._closure is not None) == chain_needs_closure
+                assert checked._closure is None
+            assert chained._closure is None
         # every seed rejects some chains; some seeds reject no antichain
         assert chain_failures
         assert checked.closure() == dag.closure()
@@ -270,7 +254,7 @@ class TestCertifyMatchesReference:
             assert certified(certify_antichain, fig, m) == want
             want = certified(dag_reference.certify_chain, fig, m)
             assert certified(certify_chain, fig, m) == want
-        # the range check comes before the closure is built
+        # certification never builds the closure
         assert (fig._closure is None) == (warm_after is None)
 
     @pytest.mark.parametrize("seed", range(40))

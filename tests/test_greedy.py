@@ -209,12 +209,14 @@ class TestGreedyChains:
         gains = [g for g in trace.gains() if g > 0]
         assert gains == sorted(gains, reverse=True)
 
-    def test_chains_along_edges_build_no_closure(self):
-        # every step of gc 6's greedy chains and of its path cover is an edge
+    def test_chain_certification_builds_no_closure(self):
+        # steps along edges and off them alike: gc 6's greedy chains, its
+        # path cover, and every other vertex of each cover path
         dag = gen_gc(6).dag
         fam, _ = greedy_k_chains(dag, 3)
-        for member in [*fam.members, *cover_paths(dag)]:
-            certify_chain(dag, member.vertices)
+        paths = [p.vertices for p in cover_paths(dag)]
+        for seq in [*(m.vertices for m in fam.members), *paths, *(p[::2] for p in paths)]:
+            assert certify_chain(dag, seq).vertices == seq
         assert dag._closure is None
 
     def test_chain_members_disjoint_and_certified(self, fig):
@@ -413,6 +415,56 @@ class TestMinimumPathCover:
 
     def test_empty(self):
         assert minimum_path_cover(build_dag(0, []))[0] == 0
+
+    def test_non_minimal_flow_raises(self, monkeypatch):
+        # min_flow stubbed to leave gc 6's start cover of 6 paths as it is;
+        # the cut it reports holds an antichain of 2
+        monkeypatch.setattr(greedy, "min_flow", reducing_a_copy)
+        with pytest.raises(MismatchError, match="^extracted 2 vertices from a flow of value 6$"):
+            minimum_path_cover(gen_gc(6).dag)
+
+    def test_non_minimal_flow_raises_under_optimized_python(self):
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import flowcore, gen_gc, greedy\n"
+            "from gkcover.errors import MismatchError\n"
+            "def reducing_a_copy(net, cap, f):\n"
+            "    return flowcore.min_flow(net, list(cap), list(f))\n"
+            "greedy.min_flow = reducing_a_copy\n"
+            "try:\n"
+            "    greedy.minimum_path_cover(gen_gc(6).dag)\n"
+            "except MismatchError as exc:\n"
+            "    print('mismatch:', exc)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "mismatch: extracted 2 vertices from a flow of value 6\n"
+
+
+def reducing_a_copy(net, cap, f):
+    """A min_flow that reduces copies of the capacities and the flow: it
+    reports a minimum flow's cut and leaves the caller's flow as it was."""
+    return min_flow(net, list(cap), list(f))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda dag: solve_alpha(dag, 2),
+    lambda dag: solve_beta(dag, 2),
+    lambda dag: greedy_k_chains(dag, 3),
+    lambda dag: greedy_k_antichains(dag, 3),
+    lambda dag: greedy_weighted_chain_cover(dag, 1),
+    lambda dag: greedy_antichain_cover(dag, 1),
+    minimum_path_cover,
+], ids=["solve_alpha", "solve_beta", "greedy_k_chains", "greedy_k_antichains",
+        "greedy_weighted_chain_cover", "greedy_antichain_cover", "minimum_path_cover"])
+def test_solves_build_no_closure(solve):
+    # every witness is certified by sweeps over the graph
+    dag = gen_gc(9).dag
+    solve(dag)
+    assert dag._closure is None
 
 
 class TestGreedyAntichains:
