@@ -251,7 +251,15 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     return 0
 
 
-GEN_FAMILIES = ("chain-ratio", "antichain-ratio", "gc", "ga")
+# family -> (the one parameter it takes, its generator in adversarial).
+# The generator is looked up by name at each call, so a wrapper put on
+# the adversarial module is the one that runs.
+GEN_FAMILIES = {
+    "chain-ratio": ("k", "gen_chain_ratio"),
+    "antichain-ratio": ("k", "gen_antichain_ratio"),
+    "gc": ("i", "gen_gc"),
+    "ga": ("i", "gen_ga"),
+}
 
 
 def _check_instance(inst: adversarial.AdversarialInstance) -> dict:
@@ -289,21 +297,14 @@ def _check_instance(inst: adversarial.AdversarialInstance) -> dict:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family in ("chain-ratio", "antichain-ratio"):
-        if args.k is None:
-            raise DomainError(f"gen {args.family} needs --k")
-        if args.i is not None:
-            raise DomainError(f"gen {args.family} takes --k, not --i")
-        param = args.k
-        inst = (adversarial.gen_chain_ratio(param) if args.family == "chain-ratio"
-                else adversarial.gen_antichain_ratio(param))
-    else:
-        if args.i is None:
-            raise DomainError(f"gen {args.family} needs --i")
-        if args.k is not None:
-            raise DomainError(f"gen {args.family} takes --i, not --k")
-        param = args.i
-        inst = adversarial.gen_gc(param) if args.family == "gc" else adversarial.gen_ga(param)
+    name, generator = GEN_FAMILIES[args.family]
+    other = "i" if name == "k" else "k"
+    param = getattr(args, name)
+    if param is None:
+        raise DomainError(f"gen {args.family} needs --{name}")
+    if getattr(args, other) is not None:
+        raise DomainError(f"gen {args.family} takes --{name}, not --{other}")
+    inst = getattr(adversarial, generator)(param)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(format_dag(inst.dag))

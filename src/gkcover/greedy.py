@@ -9,15 +9,16 @@ the chain commands and the path cover that seeds the antichain flow.
 Antichains come from minimum flows on one flowcore.SplitNetwork, one
 flow list and one residual capacity list per run: lower bounds drop as
 vertices are covered, and each round reduces the previous round's flow
-in place.
+in place. _antichain_rounds is the module's only minimum-flow driver.
 Each round reads its antichain off the cut that min_flow's last, failed
 search leaves (MinFlowResult.t_reach), so no search is run twice.
 Every path, chain and antichain a greedy returns is certified as it is
 built, except the one-vertex members that complete a partition: a chain
 as a subsequence of the best path it was picked from, an antichain by
 one sweep of the topological order, so no closure is built.
-minimum_path_cover proves its value by an antichain of the same size
-read off the same cut.
+minimum_path_cover is the first antichain round (Dilworth): it returns
+that round's flow value, proved by the antichain of the same size read
+off the same cut, together with the round.
 Tie-breaking is deterministic throughout: predecessor ties prefer the
 smallest vertex id, endpoint ties prefer a still-uncovered vertex, then
 the smallest id.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
 from operator import indexOf
-from typing import Container, Iterable, Iterator, Optional
+from typing import Collection, Container, Iterable, Iterator, Optional
 
 from .dagcore import (
     Antichain,
@@ -44,7 +45,6 @@ from .dagcore import (
 from .errors import MismatchError
 from .flowcore import (
     INF,
-    MinFlowResult,
     SplitNetwork,
     min_flow,
     residual,
@@ -56,7 +56,6 @@ from .flowcore import (
 class GreedyRound:
     member: tuple[int, ...]
     gain: int
-    remaining: int
     flow_value: Optional[int] = None
     searches: int = 0
     pushes: int = 0
@@ -242,7 +241,7 @@ def greedy_k_chains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
     trace = GreedyTrace()
     left = dag.n
     for path, picked, left in islice(_best_path_rounds(dag), k):
-        trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), left))
+        trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked)))
         if picked:
             members.append(certify_chain(dag, picked, path.vertices))
     trace.stop_reason = "U empty" if not left else "k reached"
@@ -262,14 +261,13 @@ def greedy_weighted_chain_cover(dag: Dag, k: int) -> tuple[Family, Family, Greed
     rounds = _best_path_rounds(dag)
     left = dag.n
     while left:
-        path, picked, after = next(rounds)
+        path, picked, left = next(rounds)
         if len(picked) <= k:
             trace.stop_reason = "gain <= threshold"
             break
-        trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked), after))
+        trace.rounds.append(GreedyRound(tuple(path.vertices), len(picked)))
         paths.append(certify_path(dag, path.vertices))
         chains.append(certify_chain(dag, picked, path.vertices))
-        left = after
     else:
         trace.stop_reason = "U empty"
     trace.assert_monotone()
@@ -296,12 +294,6 @@ def cover_paths(dag: Dag) -> list[GraphPath]:
     return out
 
 
-def _path_cover_flow(dag: Dag, split: SplitNetwork) -> list[int]:
-    """Feasible start flow for a subset network: a cover of every vertex
-    by best-path rounds."""
-    return route_paths(split, [p.vertices for p in cover_paths(dag)])
-
-
 def _extract_antichain(dag: Dag, subset: Iterable[int], value: int,
                        t_reach: list[bool]) -> Antichain:
     """Sink-side tight-cut read-off of a minimum flow of the given value.
@@ -318,48 +310,47 @@ def _extract_antichain(dag: Dag, subset: Iterable[int], value: int,
     return ac
 
 
-def minimum_path_cover(dag: Dag) -> tuple[int, MinFlowResult]:
-    """Exact minimum number of paths covering every vertex.
-
-    The minimum is proved by an antichain of the same size read off the
-    flow's cut (Dilworth: every path meets an antichain at most once);
-    a flow that is not minimal raises MismatchError.
-    """
-    if dag.n == 0:
-        return 0, MinFlowResult(0, 0, [])
-    split = build_subset_network(dag, range(dag.n))
-    flow = _path_cover_flow(dag, split)
-    result = min_flow(split, residual(split, flow), flow)
-    value = split.flow_value(flow)
-    _extract_antichain(dag, range(dag.n), value, result.t_reach)
-    return value, result
-
-
 def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
     """A maximum antichain of the still-uncovered set U per round.
 
     One subset network, one flow and one residual capacity list serve
-    every round. Round 1 reduces a path-cover flow to a minimum flow;
-    later rounds reduce the previous round's flow in place, which stays
-    feasible because covered vertices only lose their lower bound, and
-    the capacities follow by raising each released gadget arc's undo
-    capacity. min_flow checks the flow every round ends with. A
-    yielded antichain leaves U when the next round is asked for.
+    every round. Round 1 reduces a cover of every vertex by best-path
+    rounds to a minimum flow; later rounds reduce the previous round's
+    flow in place, which stays feasible because covered vertices only
+    lose their lower bound, and the capacities follow by raising each
+    released gadget arc's undo capacity. min_flow checks the flow every
+    round ends with. A yielded antichain leaves U when the next round is
+    asked for; until then U stays range(n), so a caller that reads only
+    round 1 never builds a set of every vertex.
     """
-    uncovered = set(range(dag.n))
+    uncovered: Collection[int] = range(dag.n)
     split = build_subset_network(dag, uncovered)
-    flow = _path_cover_flow(dag, split)
+    flow = route_paths(split, [p.vertices for p in cover_paths(dag)])
     cap = residual(split, flow)
     while uncovered:
         result = min_flow(split, cap, flow)
         value = split.flow_value(flow)
         ac = _extract_antichain(dag, uncovered, value, result.t_reach)
-        yield ac, GreedyRound(
-            tuple(sorted(ac.vertices)), len(ac), len(uncovered) - len(ac),
-            flow_value=value, searches=result.searches, pushes=result.pushes)
+        yield ac, GreedyRound(tuple(sorted(ac.vertices)), len(ac), flow_value=value,
+                              searches=result.searches, pushes=result.pushes)
+        uncovered = set(uncovered)
         uncovered.difference_update(ac.vertices)
         for a in split.release(ac.vertices):
             cap[2 * a + 1] += 1
+
+
+def minimum_path_cover(dag: Dag) -> tuple[int, GreedyRound]:
+    """Exact minimum number of paths covering every vertex: the flow
+    value of the first antichain round, returned with that round.
+
+    The minimum is proved by the round's antichain, of the same size and
+    read off the same cut (Dilworth: every path meets an antichain at
+    most once); a flow that is not minimal raises MismatchError. The
+    empty DAG gives 0 and an empty round.
+    """
+    for _, first in _antichain_rounds(dag):
+        return first.flow_value, first
+    return 0, GreedyRound((), 0, flow_value=0)
 
 
 def greedy_k_antichains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
@@ -382,7 +373,7 @@ def greedy_k_antichains(dag: Dag, k: int) -> tuple[Family, GreedyTrace]:
         if searches > bound:
             raise MismatchError(
                 f"{searches} decrementing-path searches exceed the warm-start bound {bound}")
-    trace.rounds.extend(GreedyRound((), 0, 0) for _ in range(k - len(trace.rounds)))
+    trace.rounds.extend(GreedyRound((), 0) for _ in range(k - len(trace.rounds)))
     trace.stop_reason = "U empty" if sum(map(len, members)) == dag.n else "k reached"
     trace.assert_monotone()
     return Family(tuple(members), disjoint=True), trace

@@ -96,7 +96,6 @@ class GkSolution:
     """A certified witness family together with its objective value."""
 
     problem: str
-    k: int
     family: Family
     value: int
     synthetic_members: tuple[int, ...] = ()
@@ -186,8 +185,7 @@ def extract_antichains(gk: GkNetwork, cap: list[int], labels: Sequence[int]) -> 
             level = din - dt
             _expect(1 <= level <= h, f"selected level {level} outside 1..{h}")
             buckets.setdefault(level, []).append(v)
-    members = [certify_antichain(gk.dag, buckets[i])
-               for i in sorted(buckets) if buckets[i]]
+    members = [certify_antichain(gk.dag, buckets[i]) for i in sorted(buckets)]
     return Family(tuple(members), disjoint=True)
 
 
@@ -271,9 +269,9 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     _expect(len(ma_family) <= k, f"{len(ma_family)} antichains for k={k}")
     return AlphaResult(
         alpha_k,
-        GkSolution("MA-k", k, ma_family, ma_value),
-        GkSolution("MPS-k", k, mps_family, mps_value),
-        GkSolution("MCP-k", k, mcp_family, mcp_value),
+        GkSolution("MA-k", ma_family, ma_value),
+        GkSolution("MPS-k", mps_family, mps_value),
+        GkSolution("MCP-k", mcp_family, mcp_value),
         SolveStats(circ.iterations, circ.final_cost))
 
 
@@ -319,9 +317,9 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
     _expect(map_value == beta_k, f"antichain partition norm {map_value} != beta {beta_k}")
     return BetaResult(
         beta_k,
-        GkSolution("MP-k", k, mp_family, mp_value, synthetic),
-        GkSolution("MC-k", k, mc_family, mc_value),
-        GkSolution("MAS-k", k, mas_family, mas_value),
-        GkSolution("MAP-k", k, map_family, map_value),
+        GkSolution("MP-k", mp_family, mp_value, synthetic),
+        GkSolution("MC-k", mc_family, mc_value),
+        GkSolution("MAS-k", mas_family, mas_value),
+        GkSolution("MAP-k", map_family, map_value),
         SolveStats(circ.iterations, circ.final_cost))
 

@@ -21,7 +21,7 @@ from gkcover.flowcore import (
     route_paths,
     zero_flow,
 )
-from gkcover.greedy import _path_cover_flow, build_subset_network, cover_paths
+from gkcover.greedy import build_subset_network, cover_paths
 from gkcover.networks import ALPHA, BETA, COVER, OVERFLOW, build_network, normalize_beta
 
 import flow_reference as ref
@@ -72,7 +72,7 @@ def library_flows(dag, rng):
                 yield gk, normalize_beta(gk, f)
     subset = {v for v in range(dag.n) if rng.random() < 0.6}
     for split in (build_subset_network(dag, range(dag.n)), build_subset_network(dag, subset)):
-        f = _path_cover_flow(dag, split)
+        f = route_paths(split, [p.vertices for p in cover_paths(dag)])
         yield split, f
     split.release([v for v in subset if rng.random() < 0.5])
     yield split, f
@@ -240,7 +240,7 @@ class TestSameErrorsFromEveryPath:
     def test_each_fault_kind(self):
         dag = build_dag(3, [(0, 1), (1, 2)])
         split = build_subset_network(dag, range(3))
-        f = _path_cover_flow(dag, split)
+        f = route_paths(split, [p.vertices for p in cover_paths(dag)])
         got = [outcome(residual, split, g) for g in faults(split, f)]
         assert got == [outcome(check_feasible, split, g) for g in faults(split, f)]
         assert [msg.split()[0] for _, msg in got] == ["flow", "arc", "arc", "conservation"]
@@ -285,11 +285,11 @@ def test_edge_arc_fault_survives_optimized_python():
         "    raise SystemExit('not running under -O')\n"
         "from gkcover import build_dag\n"
         "from gkcover.errors import InfeasibleFlowError\n"
-        "from gkcover.flowcore import check_feasible, residual\n"
-        "from gkcover.greedy import _path_cover_flow, build_subset_network\n"
+        "from gkcover.flowcore import check_feasible, residual, route_paths\n"
+        "from gkcover.greedy import build_subset_network, cover_paths\n"
         "dag = build_dag(3, [(0, 1), (1, 2)])\n"
         "split = build_subset_network(dag, range(3))\n"
-        "f = _path_cover_flow(dag, split)\n"
+        "f = route_paths(split, [p.vertices for p in cover_paths(dag)])\n"
         "f[3 * 3 + 1] += 1\n"
         "for check in (check_feasible, residual):\n"
         "    try:\n"

@@ -269,7 +269,7 @@ class TestBestPathRounds:
             assert calls == [120, 57, 26, 11, 4, 1, 0]
             assert len(dag._path_rounds[0]) == 7
             assert fam == family
-            assert trace.rounds == covering.rounds + [GreedyRound((0,), 0, 0)] * 3994
+            assert trace.rounds == covering.rounds + [GreedyRound((0,), 0)] * 3994
             assert len(fam) < 4000 and trace.stop_reason == "U empty"
 
     def test_run_graph_is_built_once_and_shared(self, monkeypatch):
@@ -331,7 +331,7 @@ class TestBestPathRounds:
         dag = build_dag(0, [])
         fam, trace = greedy_k_chains(dag, 50)
         assert calls == [0] and len(dag._path_rounds[0]) == 1
-        assert fam.members == () and trace.rounds == [GreedyRound((), 0, 0)] * 50
+        assert fam.members == () and trace.rounds == [GreedyRound((), 0)] * 50
 
 
 class TestGreedyWeightedChainCover:
@@ -557,10 +557,10 @@ class TestTraceChecks:
         # round; corrupting it after round 2's last search must be
         # caught before round 2 is reported
         flows = []
-        real_seed = greedy._path_cover_flow
+        real_seed = greedy.route_paths
 
-        def seed(dag, split):
-            flows.append(real_seed(dag, split))
+        def seed(split, paths):
+            flows.append(real_seed(split, paths))
             return flows[-1]
 
         real_bfs = flowcore._residual_bfs
@@ -574,7 +574,7 @@ class TestTraceChecks:
                     flows[0][0] += 1
             return path, seen
 
-        monkeypatch.setattr(greedy, "_path_cover_flow", seed)
+        monkeypatch.setattr(greedy, "route_paths", seed)
         monkeypatch.setattr(flowcore, "_residual_bfs", corrupt_after_round_2)
         with pytest.raises(InfeasibleFlowError, match="conservation fails at node 0"):
             greedy_k_antichains(fig, 3)

@@ -8,6 +8,7 @@ from gkcover import networks
 from gkcover import (
     Antichain,
     Chain,
+    Family,
     build_dag,
     knorm_collection,
     knorm_partition,
@@ -16,7 +17,7 @@ from gkcover import (
     solve_beta,
 )
 from gkcover.errors import MismatchError, NotChainError
-from gkcover.flowcore import INF, min_cost_circulation, residual
+from gkcover.flowcore import INF, min_cost_circulation, residual, zero_flow
 from gkcover.networks import (
     ALPHA,
     BETA,
@@ -287,6 +288,8 @@ class TestPaperGuarantees:
         solve_beta(fig, 2)
 
     def test_checks_survive_optimized_python(self):
+        picked = tuple(i for i, (message, *_) in enumerate(VALUE_CHECKS) if message.startswith(
+            ("overflow used", "return arc", "antichain partition")))
         script = (
             "if __debug__:\n"
             "    raise SystemExit('not running under -O')\n"
@@ -317,6 +320,165 @@ class TestPaperGuarantees:
         assert proc.stdout.splitlines() == [
             "mismatch: 4 augmentations at k=1 exceed alpha_k / k for alpha_k=2",
             "mismatch: beta_1 = 2 differs from the height 3"]
+
+
+# A stub for the call just before each value check, which makes exactly
+# that check fail on the figure: each takes the real function (or
+# constant) and returns its replacement.
+
+def _overflow_without_cover(real):
+    def solve(gk):
+        circ = real(gk)
+        v = next(v for v in range(gk.n) if circ.flow[gk.gadget(v, COVER)])
+        circ.flow[gk.gadget(v, COVER)] -= 1
+        circ.flow[gk.gadget(v, OVERFLOW)] += 1
+        return circ
+    return solve
+
+
+def _k_raised_after_solve(real):
+    def solve(gk):
+        circ = real(gk)
+        gk.k += 1
+        return circ
+    return solve
+
+
+def _zero_circulation(real):
+    def solve(gk):
+        circ = real(gk)
+        circ.flow, circ.iterations, circ.final_cost = zero_flow(gk), 0, 0
+        return circ
+    return solve
+
+
+def _solved_for_k_plus_1(real):
+    return lambda gk: real(build_network(gk.dag, gk.k + 1, gk.kind))
+
+
+def _raised_label(node, by):
+    """A stub for extract_antichains that raises one node's label."""
+    def stub(real):
+        def extract(gk, cap, labels):
+            labels = list(labels)
+            labels[node(gk)] += by
+            return real(gk, cap, labels)
+        return extract
+    return stub
+
+
+def _split_first_member(real):
+    def split(*args):
+        first, *rest = real(*args).members
+        if isinstance(first, Antichain):
+            vs = sorted(first.vertices)
+            head, tail = Antichain(frozenset(vs[:1])), Antichain(frozenset(vs[1:]))
+        else:
+            head, tail = Chain(first.vertices[:1]), Chain(first.vertices[1:])
+        return Family((head, tail, *rest), disjoint=True)
+    return split
+
+
+def _drop_last_member(real):
+    return lambda *args: Family(real(*args).members[:-1], disjoint=True)
+
+
+def _one_vertex_chains(real):
+    def chains(dag, paths):
+        members = real(dag, paths).members
+        return Family(tuple(Chain((v,)) for c in members for v in c.vertices), disjoint=True)
+    return chains
+
+
+def _last_path_cut_to_one_vertex(real):
+    def peel(gk, f):
+        *rest, (path, gadget) = real(gk, f)
+        return [*rest, (path[:1], gadget)]
+    return peel
+
+
+# (message, solver, k, {name in networks: stub})
+VALUE_CHECKS = [
+    ("overflow used at vertex 0 while its cover arc is empty", "solve_alpha", 2,
+     {"min_cost_circulation": _overflow_without_cover}),
+    ("label spread 2 differs from k=3", "solve_alpha", 2,
+     {"min_cost_circulation": _k_raised_after_solve}),
+    # exact labels never break the next two checks, so the distance check
+    # that proves them exact is stubbed too
+    ("selected level 12 outside 1..2", "solve_alpha", 2,
+     {"check_distances": lambda real: lambda *args: None,
+      "extract_antichains": _raised_label(lambda gk: gk.v_in(0), 10)}),
+    ("label spread -8 negative", "solve_beta", 2,
+     {"check_distances": lambda real: lambda *args: None,
+      "extract_antichains": _raised_label(lambda gk: gk.t, 10)}),
+    ("an extracted chain is shorter than k", "solve_alpha", 2,
+     {"chains_from_paths": _one_vertex_chains}),
+    ("antichain coverage 4 != alpha 8", "solve_alpha", 2,
+     {"extract_antichains": _drop_last_member}),
+    ("3 antichains for k=2", "solve_alpha", 2,
+     {"extract_antichains": _split_first_member}),
+    ("zero circulation optimal at height 3 > k=2", "solve_alpha", 2,
+     {"min_cost_circulation": _zero_circulation}),
+    ("return arc carries 3 units, more than k=2", "solve_beta", 2,
+     {"min_cost_circulation": _solved_for_k_plus_1}),
+    # padding through vertex 0's cover arc, which costs -1 a unit
+    ("padding changed the circulation cost", "solve_beta", 6,
+     {"OVERFLOW": lambda real: COVER}),
+    ("expected k=2 paths, got 1", "solve_beta", 2,
+     {"peel_paths": lambda real: lambda gk, f: real(gk, f)[:-1]}),
+    ("path coverage 3 != beta 5", "solve_beta", 2,
+     {"peel_paths": _last_path_cut_to_one_vertex}),
+    ("chain coverage 2 != beta 5", "solve_beta", 2,
+     {"chains_from_paths": _drop_last_member}),
+    ("3 chains for k=2", "solve_beta", 2,
+     {"chains_from_paths": _split_first_member}),
+    ("antichain partition norm 6 != beta 5", "solve_beta", 2,
+     {"knorm_partition": lambda real: lambda fam, n, k: real(fam, n, k) + 1}),
+]
+
+
+class TestEveryValueCheckFires:
+    """Each value check of the solvers raises its own message once the
+    call just before it is stubbed to return something wrong."""
+
+    @pytest.mark.parametrize("message,solver,k,stubs", VALUE_CHECKS,
+                             ids=[" ".join(c[0].split()[:3]) for c in VALUE_CHECKS])
+    def test_check_fires(self, fig, monkeypatch, message, solver, k, stubs):
+        for name, stub in stubs.items():
+            monkeypatch.setattr(networks, name, stub(getattr(networks, name)))
+        with pytest.raises(MismatchError) as info:
+            getattr(networks, solver)(fig, k)
+        assert str(info.value) == message
+
+    def test_checks_survive_optimized_python(self):
+        picked = tuple(i for i, (message, *_) in enumerate(VALUE_CHECKS) if message.startswith(
+            ("overflow used", "return arc", "antichain partition")))
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import build_dag, networks\n"
+            "from gkcover.errors import MismatchError\n"
+            "from conftest import FIG_EDGES\n"
+            "from test_networks import VALUE_CHECKS\n"
+            f"for message, solver, k, stubs in (VALUE_CHECKS[i] for i in {picked}):\n"
+            "    real = {name: getattr(networks, name) for name in stubs}\n"
+            "    for name, stub in stubs.items():\n"
+            "        setattr(networks, name, stub(real[name]))\n"
+            "    try:\n"
+            "        getattr(networks, solver)(build_dag(9, FIG_EDGES), k)\n"
+            "    except MismatchError as exc:\n"
+            "        print('mismatch:', exc)\n"
+            "    for name, fn in real.items():\n"
+            "        setattr(networks, name, fn)\n")
+        here = os.path.dirname(__file__)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([os.path.join(here, "..", "src"), here])}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "mismatch: " + VALUE_CHECKS[i][0] for i in picked]
+        assert len(picked) == 3
 
 
 class TestSolutionScores:

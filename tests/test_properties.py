@@ -10,6 +10,8 @@ from gkcover import (
     build_dag,
     certify_antichain,
     certify_chain,
+    gen_ga,
+    gen_gc,
     greedy_k_antichains,
     greedy_k_chains,
     greedy_weighted_chain_cover,
@@ -21,6 +23,7 @@ from gkcover import (
 from gkcover.cli import format_dag, parse_dag
 from gkcover.flowcore import min_flow, residual, route_paths
 from gkcover.greedy import _extract_antichain, build_subset_network, cover_paths
+from gkcover.networks import height_levels
 
 import dag_reference
 
@@ -290,6 +293,7 @@ def test_certifiers_match_the_pairwise_reference(drawn):
     _check_certifiers(*drawn)
 
 
+
 def test_certifier_cases_cover_every_kind():
     # the property's members, drawn on seeded DAGs, reach every case
     seen = set()
@@ -304,3 +308,31 @@ def test_certifier_cases_cover_every_kind():
         ("antichain", "ok"), ("antichain", "NotAntichainError"), ("antichain", "IndexError"),
         ("chain", "along edges"), ("chain", "off the edges"), ("chain", "repeat"),
         ("chain", "gap"), ("chain", "IndexError")}
+
+
+# Round 1 of either greedy is exact, so the min-flow engine and the
+# circulation must agree on it at any n (Dilworth on the antichain side,
+# Mirsky on the chain side), far past the oracles' n <= 10.
+
+def _check_first_round_anchors(dag):
+    mpc, first = minimum_path_cover(dag)
+    assert mpc == first.gain == solve_alpha(dag, 1).alpha
+    assert greedy_k_antichains(dag, 1)[0].coverage() == mpc
+    assert greedy_k_chains(dag, 1)[0].coverage() == solve_beta(dag, 1).beta \
+        == len(height_levels(dag))
+
+
+@pytest.mark.parametrize("gen,i", [(gen_gc, i) for i in range(1, 8)]
+                         + [(gen_ga, i) for i in range(1, 5)])
+def test_first_round_anchors_on_the_generated_families(gen, i):
+    _check_first_round_anchors(gen(i).dag)
+
+
+def test_first_round_anchors_on_the_empty_dag():
+    _check_first_round_anchors(build_dag(0, []))
+
+
+@given(sparse_dags())
+@settings(max_examples=60, deadline=None)
+def test_first_round_anchors_up_to_150_vertices(drawn):
+    _check_first_round_anchors(drawn[0])
