@@ -36,12 +36,14 @@ per augmentation and one more. After an augmentation only the nodes the
 search settled change potential: the rest would all move by the same
 amount, and every use of the potentials is a difference. The
 optimality certificate runs on the solver's own capacities, once they
-are checked to equal residual() of the flow: a Bellman-Ford
-negative-cycle search started from the labels, the one Bellman-Ford
-left, which confirms a valid potential in one pass of C-level maps and
-builds its arc list for the full search only for other labels.
-check_distances proves in O(m) that given labels are the exact shortest
-distances, so callers can read the labels without trusting them.
+are checked to equal residual() of the flow: one reduced-cost pass of
+the capacities and labels (ReducedCosts, C-level maps) confirms a valid
+potential, and only other labels go on to the full Bellman-Ford
+negative-cycle search, the one Bellman-Ford left. check_distances
+proves in O(m) that given labels are the exact shortest distances, so
+callers can read the labels without trusting them. Handed the solve's
+pass, it reuses it for capacities and labels equal to the copies the
+pass keeps, and computes a new pass for any others.
 
 min_flow pushes along breadth-first t-to-s residual paths over the same
 paired arcs, in place, on capacities its caller built once: the greedy
@@ -60,7 +62,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import add, gt, mul, neg, not_, sub
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConservationError, InfeasibleFlowError, InvalidCycleError, MismatchError
 
@@ -398,32 +400,57 @@ def residual(net: SplitNetwork, f: Sequence[int]) -> list[int]:
     return cap
 
 
-def _slack(net: SplitNetwork, cap: Sequence[int],
-           d: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """Tail, head and reduced cost d[u] + c - d[w] of every residual arc
-    with room, in id order; MismatchError unless there is one label per
-    node."""
+class ReducedCosts(NamedTuple):
+    """One reduced-cost pass over a residual graph: the network, copies of
+    the capacities and labels it was computed from, and the tail, head
+    and reduced cost d[u] + c - d[w] of every residual arc with room
+    under them, in id order. Only _slack builds one."""
+
+    net: SplitNetwork
+    cap: list[int]
+    labels: list[int]
+    tails: list[int]
+    heads: list[int]
+    slack: list[int]
+
+
+def _slack(net: SplitNetwork, cap: Sequence[int], d: Sequence[int]) -> ReducedCosts:
+    """The reduced-cost pass of ``cap`` and ``d``; MismatchError unless
+    there is one label per node."""
     if len(d) != net.m:
         raise MismatchError(f"{len(d)} labels for a residual graph of {net.m} nodes")
+    cap, d = list(cap), list(d)
     tail, head, cost, _ = net._paired
     room = list(map(gt, cap, repeat(0)))
     tails, heads = list(compress(tail, room)), list(compress(head, room))
     get = d.__getitem__
     slack = list(map(sub, map(add, map(get, tails), compress(cost, room)),
                      map(get, heads)))
-    return tails, heads, slack
+    return ReducedCosts(net, cap, d, tails, heads, slack)
+
+
+def _reduced_costs(net: SplitNetwork, cap: Sequence[int], d: Sequence[int],
+                   reduced: Optional[ReducedCosts]) -> ReducedCosts:
+    """``reduced`` if it was computed on ``net`` from capacities and
+    labels equal to ``cap`` and ``d``, else a new pass of them. The pass
+    holds its own copies, so a list changed since cannot reuse it."""
+    if reduced is not None and reduced.net is net and reduced.cap == cap and reduced.labels == d:
+        return reduced
+    return _slack(net, cap, d)
 
 
 def find_negative_cycle(net: SplitNetwork, cap: Sequence[int],
-                        labels: Optional[Sequence[int]] = None) -> Optional[list[int]]:
+                        labels: Optional[Sequence[int]] = None,
+                        reduced: Optional[ReducedCosts] = None) -> Optional[list[int]]:
     """Return the residual arc ids of one negative-cost cycle, or None,
     over the network's paired arcs with room under ``cap``.
 
     Bellman-Ford from a virtual source, scanning the arcs with room in id
     order, with the labels starting at ``labels`` (zeros when not given;
     MismatchError unless there is one per node). Labels that no arc
-    improves, a valid potential, are confirmed by one pass over the
-    reduced costs, and only other labels build the arc list for the full
+    improves, a valid potential, are confirmed by the minimum of one
+    reduced-cost pass, ``reduced`` when it was computed from ``cap`` and
+    these labels, and only other labels build the arc list for the full
     search, whose verdict does not depend on them. If labels still
     improve after m rounds, walking the predecessor arcs lands on a
     negative cycle. Of a returned id r, ``r >> 1`` is the network arc,
@@ -431,7 +458,7 @@ def find_negative_cycle(net: SplitNetwork, cap: Sequence[int],
     """
     m = net.m
     dist = [0] * m if labels is None else list(labels)
-    if min(_slack(net, cap, dist)[2], default=0) >= 0:
+    if min(_reduced_costs(net, cap, dist, reduced).slack, default=0) >= 0:
         return None
     tail, head, cost, _ = net._paired
     arcs = [(r, u, w, c) for r, (u, w, c, x) in enumerate(zip(tail, head, cost, cap)) if x > 0]
@@ -470,7 +497,8 @@ def find_negative_cycle(net: SplitNetwork, cap: Sequence[int],
     return found
 
 
-def check_distances(net: SplitNetwork, cap: Sequence[int], s: int, d: Sequence[int]) -> None:
+def check_distances(net: SplitNetwork, cap: Sequence[int], s: int, d: Sequence[int],
+                    reduced: Optional[ReducedCosts] = None) -> None:
     """Raise MismatchError unless ``d`` holds the exact shortest distances
     from s over the network's paired arcs with room under ``cap``.
 
@@ -478,11 +506,13 @@ def check_distances(net: SplitNetwork, cap: Sequence[int], s: int, d: Sequence[i
     node: d[s] is zero, no arc (u, w, c) has d[w] > d[u] + c, and the
     arcs with d[w] == d[u] + c reach every node from s. The first two
     bound every label by the cost of any path to it, the third gives
-    each label a path of exactly that cost. The arcs' reduced costs are
-    computed in one pass of C-level maps; only a failure walks them.
+    each label a path of exactly that cost. They run on one reduced-cost
+    pass: ``reduced`` when it was computed from ``cap`` and ``d``, else a
+    new one of C-level maps; only a failure walks it.
     """
     m = net.m
-    tails, heads, slack = _slack(net, cap, d)
+    p = _reduced_costs(net, cap, d, reduced)
+    tails, heads, slack = p.tails, p.heads, p.slack
     if d[s] != 0:
         raise MismatchError(f"the labels do not start at 0 on node {s}")
     if min(slack, default=0) < 0:
@@ -518,15 +548,18 @@ class CirculationResult:
     """An optimal circulation with its augmentation count and cost (the
     solve starts from the zero flow, of cost 0), ``labels``: the exact
     shortest distances from the head of the return arc over the residual
-    graph of the flow, the return arc's forward pair aside, and ``cap``:
+    graph of the flow, the return arc's forward pair aside, ``cap``:
     the solver's residual capacities of the flow, which the certificate
-    has checked to equal residual() of it."""
+    has checked to equal residual() of it, and ``reduced``: the
+    certificate's reduced-cost pass of ``cap`` and ``labels``, which
+    check_distances reuses while both are unchanged."""
 
     flow: list[int]
     iterations: int
     final_cost: int
     labels: list[int]
     cap: list[int]
+    reduced: ReducedCosts
 
 
 def _start_potentials(net: SplitNetwork, cap: list[int]) -> list[int]:
@@ -627,10 +660,12 @@ def min_cost_circulation(net: SplitNetwork) -> CirculationResult:
 
     The capacities of residual() are updated in place. The certificate
     runs on them: residual() of the final flow, which runs
-    check_feasible's checks, must equal them, and a
-    Bellman-Ford search for a negative residual cycle started from the
-    labels confirms a valid potential in one pass and searches in full
-    otherwise.
+    check_feasible's checks, must equal them, and a Bellman-Ford search
+    for a negative residual cycle started from the labels confirms a
+    valid potential by the minimum of one reduced-cost pass of the
+    capacities and labels, and searches in full otherwise. The pass is
+    returned (``reduced``) for check_distances to prove the labels exact
+    without computing it again.
     """
     if net.ts_arc is None:
         raise InvalidCycleError("min_cost_circulation expects a network with a return arc")
@@ -675,12 +710,13 @@ def min_cost_circulation(net: SplitNetwork) -> CirculationResult:
     labels = [(x if x != math.inf else far) + p - p0 for x, p in zip(dist, pi)]
     if cap != residual(net, f):
         raise MismatchError("the solver's residual capacities differ from its flow's")
-    if find_negative_cycle(net, cap, labels) is not None:
+    reduced = _slack(net, cap, labels)
+    if find_negative_cycle(net, cap, labels, reduced) is not None:
         raise MismatchError("a negative residual cycle remains after the last augmentation")
     cf = net.flow_cost(f)
     if iterations > -cf:
         raise MismatchError(f"{iterations} augmentations for a cost improvement of {-cf}")
-    return CirculationResult(f, iterations, cf, labels, cap)
+    return CirculationResult(f, iterations, cf, labels, cap, reduced)
 
 
 @dataclass

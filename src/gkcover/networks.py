@@ -8,29 +8,33 @@ then equals alpha_k - n, respectively -beta_k. The network is a
 flowcore.SplitNetwork, which owns the layout, and goes to the solvers as
 it is. Every solve starts from the zero flow and runs
 flowcore.min_cost_circulation (successive shortest paths, certified on
-the solver's own residual capacities by a negative-cycle search seeded
-with its final labels). Chain witnesses are the flow's unit paths, read
-off one vertex at a time by flowcore.peel_paths and certified as graph
-paths; their disjoint remnants are certified as chains, each as a
-subsequence of its path, with no reachability search. Antichain
-witnesses are read off the solver's labels, the residual shortest
-distances from s, once flowcore.check_distances has proved them exact on
-the residual capacities of the reported flow: for problem Alpha the
-solver's own list, for problem Beta the one residual() build of the
-padded flow, which is also that flow's one feasibility check. Each
-level is certified as an antichain by one sweep of the topological
-order. So every member of every family a solve returns is certified,
-except the one-vertex members that complete a partition. Every value a
-witness family scores is checked against the circulation cost, raising
-MismatchError on a difference, as are two of
-the paper's guarantees: at most alpha_k / k augmentations for problem
-Alpha, and beta_1 equal to the DAG's height (Mirsky).
+the solver's own residual capacities by one reduced-cost pass of its
+final labels, which falls back to a negative-cycle search only when an
+arc has negative reduced cost). Chain witnesses are the flow's unit
+paths, read off one vertex at a time by flowcore.peel_paths and
+certified as graph paths; their disjoint remnants are certified as
+chains, each as a subsequence of its path, with no reachability search.
+Antichain witnesses are read off the solver's labels, the residual
+shortest distances from s, once flowcore.check_distances has proved them
+exact on the residual capacities of the reported flow. For problem
+Alpha, and for problem Beta when nothing is padded, these are the
+solver's own list, which its certificate checked, and the proof reuses
+the certificate's reduced-cost pass. A padded problem Beta flow gets the
+one residual() build of the padded flow, which is also that flow's one
+feasibility check, and a pass of its own. Each level is certified as an
+antichain by one sweep of the topological order. So every member of
+every family a solve returns is certified, except the one-vertex
+members that complete a partition. Every value a witness family scores
+is checked against the circulation cost, raising MismatchError on a
+difference, as are two of the paper's guarantees: at most alpha_k / k
+augmentations for problem Alpha, and beta_1 equal to the DAG's height
+(Mirsky).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .dagcore import (
     Antichain,
@@ -48,6 +52,7 @@ from .dagcore import (
 from .errors import MismatchError
 from .flowcore import (
     INF,
+    ReducedCosts,
     SplitNetwork,
     check_distances,
     min_cost_circulation,
@@ -156,19 +161,21 @@ def height_levels(dag: Dag) -> list[list[int]]:
     return levels
 
 
-def extract_antichains(gk: GkNetwork, cap: list[int], labels: Sequence[int]) -> Family:
+def extract_antichains(gk: GkNetwork, cap: list[int], labels: Sequence[int],
+                       reduced: Optional[ReducedCosts] = None) -> Family:
     """Antichain levels from residual shortest-path labels.
 
     ``cap`` holds the residual capacities of the circulation (for
     problem Beta, of its padded flow), and ``labels`` are its residual
     distances from s; they are checked to be exact under ``cap``
-    (MismatchError otherwise).
+    (MismatchError otherwise), on the reduced-cost pass ``reduced`` when
+    it was computed from this ``cap`` and these labels, else on a new one.
     Vertex v lands in level d(v_in) - d(t) whenever d(v_in) > d(v_out);
     level indices run 1..d(s)-d(t).
     """
     if gk.n == 0:
         return Family((), disjoint=True)
-    check_distances(gk, cap, gk.s, labels)
+    check_distances(gk, cap, gk.s, labels, reduced)
     d = labels
     dt = d[gk.t]
     h = -dt
@@ -209,21 +216,24 @@ class BetaResult:
 
 
 def normalize_beta(gk: GkNetwork, f: list[int]) -> list[int]:
-    """Pad a copy of the flow to route exactly k units, at zero extra cost.
+    """The flow padded to route exactly k units, at zero extra cost.
 
     Spare units go through vertex 0's overflow arc, so the cost and the
-    cover arcs are untouched. Nothing is padded on the empty graph.
+    cover arcs are untouched, which MismatchError checks on the padded
+    copy. With nothing to pad, on the empty graph or when f routes k
+    units already, f itself is returned.
     """
     if gk.kind != BETA:
         raise ValueError(f"normalize_beta needs a {BETA} network, got {gk.kind}")
-    out = list(f)
     if gk.n == 0:
-        return out
-    pad = gk.k - out[gk.ts_arc]
+        return f
+    pad = gk.k - f[gk.ts_arc]
     _expect(pad >= 0, f"return arc carries {gk.k - pad} units, more than k={gk.k}")
-    if pad:
-        for ai in (gk.entry(0), gk.gadget(0, OVERFLOW), gk.exit(0), gk.ts_arc):
-            out[ai] += pad
+    if not pad:
+        return f
+    out = list(f)
+    for ai in (gk.entry(0), gk.gadget(0, OVERFLOW), gk.exit(0), gk.ts_arc):
+        out[ai] += pad
     _expect(gk.flow_cost(out) == gk.flow_cost(f), "padding changed the circulation cost")
     return out
 
@@ -258,7 +268,7 @@ def solve_alpha(dag: Dag, k: int) -> AlphaResult:
     mcp_value = knorm_partition(mcp_family, n, k)
     _expect(mcp_value == alpha_k, f"chain partition norm {mcp_value} != alpha {alpha_k}")
     if routed:
-        ma_family = extract_antichains(gk, circ.cap, circ.labels)
+        ma_family = extract_antichains(gk, circ.cap, circ.labels, circ.reduced)
     else:
         height = len(gk.levels)
         _expect(height <= k, f"zero circulation optimal at height {height} > k={k}")
@@ -294,8 +304,10 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
         _expect(beta_k == len(gk.levels),
                 f"beta_1 = {beta_k} differs from the height {len(gk.levels)}")
     fN = normalize_beta(gk, f)
-    # residual() checks the padded flow, which peel_paths does not
-    cap = residual(gk, fN)
+    # Unpadded, fN is f, whose residual the certificate checked against
+    # circ.cap. Padded, residual() checks fN, which peel_paths does not,
+    # and extract_antichains computes a new pass for its capacities.
+    cap = circ.cap if fN is f else residual(gk, fN)
     peeled = peel_paths(gk, fN)
     if n > 0:
         _expect(len(peeled) == k, f"expected k={k} paths, got {len(peeled)}")
@@ -309,7 +321,7 @@ def solve_beta(dag: Dag, k: int) -> BetaResult:
     mc_value = mc_family.coverage()
     _expect(mc_value == beta_k, f"chain coverage {mc_value} != beta {beta_k}")
     _expect(len(mc_family) <= k, f"{len(mc_family)} chains for k={k}")
-    mas_family = extract_antichains(gk, cap, circ.labels)
+    mas_family = extract_antichains(gk, cap, circ.labels, circ.reduced)
     mas_value = knorm_collection(mas_family.members, n, k)
     _expect(mas_value == beta_k, f"antichain collection norm {mas_value} != beta {beta_k}")
     map_family = partition_completion(mas_family, n, Antichain)

@@ -215,7 +215,7 @@ class TestMinCostCirculation:
     def test_certificate_failure_is_a_mismatch(self, monkeypatch):
         net = two_node_circulation()
         cycle = find_negative_cycle(net, residual(net, zero_flow(net)))
-        monkeypatch.setattr(flowcore, "find_negative_cycle", lambda net, cap, labels: cycle)
+        monkeypatch.setattr(flowcore, "find_negative_cycle", lambda net, cap, labels, reduced: cycle)
         with pytest.raises(MismatchError):
             min_cost_circulation(net)
 

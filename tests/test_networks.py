@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gkcover import networks
+from gkcover import flowcore, networks
 from gkcover import (
     Antichain,
     Chain,
@@ -16,8 +16,16 @@ from gkcover import (
     solve_alpha,
     solve_beta,
 )
-from gkcover.errors import MismatchError, NotChainError
-from gkcover.flowcore import INF, min_cost_circulation, residual, zero_flow
+from gkcover.adversarial import gen_gc
+from gkcover.errors import InfeasibleFlowError, MismatchError, NotChainError
+from gkcover.flowcore import (
+    INF,
+    check_distances,
+    find_negative_cycle,
+    min_cost_circulation,
+    residual,
+    zero_flow,
+)
 from gkcover.networks import (
     ALPHA,
     BETA,
@@ -359,10 +367,10 @@ def _solved_for_k_plus_1(real):
 def _raised_label(node, by):
     """A stub for extract_antichains that raises one node's label."""
     def stub(real):
-        def extract(gk, cap, labels):
+        def extract(gk, cap, labels, reduced):
             labels = list(labels)
             labels[node(gk)] += by
-            return real(gk, cap, labels)
+            return real(gk, cap, labels, reduced)
         return extract
     return stub
 
@@ -479,6 +487,123 @@ class TestEveryValueCheckFires:
         assert proc.stdout.splitlines() == [
             "mismatch: " + VALUE_CHECKS[i][0] for i in picked]
         assert len(picked) == 3
+
+
+class TestOneReducedCostPass:
+    """An exact solve computes the reduced costs of each distinct residual
+    graph once, and the pass it shares is never reused for other
+    capacities or labels."""
+
+    # (solver, DAG, k, units beta pads, reduced-cost passes, residual() builds)
+    CASES = {
+        "alpha": (solve_alpha, build_dag(9, FIG_EDGES), 2, None, 1, 2),
+        "unpadded beta": (solve_beta, build_dag(9, FIG_EDGES), 2, 0, 1, 2),
+        "padded beta": (solve_beta, gen_gc(4).dag, 4, 2, 2, 3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_passes_and_builds_per_solve(self, monkeypatch, case):
+        solver, dag, k, padded, passes, builds = self.CASES[case]
+        if solver is solve_beta:
+            gk = build_network(dag, k, BETA)
+            assert k - min_cost_circulation(gk).flow[gk.ts_arc] == padded
+        counts = {"_slack": 0, "residual": 0}
+
+        def counted(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(flowcore, "_slack", counted("_slack", flowcore._slack))
+        build = counted("residual", flowcore.residual)
+        monkeypatch.setattr(flowcore, "residual", build)
+        monkeypatch.setattr(networks, "residual", build)
+        solver(dag, k)
+        assert counts == {"_slack": passes, "residual": builds}
+
+    @pytest.mark.parametrize("kind", [ALPHA, BETA])
+    def test_perturbed_cap_gets_a_new_pass(self, fig, kind):
+        gk = build_network(fig, 2, kind)
+        circ = min_cost_circulation(gk)
+        check_distances(gk, circ.cap, gk.s, circ.labels, circ.reduced)
+        fired = 0
+        for r, x in enumerate(circ.cap):
+            cap = list(circ.cap)
+            cap[r] = 0 if x > 0 else 1
+            try:
+                check_distances(gk, cap, gk.s, circ.labels)
+            except MismatchError:
+                fired += 1
+                with pytest.raises(MismatchError):
+                    check_distances(gk, cap, gk.s, circ.labels, circ.reduced)
+                with pytest.raises(MismatchError):
+                    networks.extract_antichains(gk, cap, circ.labels, circ.reduced)
+        assert fired > 0
+
+    def test_lists_changed_in_place_get_a_new_pass(self, fig):
+        gk = build_network(fig, 2, ALPHA)
+        circ = min_cost_circulation(gk)
+        circ.labels[gk.v_in(0)] -= 1
+        with pytest.raises(MismatchError):
+            networks.extract_antichains(gk, circ.cap, circ.labels, circ.reduced)
+        circ.labels[gk.v_in(0)] += 1
+        tail, head, cost, _ = gk._paired
+        d = circ.labels
+        r = next(r for r, x in enumerate(circ.cap)
+                 if x == 0 and d[tail[r]] + cost[r] < d[head[r]])
+        circ.cap[r] = 1
+        with pytest.raises(MismatchError):
+            networks.extract_antichains(gk, circ.cap, circ.labels, circ.reduced)
+
+    @pytest.mark.parametrize("labels", [lambda d: d[:-1], lambda d: [*d, 0]],
+                             ids=["one short", "one over"])
+    def test_wrong_label_count_is_a_mismatch(self, fig, labels):
+        gk = build_network(fig, 2, ALPHA)
+        circ = min_cost_circulation(gk)
+        d = labels(circ.labels)
+        for check in (lambda: check_distances(gk, circ.cap, gk.s, d, circ.reduced),
+                      lambda: networks.extract_antichains(gk, circ.cap, d, circ.reduced),
+                      lambda: find_negative_cycle(gk, circ.cap, d, circ.reduced)):
+            with pytest.raises(MismatchError, match="labels for a residual graph"):
+                check()
+
+    def test_pass_does_not_vouch_for_other_capacities(self, fig):
+        gk = build_network(fig, 2, ALPHA)
+        circ = min_cost_circulation(gk)
+        # the zero flow is not optimal, so its residual graph has a negative cycle
+        cap = residual(gk, zero_flow(gk))
+        assert find_negative_cycle(gk, cap, circ.labels, circ.reduced) is not None
+
+    def test_perturbed_cap_survives_optimized_python(self):
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import build_dag, networks\n"
+            "from gkcover.errors import MismatchError\n"
+            "from gkcover.flowcore import min_cost_circulation\n"
+            "gk = networks.build_network(build_dag(3, [(0, 1)]), 1, networks.ALPHA)\n"
+            "circ = min_cost_circulation(gk)\n"
+            "tail, head, cost, _ = gk._paired\n"
+            "d = circ.labels\n"
+            "circ.cap[next(r for r, x in enumerate(circ.cap)\n"
+            "              if x == 0 and d[tail[r]] + cost[r] < d[head[r]])] = 1\n"
+            "try:\n"
+            "    networks.extract_antichains(gk, circ.cap, d, circ.reduced)\n"
+            "except MismatchError as exc:\n"
+            "    print('mismatch:', exc)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("mismatch: residual arc")
+
+    def test_padded_flow_is_checked(self, fig, monkeypatch):
+        # one more unit on vertex 0's entry arc and nowhere else
+        monkeypatch.setattr(networks, "normalize_beta", lambda gk, f: [f[0] + 1, *f[1:]])
+        with pytest.raises(InfeasibleFlowError, match="conservation fails"):
+            solve_beta(fig, 2)
 
 
 class TestSolutionScores:
