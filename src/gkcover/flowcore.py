@@ -48,11 +48,11 @@ pass keeps, and computes a new pass for any others.
 min_flow pushes along breadth-first t-to-s residual paths over the same
 paired arcs, in place, on capacities its caller built once: the greedy
 rounds keep one list per run and relax it between rounds. residual()
-checks the start flow, and min_flow checks every flow it returns. Its
-last, failed search marks the nodes reachable from t
-(MinFlowResult.t_reach), the cut that a maximum antichain is read off.
-route_paths and peel_paths turn vertex sequences into a SplitNetwork's
-unit paths and back.
+checks the start flow, and min_flow proves each push in O(path), so
+every flow it returns is feasible by induction. Its last, failed search
+marks the nodes reachable from t (MinFlowResult.t_reach), the cut that
+a maximum antichain is read off. route_paths and peel_paths turn
+vertex sequences into a SplitNetwork's unit paths and back.
 """
 
 from __future__ import annotations
@@ -764,19 +764,51 @@ def _residual_bfs(out: list[list[int]], head: list[int], cap: list[int],
     return None, seen
 
 
+def _proved_push(net: SplitNetwork, cap: Sequence[int], path: Sequence[int]) -> int:
+    """The bottleneck of ``path`` (arcs s first, as _residual_bfs returns
+    them), once proved in O(path) that its arcs are distinct paired arcs
+    joining t to s, their ends read off the network's own ``tail`` and
+    ``head`` (2i runs tail[i] to head[i], 2i + 1 back), and that the
+    bottleneck is at least 1; MismatchError otherwise."""
+    if path and (min(path) < 0 or max(path) >= len(cap)):
+        raise MismatchError(f"the path names an arc outside 0..{len(cap) - 1}")
+    if len(set(path)) < len(path):
+        raise MismatchError("the path takes an arc twice")
+    tail, head = net.tail, net.head
+    x = net.t
+    for r in reversed(path):
+        u, w = (head[r >> 1], tail[r >> 1]) if r & 1 else (tail[r >> 1], head[r >> 1])
+        if u != x:
+            raise MismatchError(f"residual arc {r} leaves node {u}, not node {x}")
+        x = w
+    if x != net.s:
+        raise MismatchError(f"the path ends at node {x}, not at s = {net.s}")
+    push = min(map(cap.__getitem__, path))
+    if push < 1:
+        raise MismatchError(f"a push of {push} along the path")
+    return push
+
+
 def min_flow(net: SplitNetwork, cap: list[int], f: list[int]) -> MinFlowResult:
     """Reduce a feasible s-t flow to minimum value, in place.
 
     ``cap`` must equal residual(net, f): built by residual(), which
-    checks the flow, and kept exact since. min_flow does not re-check
-    that (a rebuild costs twice its closing check_feasible): stale
-    capacities go unnoticed, and the flow returned, though feasible,
-    need not be minimal. Repeatedly finds a t-to-s
+    checks the flow, and kept exact since. Repeatedly finds a t-to-s
     residual path by breadth-first search and pushes the bottleneck
     along it, updating ``cap`` and ``f`` in place, so both stay exact
-    for a caller that relaxes bounds and reduces again. Feasibility of
-    the result is checked. Each push lowers the flow value, so
-    successful searches are bounded by the total decrease.
+    for a caller that relaxes bounds and reduces again. Each push lowers
+    the flow value, so successful searches are bounded by the total
+    decrease, and more pushes than the value fell raise MismatchError.
+
+    The result is feasible by induction, with no O(arcs) check: the
+    start flow is, as residual() checked, and _proved_push proves each
+    path before its push. A push along distinct arcs from t to s, each
+    with room, keeps a flow feasible: the path's interior nodes stay
+    balanced, s and t are free without a return arc, and no capacity
+    goes negative. Changes made outside min_flow go unnoticed: stale
+    capacities (the flow returned, though feasible, need not be
+    minimal), and a flow changed between calls without a change to its
+    value. Only code outside gkcover can make either.
     """
     if net.ts_arc is not None:
         raise InvalidCycleError("min_flow expects a network without a return arc")
@@ -789,9 +821,8 @@ def min_flow(net: SplitNetwork, cap: list[int], f: list[int]) -> MinFlowResult:
         path, reach = _residual_bfs(out, head, cap, net.t, net.s)
         if path is None:
             break
-        _augment(path, min(map(cap.__getitem__, path)), cap, f)
+        _augment(path, _proved_push(net, cap, path), cap, f)
         pushes += 1
-    check_feasible(net, f)
     if pushes > v0 - net.flow_value(f):
         raise MismatchError(
             f"{pushes} pushes for a value decrease of {v0 - net.flow_value(f)}")

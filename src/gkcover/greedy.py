@@ -10,6 +10,8 @@ Antichains come from minimum flows on one flowcore.SplitNetwork, one
 flow list and one residual capacity list per run: lower bounds drop as
 vertices are covered, and each round reduces the previous round's flow
 in place. _antichain_rounds is the module's only minimum-flow driver.
+residual() checks the start flow once per run; after that min_flow
+proves each push in O(path), and no round re-checks the whole flow.
 Each round reads its antichain off the cut that min_flow's last, failed
 search leaves (MinFlowResult.t_reach), so no search is run twice.
 Every path, chain and antichain a greedy returns is certified as it is
@@ -318,10 +320,12 @@ def _antichain_rounds(dag: Dag) -> Iterator[tuple[Antichain, GreedyRound]]:
     rounds to a minimum flow; later rounds reduce the previous round's
     flow in place, which stays feasible because covered vertices only
     lose their lower bound, and the capacities follow by raising each
-    released gadget arc's undo capacity. min_flow checks the flow every
-    round ends with. A yielded antichain leaves U when the next round is
-    asked for; until then U stays range(n), so a caller that reads only
-    round 1 never builds a set of every vertex.
+    released gadget arc's undo capacity. residual() checks the start
+    flow once, and min_flow proves each push it makes, so the flow every
+    round ends with is feasible without an O(arcs) check per round. A
+    yielded antichain leaves U when the next round is asked for; until
+    then U stays range(n), so a caller that reads only round 1 never
+    builds a set of every vertex.
     """
     uncovered: Collection[int] = range(dag.n)
     split = build_subset_network(dag, uncovered)

@@ -373,8 +373,9 @@ class TestMinFlow:
             reduce(net, zero_flow(net))
 
     def test_push_bound_is_checked(self, monkeypatch):
-        # a search that returns an arc and its own undo arc makes a push
-        # that leaves the value unchanged
+        # a search that returns an arc and its own undo arc would make a
+        # push that leaves the value unchanged; the path proof rejects
+        # it first, since the undo arc of s -> 1 does not leave t
         real = flowcore._residual_bfs
         calls = []
 
@@ -385,8 +386,79 @@ class TestMinFlow:
             return real(out, head, cap, src, dst)
 
         monkeypatch.setattr(flowcore, "_residual_bfs", with_idle_push)
-        with pytest.raises(MismatchError, match="2 pushes for a value decrease of 1"):
+        with pytest.raises(MismatchError, match="^residual arc 1 leaves node 1, not node 3$"):
             reduce(diamond(), [1, 0, 1, 0])
+
+    def test_push_bound_sees_a_value_raised_after_the_last_search(self, monkeypatch):
+        # one proved push takes the value from 1 to 0; raising it again
+        # along s -> 1 -> t before the close leaves a decrease of 0
+        f = [1, 0, 1, 0]
+        real = flowcore._residual_bfs
+
+        def raise_value_after_the_last_search(out, head, cap, src, dst):
+            path, seen = real(out, head, cap, src, dst)
+            if path is None:
+                f[0] += 1
+                f[2] += 1
+            return path, seen
+
+        monkeypatch.setattr(flowcore, "_residual_bfs", raise_value_after_the_last_search)
+        with pytest.raises(MismatchError, match="^1 pushes for a value decrease of 0$"):
+            reduce(diamond(), f)
+
+
+class TestPushProof:
+    """min_flow proves each search's path before it pushes: the arcs join
+    head to tail from t to s, each at most once, with room for the push.
+    On the diamond, s = 0 and t = 3; paired arc 2i runs along arc i and
+    2i + 1 against it, and a path lists its arcs s first."""
+
+    @pytest.mark.parametrize("flow, path, message", [
+        # 1 -> 3 then 1 -> 0: the first arc from t leaves node 1
+        ([1, 0, 1, 0], [1, 4], "residual arc 4 leaves node 1, not node 3"),
+        # 3 -> 1 then 2 -> 0: no arc joins node 1 to node 2
+        ([1, 1, 1, 1], [3, 5], "residual arc 3 leaves node 2, not node 1"),
+        # 3 -> 1 leaves t but stops short of s
+        ([1, 0, 1, 0], [5], "the path ends at node 1, not at s = 0"),
+        # 3 -> 2 -> 0 joins t to s, but neither arc has room
+        ([1, 0, 1, 0], [3, 7], "a push of 0 along the path"),
+        # 3 -> 1 -> 3 -> 1 -> 0 takes the undo arc of 1 -> 3 twice
+        ([1, 1, 1, 1], [1, 5, 4, 5], "the path takes an arc twice"),
+        ([1, 1, 1, 1], [-1], r"the path names an arc outside 0\.\.7"),
+    ], ids=["first-arc-not-from-t", "gap", "short-of-s", "no-room", "repeated-arc",
+            "bad-id"])
+    def test_bad_path_is_rejected(self, monkeypatch, flow, path, message):
+        # the bad path once, then no path, so that an unproved push ends
+        paths = [path]
+        monkeypatch.setattr(flowcore, "_residual_bfs",
+                            lambda out, head, cap, src, dst:
+                            (paths.pop() if paths else None, [False] * len(out)))
+        f = list(flow)
+        with pytest.raises(MismatchError, match=f"^{message}$"):
+            reduce(diamond(), f)
+        assert f == flow
+
+    def test_proof_survives_optimized_python(self):
+        # the entry of vertex 0, s -> 0_in, does not leave t (node 7)
+        script = (
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "from gkcover import build_dag, flowcore, greedy\n"
+            "from gkcover.errors import MismatchError\n"
+            "paths = [[0]]\n"
+            "def bad_once(out, head, cap, src, dst):\n"
+            "    return paths.pop() if paths else None, [False] * len(out)\n"
+            "flowcore._residual_bfs = bad_once\n"
+            "try:\n"
+            "    greedy.greedy_k_antichains(build_dag(3, [(0, 1)]), 1)\n"
+            "except MismatchError as exc:\n"
+            "    print('mismatch:', exc)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "mismatch: residual arc 0 leaves node 6, not node 7\n"
 
 
 def _random_subset_network(seed):

@@ -9,6 +9,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flow_reference
 import greedy_reference
 from gkcover import cli, flowcore, greedy
 from gkcover import (
@@ -28,7 +29,7 @@ from gkcover import (
     solve_beta,
 )
 from gkcover.dagcore import GraphPath
-from gkcover.errors import InfeasibleFlowError, MismatchError
+from gkcover.errors import MismatchError
 from gkcover.flowcore import INF, SplitNetwork, min_flow, residual, route_paths
 from gkcover.greedy import (
     GreedyRound,
@@ -554,8 +555,8 @@ class TestTraceChecks:
 
     def test_every_round_checks_its_flow(self, fig, monkeypatch):
         # the flow that round 1 reduces is carried into every later
-        # round; corrupting it after round 2's last search must be
-        # caught before round 2 is reported
+        # round; raising its value after round 2's last search must be
+        # caught before round 2 is reported, by the push count
         flows = []
         real_seed = greedy.route_paths
 
@@ -576,7 +577,7 @@ class TestTraceChecks:
 
         monkeypatch.setattr(greedy, "route_paths", seed)
         monkeypatch.setattr(flowcore, "_residual_bfs", corrupt_after_round_2)
-        with pytest.raises(InfeasibleFlowError, match="conservation fails at node 0"):
+        with pytest.raises(MismatchError, match="^3 pushes for a value decrease of 2$"):
             greedy_k_antichains(fig, 3)
         assert len(failed) == 2
 
@@ -603,6 +604,53 @@ class TestTraceChecks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("mismatch: ")
         assert "exceed the warm-start bound" in proc.stdout
+
+
+class TestFlowChecks:
+    """An antichain request checks its start flow once, in residual(), and
+    no flow in full after that: min_flow proves each push instead."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda dag: greedy_k_antichains(dag, 3),
+        lambda dag: greedy_antichain_cover(dag, 1),
+        minimum_path_cover,
+    ], ids=["greedy_k_antichains", "greedy_antichain_cover", "minimum_path_cover"])
+    def test_one_full_check_per_request(self, solve, monkeypatch):
+        built = []
+        real = greedy.residual
+
+        def counted(net, f):
+            built.append(1)
+            return real(net, f)
+
+        def refused(net, values):
+            raise AssertionError("check_feasible called")
+
+        monkeypatch.setattr(greedy, "residual", counted)
+        monkeypatch.setattr(flowcore, "check_feasible", refused)
+        solve(gen_gc(6).dag)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("dag", [gen_gc(i).dag for i in range(6, 10)]
+                             + [gen_ga(i).dag for i in (4, 5)],
+                             ids=[f"gc{i}" for i in range(6, 10)] + ["ga4", "ga5"])
+    def test_every_round_ends_feasible_with_exact_capacities(self, dag, monkeypatch):
+        # the reference's per-arc check and a rebuilt residual graph after
+        # every round, run until U is empty
+        rounds = []
+        real = greedy.min_flow
+
+        def rechecked(net, cap, f):
+            result = real(net, cap, f)
+            flow_reference.check_feasible(net, f)
+            assert residual(net, f) == cap
+            rounds.append(1)
+            return result
+
+        monkeypatch.setattr(greedy, "min_flow", rechecked)
+        _, partition, trace = greedy_antichain_cover(dag, 0)
+        assert partition.coverage() == dag.n
+        assert len(rounds) == len(trace.rounds)
 
 
 class TestGreedyAntichainCover:
