@@ -16,13 +16,13 @@ routine on the residual graph takes the network and the list, the
 solvers update the list in place, and the two checks on a solved flow
 scan the arcs that have room.
 
-check_feasible checks a flow's length, then its bounds, then
-conservation. residual() runs the same checks, with the same errors,
-but reads the bounds off the capacities it builds, since a capacity is
-negative exactly where the flow leaves its bounds. Conservation is read
-off the layout: per vertex it compares the entry and edges in, the
-gadget columns, and the exit and edges out, from stride slices of the
-flow, so that only the edge arcs with flow take a step each.
+residual() is the one flow check: a flow's length, then its bounds,
+then conservation. It reads the bounds off the capacities it builds,
+since a capacity is negative exactly where the flow leaves its bounds.
+Conservation is read off the layout: per vertex it compares the entry
+and edges in, the gadget columns, and the exit and edges out, from
+stride slices of the flow, so that only the edge arcs with flow take a
+step each.
 
 min_cost_circulation runs successive shortest paths (Edmonds-Karp 1972,
 Tomizawa 1971) from the zero flow: start potentials from one pass in
@@ -351,52 +351,30 @@ def peel_paths(split: SplitNetwork, f: Sequence[int]) -> list[tuple[tuple[int, .
     return paths
 
 
-def check_feasible(net: SplitNetwork, values: Sequence[int]) -> None:
-    """Raise InfeasibleFlowError on a length, bound or conservation
-    violation, in that order: a bound names the first bad arc,
-    conservation the smallest unbalanced node. s and t are exempt from
-    conservation in a network without a return arc."""
-    lower, upper = net.lower, net.upper
-    _check_length(net, values)
-    if any(map(gt, lower, values)) or any(map(gt, values, upper)):
-        raise _outside(net, values,
-                       next(i for i, v in enumerate(values) if v < lower[i] or v > upper[i]))
-    _check_conservation(net, values)
-
-
-def _check_length(net: SplitNetwork, values: Sequence[int]) -> None:
-    if len(values) != len(net.lower):
-        raise InfeasibleFlowError("flow vector length does not match arc count")
-
-
-def _outside(net: SplitNetwork, values: Sequence[int], i: int) -> InfeasibleFlowError:
-    return InfeasibleFlowError(
-        f"arc {i} carries {values[i]}, outside [{net.lower[i]}, {net.upper[i]}]")
-
-
-def _check_conservation(net: SplitNetwork, values: Sequence[int]) -> None:
-    v = net._unbalanced_node(values)
-    if v is not None:
-        raise InfeasibleFlowError(f"conservation fails at node {v}")
-
-
 def residual(net: SplitNetwork, f: Sequence[int]) -> list[int]:
     """The paired residual capacities of a feasible flow: upper less flow
     on 2i (INF less flow on an uncapped arc) and flow less lower on
     2i + 1. The arcs they belong to are the network's ``_paired`` columns.
 
-    The flow is checked as check_feasible does, raising the same
-    InfeasibleFlowError in the same order. A capacity is negative exactly
-    where the flow leaves its bounds, so the capacities are the bound
-    check, and the first negative one names check_feasible's arc.
+    Raise InfeasibleFlowError on a length, bound or conservation
+    violation, in that order. A capacity is negative exactly where the
+    flow leaves its bounds, so the capacities are the bound check, and
+    the first negative one names the first bad arc. Conservation names
+    the smallest unbalanced node; s and t are exempt from it in a network
+    without a return arc.
     """
-    _check_length(net, f)
+    if len(f) != len(net.lower):
+        raise InfeasibleFlowError("flow vector length does not match arc count")
     cap = [0] * (2 * len(f))
     cap[0::2] = map(sub, net.upper, f)
     cap[1::2] = map(sub, f, net.lower)
     if min(cap, default=0) < 0:
-        raise _outside(net, f, next(r for r, x in enumerate(cap) if x < 0) >> 1)
-    _check_conservation(net, f)
+        i = next(r for r, x in enumerate(cap) if x < 0) >> 1
+        raise InfeasibleFlowError(
+            f"arc {i} carries {f[i]}, outside [{net.lower[i]}, {net.upper[i]}]")
+    v = net._unbalanced_node(f)
+    if v is not None:
+        raise InfeasibleFlowError(f"conservation fails at node {v}")
     return cap
 
 
@@ -659,13 +637,12 @@ def min_cost_circulation(net: SplitNetwork) -> CirculationResult:
     augmentations) is bounded by the total improvement.
 
     The capacities of residual() are updated in place. The certificate
-    runs on them: residual() of the final flow, which runs
-    check_feasible's checks, must equal them, and a Bellman-Ford search
-    for a negative residual cycle started from the labels confirms a
-    valid potential by the minimum of one reduced-cost pass of the
-    capacities and labels, and searches in full otherwise. The pass is
-    returned (``reduced``) for check_distances to prove the labels exact
-    without computing it again.
+    runs on them: residual() of the final flow, which checks the flow,
+    must equal them, and a Bellman-Ford search for a negative residual
+    cycle started from the labels confirms a valid potential by the
+    minimum of one reduced-cost pass of the capacities and labels, and
+    searches in full otherwise. The pass is returned (``reduced``) for
+    check_distances to prove the labels exact without computing it again.
     """
     if net.ts_arc is None:
         raise InvalidCycleError("min_cost_circulation expects a network with a return arc")

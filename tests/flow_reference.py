@@ -8,11 +8,11 @@ searches scan those records.
 ssp_circulation keeps the successive-shortest-path solve that queued
 the stop node under its own id and ran a separate, final search for
 the labels, and tuple_dijkstra the search that queued (label, key)
-tuples. check_feasible keeps the flow check that balanced every node
-one arc at a time, whatever the network's layout. decompose and
-vertex_paths peel a flow at network level and map each path's arcs
-back to vertices, the route to chain witnesses that flowcore.peel_paths
-replaced. Tests compare flowcore against these on random inputs.
+tuples. check_feasible is the flow check that residual()'s errors are
+compared with: it balances every node one arc at a time, whatever the
+network's layout. decompose and vertex_paths peel a flow at network
+level and map each path's arcs back to vertices, the route to chain
+witnesses that flowcore.peel_paths replaced. Tests compare flowcore against these on random inputs.
 """
 
 import heapq

@@ -1,6 +1,6 @@
-"""The flow checks: a SplitNetwork's conservation check, read off its
-layout, against the per-arc reference; residual() and the circulation
-certificate against check_feasible; and the layout those checks rely on."""
+"""The flow checks: residual() and the circulation certificate against
+the reference check_feasible, which balances every node one arc at a
+time; and the layout that residual()'s conservation check relies on."""
 
 import os
 import random
@@ -14,7 +14,6 @@ from gkcover.errors import InfeasibleFlowError
 from gkcover.flowcore import (
     INF,
     SplitNetwork,
-    check_feasible,
     min_cost_circulation,
     min_flow,
     residual,
@@ -147,67 +146,6 @@ class TestLayoutInvariant:
                 assert split.exit(v) == split.gadget(v, split.stride - 2)
 
 
-class TestLayoutConservation:
-    """check_feasible on a SplitNetwork and the reference, which balances
-    every node one arc at a time, raise the same error or both pass."""
-
-    @pytest.mark.parametrize("case", range(len(DAGS)))
-    def test_same_verdict_as_the_reference(self, case):
-        dag = DAGS[case]
-        rng = random.Random(case)
-        verdicts = set()
-        for split, f in library_flows(dag, rng):
-            assert check_feasible(split, f) is None
-            for g in perturbed(split, f, rng):
-                want = outcome(ref.check_feasible, split, g)
-                assert outcome(check_feasible, split, g) == want
-                assert split._unbalanced_node(g) == ref.ArcNetwork._unbalanced_node(split, g)
-                assert split.flow_value(g) == ref.ArcNetwork.flow_value(split, g)
-                verdicts.add(want and want[1].split()[0])
-        assert verdicts == {None, "arc", "conservation"}
-
-    @pytest.mark.parametrize("gadgets", range(4))
-    def test_any_gadget_count(self, gadgets):
-        rng = random.Random(gadgets)
-        dag = random_dag(rng, 20)
-        for ret in (None, (INF, 0)):
-            split = SplitNetwork(dag.n, dag.edges, [(INF, 0)] * gadgets, ret=ret)
-            paths = [p.vertices for p in cover_paths(dag)] if gadgets else []
-            f = route_paths(split, paths)
-            for g in perturbed(split, f, rng):
-                assert outcome(check_feasible, split, g) == outcome(ref.check_feasible, split, g)
-
-    def test_names_the_smallest_unbalanced_node(self):
-        # one unit too many on vertex 1's entry and on the return arc
-        # unbalances v_in of 1 and t; without the entry's, s and t
-        gk = build_network(build_dag(2, [(0, 1)]), 1, ALPHA)
-        f = min_cost_circulation(gk).flow
-        f[gk.entry(1)] += 1
-        f[gk.ts_arc] += 1
-        with pytest.raises(InfeasibleFlowError, match="conservation fails at node 2$"):
-            check_feasible(gk, f)
-        f[gk.entry(1)] -= 1
-        with pytest.raises(InfeasibleFlowError, match="conservation fails at node 4$"):
-            check_feasible(gk, f)
-
-    @pytest.mark.parametrize("ret", [None, (1, 0)])
-    def test_an_extra_unit_through_a_vertex(self, ret):
-        # balanced at every vertex; only s and t, exempt without a return arc
-        split = SplitNetwork(2, [(0, 1)], [(1, -1), (3, 0)], ret=ret)
-        f = zero_flow(split)
-        for a in (split.entry(0), split.gadget(0, OVERFLOW), split.exit(0)):
-            f[a] += 1
-        want = None if ret is None else (InfeasibleFlowError, "conservation fails at node 4")
-        assert outcome(check_feasible, split, f) == want == outcome(ref.check_feasible, split, f)
-
-    def test_no_vertices(self):
-        for ret in (None, (2, 0)):
-            split = SplitNetwork(0, [], [(1, -1)], ret=ret)
-            assert check_feasible(split, zero_flow(split)) is None
-        with pytest.raises(InfeasibleFlowError, match="conservation fails at node 0$"):
-            check_feasible(split, [1])
-
-
 def faults(net, f):
     """Flows made from the feasible flow ``f`` of vertex 0: one of the
     wrong length, one above an upper bound, one below a lower bound,
@@ -220,29 +158,83 @@ def faults(net, f):
     return [f + [0], over, under, unbalanced]
 
 
-class TestSameErrorsFromEveryPath:
-    """residual() and the circulation certificate read the bounds off the
-    residual capacities but raise check_feasible's errors, in its order."""
+class TestLayoutConservation:
+    """residual() on a SplitNetwork and the reference check_feasible
+    raise the same error, in the same order, or both pass; on a passing
+    flow residual() gives the capacities of their formula."""
 
     @pytest.mark.parametrize("case", range(len(DAGS)))
-    def test_residual_raises_what_check_feasible_raises(self, case):
+    def test_same_verdict_as_the_reference(self, case):
         dag = DAGS[case]
         rng = random.Random(case)
+        verdicts = set()
         for split, f in library_flows(dag, rng):
+            assert outcome(residual, split, f) is None
             for g in [*perturbed(split, f, rng), *(faults(split, f) if dag.n else [])]:
-                want = outcome(check_feasible, split, g)
+                want = outcome(ref.check_feasible, split, g)
                 assert outcome(residual, split, g) == want
+                assert split._unbalanced_node(g) == ref.ArcNetwork._unbalanced_node(split, g)
+                assert split.flow_value(g) == ref.ArcNetwork.flow_value(split, g)
+                verdicts.add(want and want[1].split()[0])
                 if want is None:
-                    cap = residual(split, g)
-                    assert cap == [x for a, lo, up in zip(g, split.lower, split.upper)
-                                   for x in (up - a, a - lo)]
+                    assert residual(split, g) == [x for a, lo, up in
+                                                  zip(g, split.lower, split.upper)
+                                                  for x in (up - a, a - lo)]
+        assert verdicts == {None, "arc", "conservation"} | ({"flow"} if dag.n else set())
+
+    @pytest.mark.parametrize("gadgets", range(4))
+    def test_any_gadget_count(self, gadgets):
+        rng = random.Random(gadgets)
+        dag = random_dag(rng, 20)
+        for ret in (None, (INF, 0)):
+            split = SplitNetwork(dag.n, dag.edges, [(INF, 0)] * gadgets, ret=ret)
+            paths = [p.vertices for p in cover_paths(dag)] if gadgets else []
+            f = route_paths(split, paths)
+            for g in perturbed(split, f, rng):
+                assert outcome(residual, split, g) == outcome(ref.check_feasible, split, g)
+
+    def test_names_the_smallest_unbalanced_node(self):
+        # one unit too many on vertex 1's entry and on the return arc
+        # unbalances v_in of 1 and t; without the entry's, s and t
+        gk = build_network(build_dag(2, [(0, 1)]), 1, ALPHA)
+        f = min_cost_circulation(gk).flow
+        f[gk.entry(1)] += 1
+        f[gk.ts_arc] += 1
+        with pytest.raises(InfeasibleFlowError, match="conservation fails at node 2$"):
+            residual(gk, f)
+        f[gk.entry(1)] -= 1
+        with pytest.raises(InfeasibleFlowError, match="conservation fails at node 4$"):
+            residual(gk, f)
+
+    @pytest.mark.parametrize("ret", [None, (1, 0)])
+    def test_an_extra_unit_through_a_vertex(self, ret):
+        # balanced at every vertex; only s and t, exempt without a return arc
+        split = SplitNetwork(2, [(0, 1)], [(1, -1), (3, 0)], ret=ret)
+        f = zero_flow(split)
+        for a in (split.entry(0), split.gadget(0, OVERFLOW), split.exit(0)):
+            f[a] += 1
+        want = None if ret is None else (InfeasibleFlowError, "conservation fails at node 4")
+        assert outcome(residual, split, f) == want == outcome(ref.check_feasible, split, f)
+
+    def test_no_vertices(self):
+        for ret in (None, (2, 0)):
+            split = SplitNetwork(0, [], [(1, -1)], ret=ret)
+            assert outcome(residual, split, zero_flow(split)) is None
+        with pytest.raises(InfeasibleFlowError, match="conservation fails at node 0$"):
+            residual(split, [1])
+
+
+class TestSameErrorsFromEveryPath:
+    """residual() and the circulation certificate read the bounds off the
+    residual capacities but raise the reference check_feasible's errors,
+    in its order."""
 
     def test_each_fault_kind(self):
         dag = build_dag(3, [(0, 1), (1, 2)])
         split = build_subset_network(dag, range(3))
         f = route_paths(split, [p.vertices for p in cover_paths(dag)])
         got = [outcome(residual, split, g) for g in faults(split, f)]
-        assert got == [outcome(check_feasible, split, g) for g in faults(split, f)]
+        assert got == [outcome(ref.check_feasible, split, g) for g in faults(split, f)]
         assert [msg.split()[0] for _, msg in got] == ["flow", "arc", "arc", "conservation"]
         # a bound fault comes before a conservation fault, the first arc first
         g = list(f)
@@ -273,7 +265,6 @@ class TestSameErrorsFromEveryPath:
 
         monkeypatch.setattr(flowcore, "_augment", corrupt_once)
         got = outcome(min_cost_circulation, gk)
-        assert got == outcome(check_feasible, gk, seen[0])
         assert got == outcome(ref.check_feasible, gk, seen[0])
         first = {"length": "flow", "over": "arc", "under": "arc", "conservation": "conservation"}
         assert got[0] is InfeasibleFlowError and got[1].split()[0] == first[kind]
@@ -285,21 +276,20 @@ def test_edge_arc_fault_survives_optimized_python():
         "    raise SystemExit('not running under -O')\n"
         "from gkcover import build_dag\n"
         "from gkcover.errors import InfeasibleFlowError\n"
-        "from gkcover.flowcore import check_feasible, residual, route_paths\n"
+        "from gkcover.flowcore import residual, route_paths\n"
         "from gkcover.greedy import build_subset_network, cover_paths\n"
         "dag = build_dag(3, [(0, 1), (1, 2)])\n"
         "split = build_subset_network(dag, range(3))\n"
         "f = route_paths(split, [p.vertices for p in cover_paths(dag)])\n"
         "f[3 * 3 + 1] += 1\n"
-        "for check in (check_feasible, residual):\n"
-        "    try:\n"
-        "        check(split, f)\n"
-        "    except InfeasibleFlowError as exc:\n"
-        "        print('infeasible:', exc)\n")
+        "try:\n"
+        "    residual(split, f)\n"
+        "except InfeasibleFlowError as exc:\n"
+        "    print('infeasible:', exc)\n")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     # the edge (1, 2) carries one unit more: v_out of 1 sends more than it gets
-    assert proc.stdout.splitlines() == ["infeasible: conservation fails at node 3"] * 2
+    assert proc.stdout.splitlines() == ["infeasible: conservation fails at node 3"]

@@ -13,7 +13,6 @@ from gkcover.errors import ConservationError, InfeasibleFlowError, InvalidCycleE
 from gkcover.flowcore import (
     INF,
     SplitNetwork,
-    check_feasible,
     find_negative_cycle,
     min_cost_circulation,
     min_flow,
@@ -57,32 +56,32 @@ def two_node_circulation():
 class TestFeasibility:
     def test_zero_flow_feasible_without_lower_bounds(self):
         net = diamond()
-        check_feasible(net, zero_flow(net))
+        residual(net, zero_flow(net))
 
     def test_length_mismatch(self):
         net = diamond()
         with pytest.raises(InfeasibleFlowError):
-            check_feasible(net, [0, 0, 0])
+            residual(net, [0, 0, 0])
 
     def test_bound_violation(self):
         net = diamond(lower_mid=1)
         with pytest.raises(InfeasibleFlowError):
-            check_feasible(net, zero_flow(net))
+            residual(net, zero_flow(net))
 
     def test_conservation_violation(self):
         net = diamond()
         with pytest.raises(InfeasibleFlowError):
-            check_feasible(net, [1, 0, 0, 0])
+            residual(net, [1, 0, 0, 0])
 
     def test_endpoints_exempt_without_return_arc(self):
         net = diamond()
-        check_feasible(net, [1, 0, 1, 0])  # imbalanced at s and t only
+        residual(net, [1, 0, 1, 0])  # imbalanced at s and t only
 
     def test_return_arc_makes_everything_conserved(self):
         net = two_node_circulation()
-        check_feasible(net, [3, 3])
+        residual(net, [3, 3])
         with pytest.raises(InfeasibleFlowError):
-            check_feasible(net, [3, 2])
+            residual(net, [3, 2])
 
 
 class TestFlowAccessors:
@@ -144,7 +143,6 @@ class TestNegativeCycles:
         assert cyc is not None
         assert sum(net._paired[2][r] for r in cyc) < 0
         f2 = min_cost_circulation(net).flow
-        check_feasible(net, f2)
         assert net.flow_cost(f2) < net.flow_cost(f)
         assert find_negative_cycle(net, residual(net, f2)) is None
 
@@ -243,7 +241,7 @@ def test_circulation_cost_matches_network_simplex(net):
         g.add_edge(a.tail, a.head, capacity=a.upper, weight=a.cost)
     want, _ = nx.network_simplex(g)
     result = min_cost_circulation(net)
-    check_feasible(net, result.flow)
+    residual(net, result.flow)
     assert result.final_cost == want
     assert result.iterations <= -result.final_cost
 
