@@ -212,10 +212,14 @@ class TestCertifyMatchesReference:
     """The sweep-based checks accept what the pairwise DFS accepts and
     name the witness it names."""
 
-    # certification never builds the closure, neither on the checked DAG
-    # nor on ``chained``, a DAG of its own that only the chain check reads
+    # warm_after: how many members are certified before the test builds
+    # the checked DAG's closure itself; None leaves it unbuilt, and then
+    # certification must never build it, neither on the checked DAG nor
+    # on ``chained``, a DAG of its own that only the chain check reads.
+    # The warm runs pin that a built closure changes no verdict.
+    @pytest.mark.parametrize("warm_after", [None, 0, 5])
     @pytest.mark.parametrize("seed", range(40))
-    def test_same_result_and_witness(self, seed):
+    def test_same_result_and_witness(self, seed, warm_after):
         rng = random.Random(seed)
         n = rng.randint(1, 14)
         p = rng.choice([0.1, 0.3, 0.6])
@@ -225,7 +229,9 @@ class TestCertifyMatchesReference:
         dag = build_dag(n, edges)  # random_members reads its closure
         checked, chained = build_dag(n, edges), build_dag(n, edges)
         chain_failures = 0
-        for m in random_members(rng, dag):
+        for i, m in enumerate(random_members(rng, dag)):
+            if i == warm_after:
+                checked.closure()
             want = certified(dag_reference.certify_antichain, checked, m)
             assert certified(certify_antichain, checked, m) == want
             want = certified(dag_reference.certify_chain, checked, m)
@@ -233,19 +239,24 @@ class TestCertifyMatchesReference:
             assert certified(certify_chain, chained, m) == want
             # an error's type, message and witness, not a chain's vertex tuple
             chain_failures += bool(want) and isinstance(want[0], type)
-            assert checked._closure is None
+            if warm_after is None:
+                assert checked._closure is None
             assert chained._closure is None
         # every seed rejects some chains; some seeds reject no antichain
         assert chain_failures
+        assert checked.closure() == dag.closure()
 
-    def test_out_of_range_members(self, fig):
+    @pytest.mark.parametrize("warm_after", [None, 0])
+    def test_out_of_range_members(self, fig, warm_after):
+        if warm_after == 0:
+            fig.closure()
         for m in ([3, 9, -1], [0, 4, 9]):
             want = certified(dag_reference.certify_antichain, fig, m)
             assert certified(certify_antichain, fig, m) == want
             want = certified(dag_reference.certify_chain, fig, m)
             assert certified(certify_chain, fig, m) == want
         # certification never builds the closure
-        assert fig._closure is None
+        assert (fig._closure is None) == (warm_after is None)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_path_check_matches_the_edge_set(self, seed):
